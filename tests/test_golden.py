@@ -1,0 +1,93 @@
+"""Golden outputs: CLI bytes, decomposition files and search node counts.
+
+The expected values in ``golden/outputs.json`` were recorded from the
+implementation and pin its observable behaviour: the exact stdout of the
+reporting commands (only ``elapsed=`` is masked), every file ``mbv decompose``
+writes, and the node counts and bounds of both exact algorithms. A refactor
+that keeps behaviour keeps all of them.
+
+To re-record after an intended behaviour change, run from the repository root:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+import json
+import re
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+from mbv import (
+    SolveOptions,
+    generate_random_connected,
+    solve_plain,
+    solve_with_decomposition,
+    write_instance,
+)
+from mbv.cli import main as cli_main
+
+GOLDEN = Path(__file__).with_name("golden") / "outputs.json"
+
+# (name, n, m, seed); g30 has obligatory vertices and bridges, g16 is the
+# criterion-9 instance
+CLI_INSTANCES = (("g16", 16, 19, 77), ("g20", 20, 23, 5), ("g30", 30, 34, 1))
+CLI_COMMANDS = (
+    ("stats", ()),
+    ("heur", ("--alg", "best", "--tree")),
+    ("solve", ("--tree",)),
+    ("solve", ("--no-decompose", "--tree")),
+)
+# criterion-7 instances solved to proof, and one budgeted solve at n=100
+SEARCH_CASES = tuple((60, 66, s, None) for s in range(2000, 2005)) + ((100, 130, 4000, 1000),)
+
+
+def _cli(argv) -> str:
+    out = StringIO()
+    with redirect_stdout(out):
+        code = cli_main([str(a) for a in argv])
+    return f"exit={code}\n" + re.sub(r"elapsed=\S+", "elapsed=*", out.getvalue())
+
+
+def record(work: Path) -> dict:
+    """Every pinned output, computed by the current implementation."""
+    outputs = {}
+    for name, n, m, seed in CLI_INSTANCES:
+        inst = work / f"{name}.graph"
+        inst.write_text(write_instance(generate_random_connected(n, m, seed)), encoding="utf-8")
+        for command, flags in CLI_COMMANDS:
+            key = " ".join((command, name) + flags)
+            outputs[key] = _cli((command, inst) + flags)
+        out_dir = work / f"{name}-parts"
+        outputs[f"decompose {name}"] = _cli(("decompose", inst, "--out-dir", out_dir)).replace(
+            str(out_dir), "OUT"
+        )
+        for path in sorted(out_dir.iterdir()):
+            outputs[f"decompose {name} {path.name}"] = path.read_text(encoding="utf-8")
+    for n, m, seed, limit in SEARCH_CASES:
+        g = generate_random_connected(n, m, seed)
+        opts = SolveOptions(node_limit=limit)
+        for algorithm, solve in (("enhanced", solve_with_decomposition), ("plain", solve_plain)):
+            r = solve(g, opts)
+            outputs[f"search n={n} m={m} seed={seed} limit={limit} {algorithm}"] = [
+                r.nodes_explored,
+                r.lower_bound,
+                r.upper_bound,
+            ]
+    return outputs
+
+
+def test_golden_outputs(tmp_path):
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = record(tmp_path)
+    assert sorted(got) == sorted(expected)
+    for key in expected:
+        assert got[key] == expected[key], key
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        data = record(Path(tmp))
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(data)} outputs to {GOLDEN}", file=sys.stderr)
