@@ -16,7 +16,6 @@ from .decompose import (
     SplitCopy,
     component_branch_count,
     decompose,
-    decomposed_objective,
     recombine,
 )
 from .graph import (
@@ -32,11 +31,9 @@ from .graph import (
     structural_report,
 )
 from .heuristics import (
-    HeuristicOverlay,
     HeuristicState,
     best_heuristic,
     multi_path_expanding,
-    overlay_branch_value,
     path_expanding,
     start_restart_select,
 )
@@ -61,7 +58,6 @@ __all__ = [
     "Component",
     "Decomposition",
     "Graph",
-    "HeuristicOverlay",
     "HeuristicState",
     "LowerBoundResult",
     "OracleResult",
@@ -82,7 +78,6 @@ __all__ = [
     "component_branch_count",
     "connected_components",
     "decompose",
-    "decomposed_objective",
     "enumerate_spanning_trees",
     "errors",
     "generate_random_connected",
@@ -91,7 +86,6 @@ __all__ = [
     "load_graph",
     "multi_path_expanding",
     "obligatory_branch_bound",
-    "overlay_branch_value",
     "parse_dimacs",
     "parse_instance",
     "path_expanding",

@@ -108,7 +108,8 @@ def bench(paths, time_limit: float | None = None, jobs: int = 1) -> list[Report]
     """Benchmark every instance file; per-instance errors are recorded, not raised."""
     ordered = sorted(str(p) for p in paths)
     if jobs > 1 and len(ordered) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a forked pool starts every worker up front, so never ask for idle ones
+        with ProcessPoolExecutor(max_workers=min(jobs, len(ordered))) as pool:
             reports = list(pool.map(_bench_path, ordered, [time_limit] * len(ordered)))
     else:
         reports = []

@@ -105,7 +105,7 @@ def _cmd_decompose(args) -> int:
                 meta.append(
                     f"vertex component={k} local={i + 1} kind=original "
                     f"origin={p.vertex + 1} extra_degree={comp.extra_degree.get(i, 0)} "
-                    f"original_degree={comp.original_degree[i]}"
+                    f"original_degree={d.source.degree(p.vertex)}"
                 )
             else:
                 meta.append(
@@ -159,6 +159,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     paths = collect_instances(args.directory)
     reports = bench(paths, time_limit=args.time_limit, jobs=args.jobs)
     sys.stdout.write(render_table(reports))

@@ -21,7 +21,16 @@ from dataclasses import dataclass
 
 from .bound import LowerBoundResult, graph_fingerprint
 from .errors import DisconnectedInputError, NotASpanningTreeError, StaleBoundError
-from .graph import Edge, Graph, _dfs_structure, build_graph, is_spanning_tree, spanning_tree, SpanningTree
+from .graph import (
+    Edge,
+    Graph,
+    SpanningTree,
+    _count_branches,
+    _lowpoint,
+    build_graph,
+    is_spanning_tree,
+    spanning_tree,
+)
 
 
 @dataclass(frozen=True)
@@ -48,19 +57,23 @@ Provenance = Original | SplitCopy
 
 @dataclass(frozen=True)
 class Component:
-    """One connected piece of the decomposed graph.
+    """One connected piece of the decomposed graph, with its own objective.
 
-    ``extra_degree`` holds, for original vertices only, the number of deleted
-    bridges that were incident to them; it is added to the local tree degree
-    when deciding whether a vertex is a branch. ``original_degree`` is the
-    degree the original vertices had in the input graph.
+    A component spanning tree is scored by counting the ``countable`` local
+    vertices (the originals; split copies never count) whose tree degree plus
+    ``extra_degree`` exceeds two. ``extra_degree`` holds, for original
+    vertices only, the number of deleted bridges that were incident to them.
+    The heuristics and the exact search read both from here.
     """
 
     graph: Graph
     provenance: tuple[Provenance, ...]
     extra_degree: dict[int, int]
-    original_degree: dict[int, int]
     edge_origin: dict[Edge, Edge]
+
+    @property
+    def countable(self) -> tuple[bool, ...]:
+        return tuple(isinstance(p, Original) for p in self.provenance)
 
 
 @dataclass(frozen=True)
@@ -82,30 +95,31 @@ def decompose(g: Graph, lb: LowerBoundResult) -> Decomposition:
     """
     if lb.fingerprint != graph_fingerprint(g):
         raise StaleBoundError("lower bound was computed on a different graph")
-    s = _dfs_structure(g)
-    if s.component_count != 1:
+    s = _lowpoint(g.n, g.adjacency)
+    if s.count != 1:
         raise DisconnectedInputError("decompose needs a connected graph")
 
     n = g.n
     obligatory = lb.obligatory
-    bridges = s.bridges
+    bridges = frozenset(s.bridges)
     entry = s.entry
-    subtree = s.subtree
 
     # piece lookup for an obligatory vertex v: piece 1 is the side containing
     # v's DFS parent (absent for roots), the split-child subtrees follow in
     # visit order. Neighbor membership is interval containment on entry times.
-    starts: dict[int, list[int]] = {}
-    ends: dict[int, list[int]] = {}
-    for v in obligatory:
-        starts[v] = [entry[c] for c in s.split_children[v]]
-        ends[v] = [entry[c] + subtree[c] for c in s.split_children[v]]
+    spans: dict[int, list[tuple[int, int]]] = {v: [] for v in obligatory}
+    for c in range(n):
+        p = s.parent[c]
+        if p in spans and s.low[c] >= entry[p]:
+            spans[p].append((entry[c], s.end[c]))
+    for cut in spans.values():
+        cut.sort()
 
     def piece_of(v: int, u: int) -> int:
-        base = 0 if s.root[v] else 1
-        vs = starts[v]
-        j = bisect_right(vs, entry[u]) - 1
-        if j >= 0 and entry[u] < ends[v][j]:
+        base = 0 if s.parent[v] < 0 else 1
+        cut = spans[v]
+        j = bisect_right(cut, (entry[u], n)) - 1
+        if j >= 0 and entry[u] < cut[j][1]:
             return base + j + 1
         return 1  # only reachable for non-roots: u sits on the parent side
 
@@ -138,34 +152,18 @@ def decompose(g: Graph, lb: LowerBoundResult) -> Decomposition:
         split_adj[b].append(a)
         origin_of[(a, b) if a < b else (b, a)] = (u, w)
 
-    # label the split graph's connected pieces
-    comp_of = [-1] * n_split
-    count = 0
-    for start in range(n_split):
-        if comp_of[start] != -1:
-            continue
-        comp_of[start] = count
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in split_adj[x]:
-                if comp_of[y] == -1:
-                    comp_of[y] = count
-                    stack.append(y)
-        count += 1
-
     bridge_deg = [0] * n
     for u, w in bridges:
         bridge_deg[u] += 1
         bridge_deg[w] += 1
 
-    members: list[list[int]] = [[] for _ in range(count)]
+    split = _lowpoint(n_split, split_adj)
+    members: list[list[int]] = [[] for _ in range(split.count)]
     for x in range(n_split):
-        members[comp_of[x]].append(x)
+        members[split.component_of[x]].append(x)
 
     components = []
-    for k in range(count):
-        ids = members[k]  # ascending: ids were scanned in order
+    for ids in members:  # ascending: ids were scanned in order
         local = {x: i for i, x in enumerate(ids)}
         local_edges = []
         edge_origin: dict[Edge, Edge] = {}
@@ -179,13 +177,10 @@ def decompose(g: Graph, lb: LowerBoundResult) -> Decomposition:
         cg = build_graph(len(ids), local_edges)
         provenance = tuple(node_origin[x] for x in ids)
         extra = {}
-        orig_deg = {}
         for i, p in enumerate(provenance):
-            if isinstance(p, Original):
-                orig_deg[i] = g.degree(p.vertex)
-                if bridge_deg[p.vertex]:
-                    extra[i] = bridge_deg[p.vertex]
-        components.append(Component(cg, provenance, extra, orig_deg, edge_origin))
+            if isinstance(p, Original) and bridge_deg[p.vertex]:
+                extra[i] = bridge_deg[p.vertex]
+        components.append(Component(cg, provenance, extra, edge_origin))
 
     return Decomposition(g, tuple(components), lb, bridges)
 
@@ -198,16 +193,7 @@ def component_branch_count(c: Component, tree_edges) -> int:
     """
     if not is_spanning_tree(c.graph, tree_edges):
         raise NotASpanningTreeError("edge set is not a spanning tree of the component")
-    deg = [0] * c.graph.n
-    for u, v in tree_edges:
-        deg[u] += 1
-        deg[v] += 1
-    extra = c.extra_degree
-    return sum(
-        1
-        for i, p in enumerate(c.provenance)
-        if isinstance(p, Original) and deg[i] + extra.get(i, 0) > 2
-    )
+    return _count_branches(c.graph.n, tree_edges, c.extra_degree, c.countable)
 
 
 def recombine(d: Decomposition, component_trees) -> SpanningTree:
@@ -228,8 +214,3 @@ def recombine(d: Decomposition, component_trees) -> SpanningTree:
         for u, v in te:
             edges.add(comp.edge_origin[(u, v) if u < v else (v, u)])
     return spanning_tree(d.source, edges)
-
-
-def decomposed_objective(lo_size: int, component_values) -> int:
-    """Objective of a recombined solution: obligatory count plus component values."""
-    return lo_size + sum(component_values)

@@ -1,11 +1,17 @@
-"""Simple undirected graphs and the linear-time structure scans everything else uses.
+"""Simple undirected graphs, the one lowpoint DFS and the one branch count.
 
 Vertices are dense integers 0..n-1, edges are normalized tuples (u, v) with
 u < v. Graphs are immutable after construction; all functions here are pure.
+Every structure scan of the package (components, articulation points, split
+counts, bridges, two-edge-connected classes) comes from ``_lowpoint``, run on
+the input graph, on the decomposition's split graph and on the live and
+contracted graphs of each search node.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Mapping, NamedTuple
 
 from .errors import (
     DuplicateEdgeError,
@@ -115,109 +121,105 @@ def build_graph(n: int, edge_pairs) -> Graph:
     return Graph(n, edges, tuple(tuple(a) for a in adj))
 
 
-def connected_components(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Label vertices with component ids 0..count-1, assigned in discovery order."""
-    comp = [-1] * g.n
-    count = 0
-    for start in range(g.n):
-        if comp[start] != -1:
-            continue
-        comp[start] = count
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in g.adjacency[v]:
-                if comp[w] == -1:
-                    comp[w] = count
-                    stack.append(w)
-        count += 1
-    return count, tuple(comp)
+class _Lowpoint(NamedTuple):
+    """Everything one Tarjan lowpoint DFS over a simple graph reveals.
 
-
-@dataclass(frozen=True)
-class _DfsStructure:
-    """Raw depth-first artifacts shared by structural_report and decompose.
-
-    ``split_children[v]`` lists the DFS children whose subtree cannot reach
-    above v; removing v cuts each of them off. Entry times of a root are
-    minimal within its component, so roots automatically collect every child.
+    Roots are tried in vertex order and neighbors in adjacency order, so
+    components are numbered in order of their smallest vertex. ``entry`` is
+    the preorder index, ``end[v]`` one past the last preorder index in v's
+    subtree, ``parent`` is -1 for roots. ``pieces[v]`` is the number of parts
+    v's own component falls into once v is removed (0 for an isolated
+    vertex). ``classes`` lists the two-edge-connected classes with two or more
+    vertices (the components left once every bridge is deleted); every other
+    vertex is a class of its own.
     """
 
-    component_count: int
-    component_of: tuple[int, ...]
-    entry: tuple[int, ...]
-    subtree: tuple[int, ...]
-    root: tuple[bool, ...]
-    split_children: tuple[tuple[int, ...], ...]
-    bridges: frozenset[Edge]
-
-    def pieces(self, v: int) -> int:
-        """Number of parts v's own component splits into when v is removed."""
-        return len(self.split_children[v]) + (0 if self.root[v] else 1)
+    count: int
+    component_of: list[int]
+    entry: list[int]
+    end: list[int]
+    low: list[int]
+    parent: list[int]
+    pieces: list[int]
+    bridges: list[Edge]
+    classes: list[list[int]]
 
 
-def _dfs_structure(g: Graph) -> _DfsStructure:
-    # Iterative DFS so path graphs with n = 10^5 cannot overflow the call stack.
-    n = g.n
-    adj = g.adjacency
+def _lowpoint(n: int, adj) -> _Lowpoint:
+    """The package's one lowpoint DFS, over the adjacency lists of a simple graph.
+
+    Iterative so path graphs with n = 10^5 cannot overflow the call stack. A
+    simple graph has exactly one edge back to the DFS parent, so skipping the
+    parent vertex skips exactly the tree edge. Linear in n + m.
+    """
     entry = [-1] * n
+    end = [0] * n
     low = [0] * n
-    subtree = [1] * n
-    comp_of = [-1] * n
-    split_children: list[list[int]] = [[] for _ in range(n)]
-    root = [False] * n
-    bridges: set[Edge] = set()
-    comp = 0
+    parent = [-1] * n
+    component_of = [-1] * n
+    pieces = [0] * n
+    at = [0] * n  # position of each vertex in its component's pending list
+    bridges: list[Edge] = []
+    classes: list[list[int]] = []
     timer = 0
+    count = 0
     for r in range(n):
-        if entry[r] != -1:
+        if entry[r] >= 0:
             continue
-        root[r] = True
         entry[r] = low[r] = timer
         timer += 1
-        comp_of[r] = comp
-        # frame: vertex, parent, next adjacency index, parent edge consumed
-        stack = [[r, -1, 0, False]]
-        while stack:
-            frame = stack[-1]
-            v = frame[0]
-            nbrs = adj[v]
-            i = frame[2]
-            if i < len(nbrs):
-                frame[2] = i + 1
-                w = nbrs[i]
-                if w == frame[1] and not frame[3]:
-                    frame[3] = True  # a simple graph has exactly one parent edge
-                    continue
+        component_of[r] = count
+        count += 1
+        if not adj[r]:  # common in contracted graphs: skip the frame set-up
+            end[r] = timer
+            continue
+        pending = [r]  # discovered vertices whose class is still open
+        path = [r]
+        scans = [iter(adj[r])]
+        while scans:
+            v = path[-1]
+            p = parent[v]
+            for w in scans[-1]:
                 t = entry[w]
-                if t == -1:
+                if t < 0:
                     entry[w] = low[w] = timer
                     timer += 1
-                    comp_of[w] = comp
-                    stack.append([w, v, 0, False])
-                elif t < low[v]:
+                    component_of[w] = count - 1
+                    parent[w] = v
+                    pieces[w] = 1  # the side holding the parent
+                    at[w] = len(pending)
+                    pending.append(w)
+                    path.append(w)
+                    scans.append(iter(adj[w]))
+                    break
+                if t < low[v] and w != p:
                     low[v] = t
             else:
-                stack.pop()
-                p = frame[1]
-                if p >= 0:
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    subtree[p] += subtree[v]
-                    if low[v] >= entry[p]:
-                        split_children[p].append(v)
-                        if low[v] > entry[p]:
-                            bridges.add((p, v) if p < v else (v, p))
-        comp += 1
-    return _DfsStructure(
-        comp,
-        tuple(comp_of),
-        tuple(entry),
-        tuple(subtree),
-        tuple(root),
-        tuple(tuple(c) for c in split_children),
-        frozenset(bridges),
-    )
+                path.pop()
+                scans.pop()
+                end[v] = timer
+                if p < 0:
+                    break
+                lv = low[v]
+                if lv < low[p]:
+                    low[p] = lv
+                if lv >= entry[p]:
+                    pieces[p] += 1  # v's subtree is cut off without p
+                    if lv > entry[p]:
+                        bridges.append((p, v) if p < v else (v, p))
+                        i = at[v]  # v's class is what v's subtree left open
+                        if i + 1 < len(pending):
+                            classes.append(pending[i:])
+                        del pending[i:]
+        if len(pending) > 1:  # the root's class
+            classes.append(pending)
+    return _Lowpoint(count, component_of, entry, end, low, parent, pieces, bridges, classes)
+
+
+def connected_components(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Label vertices with component ids 0..count-1, assigned in discovery order."""
+    scan = _lowpoint(g.n, g.adjacency)
+    return scan.count, tuple(scan.component_of)
 
 
 def structural_report(g: Graph) -> StructuralReport:
@@ -227,13 +229,13 @@ def structural_report(g: Graph) -> StructuralReport:
     when removing it increases the number of components, mapped to the total
     component count of the graph without it.
     """
-    s = _dfs_structure(g)
-    articulation: dict[int, int] = {}
-    for v in range(g.n):
-        pieces = s.pieces(v)
-        if pieces >= 2:
-            articulation[v] = s.component_count - 1 + pieces
-    return StructuralReport(s.component_count, s.component_of, articulation, s.bridges)
+    scan = _lowpoint(g.n, g.adjacency)
+    articulation = {
+        v: scan.count - 1 + pieces for v, pieces in enumerate(scan.pieces) if pieces >= 2
+    }
+    return StructuralReport(
+        scan.count, tuple(scan.component_of), articulation, frozenset(scan.bridges)
+    )
 
 
 def is_spanning_tree(g: Graph, tree_edges) -> bool:
@@ -249,13 +251,25 @@ def is_spanning_tree(g: Graph, tree_edges) -> bool:
     return True
 
 
-def branch_count(n: int, tree_edges) -> int:
-    """Number of vertices of degree greater than two in the given edge subset."""
+def _count_branches(n: int, tree_edges, extra_degree: Mapping[int, int], countable) -> int:
+    """Countable vertices whose degree in tree_edges plus extra degree exceeds two.
+
+    The package's one branch count: a whole graph counts every vertex with no
+    extra degree; a decomposition component adds each vertex's deleted
+    bridges and skips its split copies.
+    """
     deg = [0] * n
+    for v, d in extra_degree.items():
+        deg[v] = d
     for u, v in tree_edges:
         deg[u] += 1
         deg[v] += 1
-    return sum(1 for d in deg if d > 2)
+    return sum(1 for d, keep in zip(deg, countable) if d > 2 and keep)
+
+
+def branch_count(n: int, tree_edges) -> int:
+    """Number of vertices of degree greater than two in the given edge subset."""
+    return _count_branches(n, tree_edges, {}, repeat(True))
 
 
 def spanning_tree(g: Graph, tree_edges) -> SpanningTree:
@@ -268,52 +282,3 @@ def spanning_tree(g: Graph, tree_edges) -> SpanningTree:
             f"edge set of size {len(edges)} does not span {g.n} vertices"
         )
     return SpanningTree(g.n, edges, branch_count(g.n, edges))
-
-
-def _edge_dfs(n: int, adj: list[list[tuple[int, int]]]) -> tuple[int, list[int]]:
-    """Component count and bridge edge ids for an edge-id-annotated adjacency list.
-
-    Tolerates parallel edges (skips the incoming edge by id, exactly once) and
-    ignores self loops; used on live subgraphs inside the solver and the oracle.
-    """
-    entry = [-1] * n
-    low = [0] * n
-    comp = 0
-    bridges: list[int] = []
-    timer = 0
-    for r in range(n):
-        if entry[r] != -1:
-            continue
-        comp += 1
-        entry[r] = low[r] = timer
-        timer += 1
-        stack = [[r, -1, 0, False]]  # vertex, incoming edge id, index, skip done
-        while stack:
-            frame = stack[-1]
-            v = frame[0]
-            nbrs = adj[v]
-            i = frame[2]
-            if i < len(nbrs):
-                frame[2] = i + 1
-                w, eid = nbrs[i]
-                if eid == frame[1] and not frame[3]:
-                    frame[3] = True
-                    continue
-                if w == v:
-                    continue
-                t = entry[w]
-                if t == -1:
-                    entry[w] = low[w] = timer
-                    timer += 1
-                    stack.append([w, eid, 0, False])
-                elif t < low[v]:
-                    low[v] = t
-            else:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                    if low[v] > entry[parent]:
-                        bridges.append(frame[1])
-    return comp, bridges

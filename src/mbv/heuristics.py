@@ -9,28 +9,19 @@ Within a tier the largest unvisited-neighbor count wins, remaining ties go to
 the smallest vertex id. All selections are deterministic so repeated runs build
 identical trees.
 
-Both algorithms also accept an overlay so they can run on decomposition
-components: tree degrees start at the vertex's extra degree and split copies
-are exempt from branch accounting (they behave like obligatory vertices:
-preferred for restarts, never retired).
+Both algorithms also accept the decomposition component the graph came from,
+and then follow its objective: tree degrees start at the vertex's extra degree
+and split copies, which never count, behave like obligatory vertices
+(preferred for restarts, never retired).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Mapping
 
 from .bound import LowerBoundResult
+from .decompose import Component, component_branch_count
 from .errors import DisconnectedInputError, NoEligibleVertexError
 from .graph import Graph, SpanningTree, connected_components, spanning_tree
-
-
-@dataclass(frozen=True)
-class HeuristicOverlay:
-    """Component-mode adjustments: starting degrees and objective-exempt vertices."""
-
-    extra_degree: Mapping[int, int] = field(default_factory=dict)
-    exempt: frozenset[int] = frozenset()
 
 
 class HeuristicState:
@@ -52,18 +43,20 @@ class HeuristicState:
         "priority",
     )
 
-    def __init__(self, g: Graph, lb: LowerBoundResult, overlay: HeuristicOverlay | None = None):
+    def __init__(self, g: Graph, lb: LowerBoundResult, component: Component | None = None):
         n = g.n
-        extra = overlay.extra_degree if overlay else {}
-        exempt = overlay.exempt if overlay else frozenset()
         self.graph = g
         self.in_tree = [False] * n
-        self.tree_degree = [extra.get(v, 0) for v in range(n)]
+        self.tree_degree = [0] * n
         self.unvisited = [g.degree(v) for v in range(n)]
         self.tree_edges: list[tuple[int, int]] = []
         self.candidates: set[int] = set()
         self.open_vertices: set[int] = set()
-        self.priority = frozenset(lb.obligatory) | exempt
+        self.priority = frozenset(lb.obligatory)
+        if component is not None:
+            for v, d in component.extra_degree.items():
+                self.tree_degree[v] = d
+            self.priority |= {v for v, keep in enumerate(component.countable) if not keep}
 
     def add_vertex(self, w: int) -> None:
         self.in_tree[w] = True
@@ -123,7 +116,7 @@ def _require_connected(g: Graph) -> None:
 
 
 def path_expanding(
-    g: Graph, lb: LowerBoundResult, overlay: HeuristicOverlay | None = None
+    g: Graph, lb: LowerBoundResult, component: Component | None = None
 ) -> SpanningTree:
     """Grow one path at a time, restarting from tree endpoints when stuck.
 
@@ -134,7 +127,7 @@ def path_expanding(
     ends rather than leaving strands the tree would later branch around.
     """
     _require_connected(g)
-    st = HeuristicState(g, lb, overlay)
+    st = HeuristicState(g, lb, component)
     if g.n == 1:
         return spanning_tree(g, ())
     adj = g.adjacency
@@ -167,17 +160,17 @@ def path_expanding(
 
 
 def multi_path_expanding(
-    g: Graph, lb: LowerBoundResult, overlay: HeuristicOverlay | None = None
+    g: Graph, lb: LowerBoundResult, component: Component | None = None
 ) -> SpanningTree:
     """Grow several paths at once from a retiring candidate set.
 
     Each step attaches the outside vertex with the fewest unvisited neighbors
     among those adjacent to a candidate (smallest-id candidate on ties). A
     candidate retires once its tree degree reaches two, unless it is obligatory
-    or exempt; those stay available no matter their degree.
+    or a split copy; those stay available no matter their degree.
     """
     _require_connected(g)
-    st = HeuristicState(g, lb, overlay)
+    st = HeuristicState(g, lb, component)
     if g.n == 1:
         return spanning_tree(g, ())
     adj = g.adjacency
@@ -241,28 +234,17 @@ def multi_path_expanding(
     return spanning_tree(g, st.tree_edges)
 
 
-def overlay_branch_value(tree: SpanningTree, overlay: HeuristicOverlay | None) -> int:
-    """Branch count of a tree under an overlay's extra degrees and exemptions."""
-    if overlay is None:
-        return tree.branches
-    deg = [0] * tree.n
-    for u, v in tree.edges:
-        deg[u] += 1
-        deg[v] += 1
-    extra = overlay.extra_degree
-    return sum(
-        1
-        for v in range(tree.n)
-        if v not in overlay.exempt and deg[v] + extra.get(v, 0) > 2
-    )
-
-
 def best_heuristic(
-    g: Graph, lb: LowerBoundResult, overlay: HeuristicOverlay | None = None
+    g: Graph, lb: LowerBoundResult, component: Component | None = None
 ) -> SpanningTree:
-    """Run both heuristics and keep the tree with fewer branches (ties: path)."""
-    a = path_expanding(g, lb, overlay)
-    b = multi_path_expanding(g, lb, overlay)
-    if overlay_branch_value(a, overlay) <= overlay_branch_value(b, overlay):
+    """Run both heuristics and keep the tree with fewer branches (ties: path).
+
+    With a component, "fewer branches" is measured by the component's objective.
+    """
+    a = path_expanding(g, lb, component)
+    b = multi_path_expanding(g, lb, component)
+    if component is None:
+        return a if a.branches <= b.branches else b
+    if component_branch_count(component, a.edges) <= component_branch_count(component, b.edges):
         return a
     return b

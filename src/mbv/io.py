@@ -113,8 +113,11 @@ def write_dimacs(g: Graph) -> str:
 
 def load_graph(path: str) -> Graph:
     """Read a graph file, sniffing the format from its first meaningful line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedHeaderError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     for raw in text.splitlines():
         line = raw.strip()
         if not line:

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from typing import Callable, FrozenSet
 
 from .errors import DisconnectedInputError, TooLargeError
-from .graph import Edge, Graph, SpanningTree, UnionFind, _edge_dfs, spanning_tree
+from .graph import (
+    Edge,
+    Graph,
+    SpanningTree,
+    UnionFind,
+    _lowpoint,
+    connected_components,
+    spanning_tree,
+)
 
 CYCLE_RANK_LIMIT = 20
 
@@ -31,13 +39,14 @@ def _normalize(n, edges, live: set[int], forced: set[int]) -> None:
     On return every bridge of the live graph is forced and every live
     non-forced edge joins two different forced components.
     """
+    edge_id = {e: ei for ei, e in enumerate(edges)}
     while True:
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        adj: list[list[int]] = [[] for _ in range(n)]
         for ei in live:
             u, v = edges[ei]
-            adj[u].append((v, ei))
-            adj[v].append((u, ei))
-        _, bridge_ids = _edge_dfs(n, adj)
+            adj[u].append(v)
+            adj[v].append(u)
+        bridge_ids = [edge_id[e] for e in _lowpoint(n, adj).bridges]
         fresh = [ei for ei in bridge_ids if ei not in forced]
         forced.update(fresh)
         uf = UnionFind(n)
@@ -65,12 +74,7 @@ def enumerate_spanning_trees(g: Graph, visit: Callable[[FrozenSet[Edge]], None])
     if rank > CYCLE_RANK_LIMIT:
         raise TooLargeError(f"cycle rank {rank} exceeds the enumeration guard {CYCLE_RANK_LIMIT}")
     edges = g.edges
-    adj0: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for ei, (u, v) in enumerate(edges):
-        adj0[u].append((v, ei))
-        adj0[v].append((u, ei))
-    comp, _ = _edge_dfs(n, adj0)
-    if comp != 1:
+    if connected_components(g)[0] != 1:
         raise DisconnectedInputError("spanning tree enumeration needs a connected graph")
     if n == 1:
         visit(frozenset())

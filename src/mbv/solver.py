@@ -33,23 +33,23 @@ measured defaults, not load-bearing for correctness.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from time import perf_counter
 
 from .bound import obligatory_branch_bound
-from .decompose import Component, Original, decompose, recombine
-from .graph import Graph, SpanningTree, UnionFind, _edge_dfs, spanning_tree
-from .heuristics import HeuristicOverlay, best_heuristic, overlay_branch_value
+from .decompose import Component, component_branch_count, decompose, recombine
+from .graph import Graph, SpanningTree, UnionFind, _count_branches, _lowpoint, spanning_tree
+from .heuristics import best_heuristic
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Search controls; the gap tolerance mirrors integer-objective stopping."""
+    """Search controls: optional time and node budgets, and the warm start."""
 
     time_limit: float | None = None
     use_warm_start: bool = True
     node_limit: int | None = None
-    absolute_gap_tolerance: float = 0.9999
 
 
 @dataclass(frozen=True)
@@ -81,112 +81,6 @@ def _report(lower, upper, tree, optimal, nodes, elapsed) -> SolveReport:
     )
 
 
-def _class_structure(n: int, adj: list[list[int]]) -> tuple[list[int], list[int], list[list[int]]]:
-    """Component labels and per-vertex split counts for a plain adjacency list.
-
-    Returns (class_of, pieces, members): class_of[v] is -1 for vertices with
-    no edges, pieces[v] is how many parts v's own component falls into when v
-    is removed (0 for isolated vertices).
-    """
-    entry = [-1] * n
-    low = [0] * n
-    hits = [0] * n
-    class_of = [-1] * n
-    members: list[list[int]] = []
-    pieces = [0] * n
-    timer = 0
-    for r in range(n):
-        if entry[r] != -1 or not adj[r]:
-            continue
-        cid = len(members)
-        group = [r]
-        members.append(group)
-        class_of[r] = cid
-        entry[r] = low[r] = timer
-        timer += 1
-        stack = [[r, -1, 0, False]]
-        while stack:
-            frame = stack[-1]
-            v = frame[0]
-            nbrs = adj[v]
-            i = frame[2]
-            if i < len(nbrs):
-                frame[2] = i + 1
-                w = nbrs[i]
-                if w == frame[1] and not frame[3]:
-                    frame[3] = True
-                    continue
-                t = entry[w]
-                if t == -1:
-                    entry[w] = low[w] = timer
-                    timer += 1
-                    class_of[w] = cid
-                    group.append(w)
-                    stack.append([w, v, 0, False])
-                elif t < low[v]:
-                    low[v] = t
-            else:
-                stack.pop()
-                p = frame[1]
-                if p >= 0:
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if low[v] >= entry[p]:
-                        hits[p] += 1
-        pieces[r] = hits[r]  # the root's hits count every child
-        for v in group:
-            if v != r:
-                pieces[v] = hits[v] + 1
-    return class_of, pieces, members
-
-
-def _pieces_of(adj: dict[int, list[int]]) -> dict[int, int]:
-    """Per vertex of a small adjacency dict: parts its component splits into."""
-    entry: dict[int, int] = {}
-    low: dict[int, int] = {}
-    hits: dict[int, int] = {}
-    timer = 0
-    pieces: dict[int, int] = {}
-    for r in adj:
-        if r in entry:
-            continue
-        entry[r] = low[r] = timer
-        timer += 1
-        stack = [[r, -1, 0, False]]
-        while stack:
-            frame = stack[-1]
-            v = frame[0]
-            nbrs = adj[v]
-            i = frame[2]
-            if i < len(nbrs):
-                frame[2] = i + 1
-                w = nbrs[i]
-                if w == frame[1] and not frame[3]:
-                    frame[3] = True
-                    continue
-                if w in entry:
-                    if entry[w] < low[v]:
-                        low[v] = entry[w]
-                else:
-                    entry[w] = low[w] = timer
-                    timer += 1
-                    stack.append([w, v, 0, False])
-            else:
-                stack.pop()
-                p = frame[1]
-                if p >= 0:
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if low[v] >= entry[p]:
-                        hits[p] = hits.get(p, 0) + 1
-        # roots gathered every child in hits, so the uniform rule below works
-        pieces[r] = hits.get(r, 0)
-    for v in adj:
-        if v not in pieces:
-            pieces[v] = hits.get(v, 0) + 1
-    return pieces
-
-
 def _fallback_tree_ids(g: Graph) -> set[int]:
     """Deterministic DFS spanning tree by edge ids, for reports with no incumbent."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
@@ -210,7 +104,7 @@ def _fallback_tree_ids(g: Graph) -> set[int]:
 def _search(
     g: Graph,
     extra: dict[int, int],
-    countable: list[bool],
+    countable: Sequence[bool],
     warm_ids: set[int] | None,
     warm_value: int | None,
     opts: SolveOptions,
@@ -220,8 +114,8 @@ def _search(
     deadline = t0 + opts.time_limit if opts.time_limit is not None else None
     n, m = g.n, g.m
     edges = g.edges
+    edge_id = {e: ei for ei, e in enumerate(edges)}
     gamma = [extra.get(v, 0) for v in range(n)]
-    tol = opts.absolute_gap_tolerance
 
     best_ids: frozenset[int] | None = None
     best_val = math.inf
@@ -231,10 +125,9 @@ def _search(
 
     nodes = 0
     stopped = False
-    pruned_floor = math.inf  # best bound among tolerance-pruned subtrees
-    stack: list[tuple[frozenset[int], frozenset[int], float]] = [
-        (frozenset(), frozenset(), 0.0)
-    ]
+    # node bounds and the objective are integers, so a node is pruned exactly
+    # when its bound reaches the incumbent
+    stack: list[tuple[frozenset[int], frozenset[int], int]] = [(frozenset(), frozenset(), 0)]
     while stack:
         if opts.node_limit is not None and nodes >= opts.node_limit:
             stopped = True
@@ -243,9 +136,7 @@ def _search(
             stopped = True
             break
         excluded_f, included_f, inherited = stack.pop()
-        if best_val - inherited < tol:
-            if inherited < pruned_floor:
-                pruned_floor = inherited
+        if inherited >= best_val:
             continue
         nodes += 1
 
@@ -258,22 +149,22 @@ def _search(
         # propagate: force bridges of the live graph, drop cycle closers
         feasible = True
         while True:
-            live_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+            live_adj: list[list[int]] = [[] for _ in range(n)]
             for ei in range(m):
                 if ei not in excluded:
                     u, v = edges[ei]
-                    live_adj[u].append((v, ei))
-                    live_adj[v].append((u, ei))
-            comp, bridge_ids = _edge_dfs(n, live_adj)
-            if comp != 1:
+                    live_adj[u].append(v)
+                    live_adj[v].append(u)
+            live = _lowpoint(n, live_adj)
+            if live.count != 1:
                 feasible = False
                 break
             changed = False
-            for ei in bridge_ids:
+            for e in live.bridges:
+                ei = edge_id[e]
                 if ei in included:
                     continue
-                u, v = edges[ei]
-                if not uf.union(u, v):
+                if not uf.union(*e):
                     feasible = False  # a mandatory edge would close a cycle
                     break
                 included.add(ei)
@@ -294,56 +185,37 @@ def _search(
                 break
         if not feasible:
             continue
-
-        inc_deg = [0] * n
-        for ei in included:
-            u, v = edges[ei]
-            inc_deg[u] += 1
-            inc_deg[v] += 1
+        # the last scan saw the fixpoint: its bridges are all included, and its
+        # pieces and classes describe the live graph the bound is taken on
 
         if len(included) == n - 1:
-            value = sum(
-                1 for v in range(n) if countable[v] and inc_deg[v] + gamma[v] > 2
-            )
+            value = _count_branches(n, [edges[ei] for ei in included], extra, countable)
             if value < best_val:
                 best_val = value
                 best_ids = frozenset(included)
             continue
 
-        # node lower bound, term 1: branches forced by guaranteed degree
-        bridge_set = set(bridge_ids)
-        bridge_deg = [0] * n
-        for ei in bridge_set:
-            u, v = edges[ei]
-            bridge_deg[u] += 1
-            bridge_deg[v] += 1
-        inc_class_deg = [0] * n
+        # node lower bound, term 1: branches forced by guaranteed degree. Each
+        # bridge at v cuts off a piece of its own and is already included, so
+        # bridge degree + max(class pieces, chosen class degree) from the
+        # module docstring is max(pieces, chosen degree) in the live graph.
+        inc_deg = [0] * n
         for ei in included:
-            if ei not in bridge_set:
-                u, v = edges[ei]
-                inc_class_deg[u] += 1
-                inc_class_deg[v] += 1
-        class_adj: list[list[int]] = [[] for _ in range(n)]
-        for ei in range(m):
-            if ei not in excluded and ei not in bridge_set:
-                u, v = edges[ei]
-                class_adj[u].append(v)
-                class_adj[v].append(u)
-        class_of, class_pieces, class_members = _class_structure(n, class_adj)
+            u, v = edges[ei]
+            inc_deg[u] += 1
+            inc_deg[v] += 1
+        pieces = live.pieces
         forced_branch = [False] * n
         c1 = 0
         for v in range(n):
-            if not countable[v]:
-                continue
-            base = class_pieces[v]
-            if inc_class_deg[v] > base:
-                base = inc_class_deg[v]
-            if gamma[v] + bridge_deg[v] + base > 2:
-                forced_branch[v] = True
-                c1 += 1
+            if countable[v]:
+                d = pieces[v] if pieces[v] > inc_deg[v] else inc_deg[v]
+                if gamma[v] + d > 2:
+                    forced_branch[v] = True
+                    c1 += 1
 
         # term 2: contracted groups whose removal leaves three or more pieces
-        super_adj: dict[int, list[int]] = {}
+        super_adj: list[list[int]] = [[] for _ in range(n)]
         super_edges: set[tuple[int, int]] = set()
         for ei in range(m):
             if ei in excluded:
@@ -356,33 +228,37 @@ def _search(
             if key in super_edges:
                 continue
             super_edges.add(key)
-            super_adj.setdefault(ru, []).append(rv)
-            super_adj.setdefault(rv, []).append(ru)
+            super_adj[ru].append(rv)
+            super_adj[rv].append(ru)
+        group_pieces = _lowpoint(n, super_adj).pieces
+        group_absorbs: dict[int, bool] = {}
+        group_members: dict[int, list[int]] = {}
+        for v in range(n):
+            r = uf.find(v)
+            group_members.setdefault(r, []).append(v)
+            if not countable[v] or forced_branch[v]:
+                group_absorbs[r] = True
         in_c2_group = [False] * n
         c2 = 0
-        if super_adj:
-            pieces = _pieces_of(super_adj)
-            group_absorbs: dict[int, bool] = {}
-            group_members: dict[int, list[int]] = {}
-            for v in range(n):
-                r = uf.find(v)
-                group_members.setdefault(r, []).append(v)
-                if not countable[v] or forced_branch[v]:
-                    group_absorbs[r] = True
-            for r, p in pieces.items():
-                if p >= 3 and not group_absorbs.get(r, False):
-                    c2 += 1
-                    for v in group_members[r]:
-                        in_c2_group[v] = True
+        for r, members in group_members.items():
+            if group_pieces[r] >= 3 and not group_absorbs.get(r, False):
+                c2 += 1
+                for v in members:
+                    in_c2_group[v] = True
 
         # term 3: degree accounting inside each two-edge-connected class
+        bridge_deg = [0] * n
+        for u, v in live.bridges:
+            bridge_deg[u] += 1
+            bridge_deg[v] += 1
+        live_deg = [len(a) for a in live_adj]
         c3 = 0
-        for group in class_members:
+        for group in live.classes:  # a lone vertex needs no class edges
             h = len(group)
             free = 0
             gains = []
             for v in group:
-                d = len(class_adj[v])
+                d = live_deg[v] - bridge_deg[v]
                 if not countable[v] or forced_branch[v] or in_c2_group[v]:
                     free += d - 1
                     continue
@@ -401,19 +277,13 @@ def _search(
                     if need <= 0:
                         break
 
-        bound = float(c1 + c2 + c3)
-        if best_val - bound < tol:
-            if bound < pruned_floor:
-                pruned_floor = bound
+        bound = c1 + c2 + c3
+        if bound >= best_val:
             continue
 
         # branch on the undecided edge at the most constrained endpoint,
         # then the densest; deciding tight vertices first moves the bound
-        live_deg = [len(a) for a in live_adj]
-        tightness = [
-            gamma[v] + bridge_deg[v] + inc_class_deg[v] if countable[v] else -1
-            for v in range(n)
-        ]
+        tightness = [gamma[v] + inc_deg[v] if countable[v] else -1 for v in range(n)]
         pick = -1
         pick_score = (-2, -1)
         for ei in range(m):
@@ -430,32 +300,12 @@ def _search(
         stack.append((frozenset(excluded | {pick}), frozenset(included), bound))
 
     elapsed = perf_counter() - t0
-    if stopped:
-        if best_ids is None:
-            best_ids = frozenset(_fallback_tree_ids(g))
-            best_val = sum(
-                1
-                for v, d in enumerate(_ids_degree(g, best_ids))
-                if countable[v] and d + gamma[v] > 2
-            )
-        open_bounds = [b for _, _, b in stack]
-        lower = min([float(best_val), pruned_floor] + open_bounds)
-        optimal = best_val == lower or best_val - lower < tol
-    else:
-        # with the default tolerance and an integer objective the pruned floor
-        # is never below the incumbent, so this reports lower == upper
-        lower = min(float(best_val), pruned_floor)
-        optimal = True
-    return lower, int(best_val), best_ids, optimal, nodes, elapsed
-
-
-def _ids_degree(g: Graph, ids) -> list[int]:
-    deg = [0] * g.n
-    for ei in ids:
-        u, v = g.edges[ei]
-        deg[u] += 1
-        deg[v] += 1
-    return deg
+    if best_ids is None:  # stopped before any incumbent
+        best_ids = frozenset(_fallback_tree_ids(g))
+        best_val = _count_branches(n, [edges[ei] for ei in best_ids], extra, countable)
+    # a finished search pruned every open node against the incumbent
+    lower = float(min([best_val] + [b for _, _, b in stack])) if stopped else float(best_val)
+    return lower, int(best_val), best_ids, lower == best_val, nodes, elapsed
 
 
 def _edge_ids(g: Graph, tree_edges) -> set[int]:
@@ -496,25 +346,20 @@ def solve_component(
     g = c.graph
     if g.n == 1:
         return _report(0.0, 0, spanning_tree(g, ()), True, 0, perf_counter() - t0)
-    countable = [isinstance(p, Original) for p in c.provenance]
-    overlay = HeuristicOverlay(
-        extra_degree=dict(c.extra_degree),
-        exempt=frozenset(i for i, keep in enumerate(countable) if not keep),
-    )
     warm_ids = warm_val = None
     if opts.use_warm_start:
         lb0 = obligatory_branch_bound(g)
-        warm = best_heuristic(g, lb0, overlay)
+        warm = best_heuristic(g, lb0, c)
         warm_ids = _edge_ids(g, warm.edges)
-        warm_val = overlay_branch_value(warm, overlay)
+        warm_val = component_branch_count(c, warm.edges)
     if seed_tree is not None:
         seed = spanning_tree(g, seed_tree)
-        seed_val = overlay_branch_value(seed, overlay)
+        seed_val = component_branch_count(c, seed.edges)
         if warm_val is None or seed_val < warm_val:
             warm_ids = _edge_ids(g, seed.edges)
             warm_val = seed_val
     lower, upper, ids, optimal, nodes, _ = _search(
-        g, dict(c.extra_degree), countable, warm_ids, warm_val, opts
+        g, c.extra_degree, c.countable, warm_ids, warm_val, opts
     )
     tree = spanning_tree(g, [g.edges[ei] for ei in ids])
     return _report(lower, upper, tree, optimal, nodes, perf_counter() - t0)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import re
 
@@ -70,6 +71,47 @@ def test_bench_continues_past_bad_instance(tmp_path):
     bad = [r for r in reports if r.error is not None]
     assert len(bad) == 1
     assert bad[0].instance == "broken"
+
+
+def test_bench_records_non_utf8_instance(tmp_path):
+    d = make_dir(tmp_path, count=1)
+    (d / "binary.graph").write_bytes(b"\xff\xfe3 2\n1 2\n2 3\n")
+    reports = bench(collect_instances(str(d)))
+    assert [r.instance for r in reports] == ["binary", "inst_0"]
+    assert "not UTF-8" in reports[0].error
+    assert reports[1].error is None and reports[1].optimal
+    assert 'error="' in to_record(reports[0])
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records the pool size, starts nothing."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        _SerialPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_bench_pool_never_exceeds_instance_count(tmp_path, monkeypatch):
+    # the package's ``bench`` attribute is the function, not the module
+    bench_module = importlib.import_module("mbv.bench")
+    monkeypatch.setattr(bench_module, "ProcessPoolExecutor", _SerialPool)
+    _SerialPool.sizes = []
+    d = make_dir(tmp_path, count=3, n=8, m=9)
+    reports = bench(collect_instances(str(d)), jobs=64)
+    assert _SerialPool.sizes == [3]
+    assert [r.instance for r in reports] == ["inst_0", "inst_1", "inst_2"]
+    bench(collect_instances(str(d)), jobs=2)
+    assert _SerialPool.sizes == [3, 2]
 
 
 def test_bench_empty_dir(tmp_path):
@@ -169,6 +211,14 @@ def test_cli_usage_and_parse_errors(tmp_path, capsys):
     assert run_cli(capsys, "stats", str(bad))[0] == 1
     assert run_cli(capsys, "stats", str(tmp_path / "missing.graph"))[0] == 1
     assert run_cli(capsys, "gen", "--n", "4", "--m", "99", "--seed", "1")[0] == 1
+    binary = tmp_path / "binary.graph"
+    binary.write_bytes(b"\xff\xfe3 2\n1 2\n2 3\n")
+    for command in ("stats", "solve"):
+        code, out, err = run_cli(capsys, command, str(binary))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "binary.graph" in err
+    assert run_cli(capsys, "bench", str(tmp_path), "--jobs", "0")[0] == 1
+    assert run_cli(capsys, "bench", str(tmp_path), "--jobs", "-2")[0] == 1
     disconnected = tmp_path / "disc.graph"
     disconnected.write_text("4 2\n1 2\n3 4\n", encoding="utf-8")
     assert run_cli(capsys, "stats", str(disconnected))[0] == 1

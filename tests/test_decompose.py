@@ -10,7 +10,6 @@ from mbv import (
     component_branch_count,
     connected_components,
     decompose,
-    decomposed_objective,
     enumerate_spanning_trees,
     generate_random_connected,
     is_spanning_tree,
@@ -55,7 +54,7 @@ def test_spider(spider):
     assert kinds.count(SplitCopy) == 3
     assert kinds.count(Original) == 6
     zs = [solve_component(c).upper_bound for c in d.components]
-    assert decomposed_objective(d.obligatory.value, zs) == 1
+    assert d.obligatory.value + sum(zs) == 1
     tree = recombine(d, [()] * 9)
     assert tree.edges == frozenset(spider.edges)
     assert tree.branches == 1
@@ -86,7 +85,6 @@ def _triangle_component(extra):
         graph=g,
         provenance=(Original(10), Original(11), Original(12)),
         extra_degree=extra,
-        original_degree={0: 2 + extra.get(0, 0), 1: 2 + extra.get(1, 0), 2: 2 + extra.get(2, 0)},
         edge_origin={e: e for e in g.edges},
     )
 
@@ -105,7 +103,6 @@ def test_component_branch_count_ignores_split_copies():
         graph=star,
         provenance=(SplitCopy(7, 1),) + tuple(Original(v) for v in range(1, 6)),
         extra_degree={},
-        original_degree={i: 1 for i in range(1, 6)},
         edge_origin={e: e for e in star.edges},
     )
     # the copy has degree five, yet nothing counts
@@ -140,13 +137,6 @@ def test_recombine_rejects_bad_component_tree(two_triangles):
         recombine(d, [good])
 
 
-def test_decomposed_objective():
-    assert decomposed_objective(2, [1, 0, 3]) == 6
-    assert decomposed_objective(0, []) == 0
-    # headline benchmark shape: 52 obligatory plus components totalling 18
-    assert decomposed_objective(52, [12, 6]) == 70
-
-
 def test_accounting_identities_random():
     rng = random.Random(97)
     for trial in range(60):
@@ -168,7 +158,6 @@ def test_accounting_identities_random():
                     extra = comp.extra_degree.get(i, 0)
                     assert extra >= 0
                     assert local + extra <= g.degree(p.vertex)
-                    assert comp.original_degree[i] == g.degree(p.vertex)
                 else:
                     assert p.vertex in lb.obligatory
                     assert 1 <= p.piece <= lb.split_counts[p.vertex]
@@ -202,7 +191,7 @@ def test_decomposition_identity_random():
         lb = obligatory_branch_bound(g)
         d = decompose(g, lb)
         reports = [solve_component(c) for c in d.components]
-        total = decomposed_objective(lb.value, [r.upper_bound for r in reports])
+        total = lb.value + sum(r.upper_bound for r in reports)
         assert total == brute_force_optimum(g).optimum
         tree = recombine(d, [r.tree.edges for r in reports])
         assert is_spanning_tree(g, tree.edges)

@@ -11,6 +11,7 @@ from mbv import (
     spanning_tree,
     structural_report,
 )
+from mbv.graph import _lowpoint
 from mbv.errors import (
     DuplicateEdgeError,
     IndexOutOfRangeError,
@@ -110,26 +111,71 @@ def _components_without_edge(g, e):
     return count
 
 
-def test_structural_report_matches_deletion_recount():
-    # cross-check articulation split counts and bridges against brute force
+def _kernel_cases():
     rng = random.Random(7)
-    for trial in range(60):
+    for trial in range(60):  # any density, connected or not
         n = rng.randrange(2, 13)
-        max_m = n * (n - 1) // 2
-        m = rng.randrange(0, max_m + 1)
+        m = rng.randrange(0, n * (n - 1) // 2 + 1)
         pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        g = build_graph(n, rng.sample(pool, m))
+        yield build_graph(n, rng.sample(pool, m))
+    for trial in range(40):
+        # several connected blocks among isolated vertices, shuffled: the
+        # shapes the search's class and contracted graphs take
+        sizes = [rng.randrange(1, 7) for _ in range(rng.randrange(1, 4))]
+        n = sum(sizes) + rng.randrange(0, 5)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges, base = [], 0
+        for k in sizes:
+            m = min(k * (k - 1) // 2, k - 1 + rng.randrange(0, 4))
+            part = generate_random_connected(k, m, rng.randrange(10**6))
+            edges += [(perm[base + u], perm[base + v]) for u, v in part.edges]
+            base += k
+        yield build_graph(n, edges)
+
+
+def test_structural_report_matches_deletion_recount():
+    # cross-check the lowpoint scan against brute-force deletion recounts:
+    # component labels, split counts, articulation points, bridges, classes
+    for g in _kernel_cases():
+        n = g.n
         rep = structural_report(g)
-        base = rep.component_count
-        assert base == connected_components(g)[0]
+        scan = _lowpoint(n, g.adjacency)
+        base = _components_without_vertex(g, -1)
+        assert rep.component_count == scan.count == base
+        first_seen = {}
+        for v in range(n):
+            reach = _reachable(g, v, None)
+            assert {u for u in range(n) if rep.component_of[u] == rep.component_of[v]} == reach
+            first_seen.setdefault(rep.component_of[v], v)
+        # components are numbered in order of their smallest vertex
+        assert list(first_seen) == list(range(base))
         for v in range(n):
             recount = _components_without_vertex(g, v)
+            assert scan.pieces[v] == recount - base + 1
             if recount > base:
                 assert rep.articulation[v] == recount
             else:
                 assert v not in rep.articulation
-        for e in g.edges:
-            assert (e in rep.bridges) == (_components_without_edge(g, e) > base)
+        bridges = {e for e in g.edges if _components_without_edge(g, e) > base}
+        assert rep.bridges == bridges
+        assert sorted(scan.bridges) == sorted(bridges)
+        classes = {frozenset(_reachable(g, v, bridges)) for v in range(n)}
+        assert sorted(map(sorted, scan.classes)) == sorted(sorted(c) for c in classes if len(c) > 1)
+
+
+def _reachable(g, s, deleted):
+    seen = {s}
+    stack = [s]
+    while stack:
+        x = stack.pop()
+        for y in g.adjacency[x]:
+            if deleted and ((x, y) in deleted or (y, x) in deleted):
+                continue
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
 
 
 def test_bridge_endpoints_are_articulation_points():

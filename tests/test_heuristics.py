@@ -4,16 +4,18 @@ import time
 import pytest
 
 from mbv import (
-    HeuristicOverlay,
+    Component,
     HeuristicState,
+    Original,
+    SplitCopy,
     best_heuristic,
     brute_force_optimum,
     build_graph,
+    component_branch_count,
     generate_random_connected,
     is_spanning_tree,
     multi_path_expanding,
     obligatory_branch_bound,
-    overlay_branch_value,
     path_expanding,
     start_restart_select,
 )
@@ -139,20 +141,21 @@ def test_determinism():
 def test_overlay_runs_on_components():
     g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
     lb = lb_of(g)
-    overlay = HeuristicOverlay(extra_degree={2: 1}, exempt=frozenset())
-    for heuristic in (path_expanding, multi_path_expanding):
-        tree = heuristic(g, lb, overlay)
+    comp = Component(g, tuple(Original(v) for v in range(3)), {2: 1}, {e: e for e in g.edges})
+    for heuristic in (path_expanding, multi_path_expanding, best_heuristic):
+        tree = heuristic(g, lb, comp)
         assert is_spanning_tree(g, tree.edges)
-        # a path keeping vertex 2 off the middle has no overlay branches
-        assert overlay_branch_value(tree, overlay) == 0
+        # a path keeping vertex 2 off the middle has no component branches
+        assert component_branch_count(comp, tree.edges) == 0
 
 
 def test_overlay_exempt_absorbs_degree():
     star = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     lb = lb_of(star)
-    overlay = HeuristicOverlay(extra_degree={}, exempt=frozenset({0}))
-    tree = multi_path_expanding(star, lb, overlay)
-    assert overlay_branch_value(tree, overlay) == 0
+    provenance = (SplitCopy(9, 1),) + tuple(Original(v) for v in range(1, 5))
+    comp = Component(star, provenance, {}, {e: e for e in star.edges})
+    tree = multi_path_expanding(star, lb, comp)
+    assert component_branch_count(comp, tree.edges) == 0
     assert tree.branches == 1  # plain count still sees the center
 
 

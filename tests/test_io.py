@@ -110,6 +110,13 @@ def test_load_graph_sniffs_format(tmp_path):
     assert load_graph(str(commented)) == g
 
 
+def test_load_graph_rejects_non_utf8(tmp_path):
+    bad = tmp_path / "bad.graph"
+    bad.write_bytes(b"\xff\xfe3 2\n1 2\n2 3\n")
+    with pytest.raises(MalformedHeaderError, match="bad.graph"):
+        load_graph(str(bad))
+
+
 def test_generator_postconditions():
     g = generate_random_connected(5, 4, seed=1)
     assert g.n == 5
