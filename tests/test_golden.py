@@ -1,15 +1,17 @@
-"""Golden outputs: CLI bytes, decomposition files and search node counts.
+"""Golden outputs: CLI bytes, decomposition files, heuristic trees and node counts.
 
 The expected values in ``golden/outputs.json`` were recorded from the
 implementation and pin its observable behaviour: the exact stdout of the
 reporting commands (only ``elapsed=`` is masked), every file ``mbv decompose``
-writes, and the node counts and bounds of both exact algorithms. A refactor
-that keeps behaviour keeps all of them.
+writes, one digest per heuristic over the trees it builds on many graphs and
+their components, and the node counts and bounds of both exact algorithms. A
+refactor that keeps behaviour keeps all of them.
 
 To re-record after an intended behaviour change, run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
+import hashlib
 import json
 import re
 import sys
@@ -20,7 +22,11 @@ from pathlib import Path
 
 from mbv import (
     SolveOptions,
+    decompose,
     generate_random_connected,
+    multi_path_expanding,
+    obligatory_branch_bound,
+    path_expanding,
     solve_plain,
     solve_with_decomposition,
     write_instance,
@@ -40,6 +46,12 @@ CLI_COMMANDS = (
 )
 # criterion-7 instances solved to proof, and one budgeted solve at n=100
 SEARCH_CASES = tuple((60, 66, s, None) for s in range(2000, 2005)) + ((100, 130, 4000, 1000),)
+# (n, m, seed) for the heuristic digests: 120 graphs, n from 5 to 1195
+# (denser among small n) at three edge densities
+HEURISTIC_CASES = tuple(
+    (n, n + n // (3 + i % 3 * 3), 7000 + i)
+    for i, n in enumerate(5 + i * i // 12 for i in range(120))
+)
 
 
 def _cli(argv) -> str:
@@ -47,6 +59,30 @@ def _cli(argv) -> str:
     with redirect_stdout(out):
         code = cli_main([str(a) for a in argv])
     return f"exit={code}\n" + re.sub(r"elapsed=\S+", "elapsed=*", out.getvalue())
+
+
+def _heuristic_digests() -> dict:
+    """Per heuristic: how many trees it built and a hash of their sorted edges.
+
+    Each case graph is run whole and then every multi-vertex component of its
+    decomposition is run under ``component=``.
+    """
+    digests = {"path": hashlib.sha256(), "multi": hashlib.sha256()}
+    runs = 0
+    for n, m, seed in HEURISTIC_CASES:
+        g = generate_random_connected(n, m, seed)
+        lb = obligatory_branch_bound(g)
+        jobs = [(g, lb, None)] + [
+            (c.graph, obligatory_branch_bound(c.graph), c)
+            for c in decompose(g, lb).components
+            if c.graph.n > 1
+        ]
+        for graph, bound, component in jobs:
+            runs += 1
+            for name, heuristic in (("path", path_expanding), ("multi", multi_path_expanding)):
+                tree = heuristic(graph, bound, component)
+                digests[name].update(repr(sorted(tree.edges)).encode())
+    return {f"heuristic {name} trees": [runs, h.hexdigest()] for name, h in digests.items()}
 
 
 def record(work: Path) -> dict:
@@ -74,6 +110,7 @@ def record(work: Path) -> dict:
                 r.lower_bound,
                 r.upper_bound,
             ]
+    outputs.update(_heuristic_digests())
     return outputs
 
 
