@@ -21,14 +21,12 @@ from .decompose import (
 from .graph import (
     Graph,
     SpanningTree,
-    StructuralReport,
     UnionFind,
     branch_count,
     build_graph,
     connected_components,
     is_spanning_tree,
     spanning_tree,
-    structural_report,
 )
 from .heuristics import (
     HeuristicState,
@@ -67,7 +65,6 @@ __all__ = [
     "SolveReport",
     "SpanningTree",
     "SplitCopy",
-    "StructuralReport",
     "UnionFind",
     "bench",
     "bench_graph",
@@ -95,7 +92,6 @@ __all__ = [
     "solve_with_decomposition",
     "spanning_tree",
     "start_restart_select",
-    "structural_report",
     "summarize",
     "write_dimacs",
     "write_instance",

@@ -1,6 +1,8 @@
 """Split a connected graph into independently solvable components.
 
-Two reductions are applied in one pass, both computed on the input graph:
+Two reductions are applied in one pass, both read from the lower bound's
+scan of the input graph (``obligatory_branch_bound``), which is the only scan
+of the input:
 
 * every obligatory branch vertex v is replaced by one stub vertex per
   component of the graph without v, each stub keeping the edges into its own
@@ -10,17 +12,17 @@ Two reductions are applied in one pass, both computed on the input graph:
 
 Splitting never breaks a cycle (a cycle through v enters and leaves within a
 single component of the graph without v), so the bridge set of the split graph
-is exactly the image of the input graph's bridge set; computing bridges once on
-the input is enough. The surviving pieces are returned as ordinary graphs with
-dense local ids; provenance is the only mapping back.
+is exactly the image of the bridges the bound found on the input. The split
+graph is scanned once more, only to label its components. The surviving pieces
+are returned as ordinary graphs with dense local ids; provenance is the only
+mapping back.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .bound import LowerBoundResult, graph_fingerprint
-from .errors import DisconnectedInputError, NotASpanningTreeError, StaleBoundError
+from .errors import NotASpanningTreeError, StaleBoundError
 from .graph import (
     Edge,
     Graph,
@@ -87,7 +89,7 @@ class Decomposition:
 
 
 def decompose(g: Graph, lb: LowerBoundResult) -> Decomposition:
-    """Apply both reductions to a connected graph.
+    """Apply both reductions to the connected graph ``lb`` was computed on.
 
     A component may legally be a single split copy or a single original vertex
     of degree zero; that happens when a leg hanging off an obligatory branch is
@@ -95,33 +97,10 @@ def decompose(g: Graph, lb: LowerBoundResult) -> Decomposition:
     """
     if lb.fingerprint != graph_fingerprint(g):
         raise StaleBoundError("lower bound was computed on a different graph")
-    s = _lowpoint(g.n, g.adjacency)
-    if s.count != 1:
-        raise DisconnectedInputError("decompose needs a connected graph")
-
     n = g.n
     obligatory = lb.obligatory
-    bridges = frozenset(s.bridges)
-    entry = s.entry
-
-    # piece lookup for an obligatory vertex v: piece 1 is the side containing
-    # v's DFS parent (absent for roots), the split-child subtrees follow in
-    # visit order. Neighbor membership is interval containment on entry times.
-    spans: dict[int, list[tuple[int, int]]] = {v: [] for v in obligatory}
-    for c in range(n):
-        p = s.parent[c]
-        if p in spans and s.low[c] >= entry[p]:
-            spans[p].append((entry[c], s.end[c]))
-    for cut in spans.values():
-        cut.sort()
-
-    def piece_of(v: int, u: int) -> int:
-        base = 0 if s.parent[v] < 0 else 1
-        cut = spans[v]
-        j = bisect_right(cut, (entry[u], n)) - 1
-        if j >= 0 and entry[u] < cut[j][1]:
-            return base + j + 1
-        return 1  # only reachable for non-roots: u sits on the parent side
+    bridges = lb.bridges
+    piece_of = lb.piece_of
 
     # assign ids in the split graph: surviving originals first, then copies
     node_origin: list[Provenance] = []
@@ -140,7 +119,7 @@ def decompose(g: Graph, lb: LowerBoundResult) -> Decomposition:
     def mapped(x: int, other: int) -> int:
         if x not in obligatory:
             return orig_id[x]
-        return copy_id[(x, piece_of(x, other))]
+        return copy_id[(x, piece_of[x][other])]
 
     split_adj: list[list[int]] = [[] for _ in range(n_split)]
     origin_of: dict[Edge, Edge] = {}

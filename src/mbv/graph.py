@@ -46,21 +46,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class StructuralReport:
-    """Connected components, articulation points with split counts, and bridges.
-
-    ``articulation`` maps exactly the articulation points to the number of
-    connected components the whole graph falls into once that vertex is
-    removed (always >= 2). ``bridges`` holds exactly the cut edges.
-    """
-
-    component_count: int
-    component_of: tuple[int, ...]
-    articulation: dict[int, int]
-    bridges: frozenset[Edge]
-
-
-@dataclass(frozen=True)
 class SpanningTree:
     """An edge subset certified to be a spanning tree, with its branch count."""
 
@@ -99,9 +84,11 @@ class UnionFind:
 def build_graph(n: int, edge_pairs) -> Graph:
     """Validate and normalize (n, pairs) into a Graph.
 
-    Rejects loops, duplicate edges (either orientation) and endpoints outside
-    [0, n).
+    Rejects a negative n, loops, duplicate edges (either orientation) and
+    endpoints outside [0, n).
     """
+    if n < 0:
+        raise IndexOutOfRangeError(f"negative vertex count {n}")
     seen: set[Edge] = set()
     for u, v in edge_pairs:
         if not (0 <= u < n and 0 <= v < n):
@@ -220,22 +207,6 @@ def connected_components(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Label vertices with component ids 0..count-1, assigned in discovery order."""
     scan = _lowpoint(g.n, g.adjacency)
     return scan.count, tuple(scan.component_of)
-
-
-def structural_report(g: Graph) -> StructuralReport:
-    """Components, articulation points with their split counts, and bridges.
-
-    Runs in time linear in n + m. A vertex appears in ``articulation`` exactly
-    when removing it increases the number of components, mapped to the total
-    component count of the graph without it.
-    """
-    scan = _lowpoint(g.n, g.adjacency)
-    articulation = {
-        v: scan.count - 1 + pieces for v, pieces in enumerate(scan.pieces) if pieces >= 2
-    }
-    return StructuralReport(
-        scan.count, tuple(scan.component_of), articulation, frozenset(scan.bridges)
-    )
 
 
 def is_spanning_tree(g: Graph, tree_edges) -> bool:

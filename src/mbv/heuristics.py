@@ -13,6 +13,10 @@ Both algorithms also accept the decomposition component the graph came from,
 and then follow its objective: tree degrees start at the vertex's extra degree
 and split copies, which never count, behave like obligatory vertices
 (preferred for restarts, never retired).
+
+Neither builder scans for connectivity up front; the lower bound already did.
+When no tree vertex can grow while the tree is short of n - 1 edges, the graph
+is disconnected and DisconnectedInputError is raised.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from heapq import heappop, heappush
 from .bound import LowerBoundResult
 from .decompose import Component, component_branch_count
 from .errors import DisconnectedInputError, NoEligibleVertexError
-from .graph import Graph, SpanningTree, connected_components, spanning_tree
+from .graph import Graph, SpanningTree, spanning_tree
 
 
 class HeuristicState:
@@ -75,16 +79,14 @@ class HeuristicState:
         self.tree_degree[v] += 1
 
 
-def start_restart_select(
-    g: Graph, lb: LowerBoundResult, state: HeuristicState, restrict_to_tree: bool
-) -> int:
+def start_restart_select(state: HeuristicState, restrict_to_tree: bool) -> int:
     """Pick the vertex the next path should grow from.
 
     With ``restrict_to_tree`` the pool is the tree vertices that still have
     unvisited neighbors; otherwise (the initial start) any vertex with
     unvisited neighbors qualifies.
     """
-    pool = state.open_vertices if restrict_to_tree else range(g.n)
+    pool = state.open_vertices if restrict_to_tree else range(state.graph.n)
     unvisited = state.unvisited
     tree_degree = state.tree_degree
     priority = state.priority
@@ -109,10 +111,15 @@ def start_restart_select(
     raise NoEligibleVertexError("no vertex with unvisited neighbors")
 
 
-def _require_connected(g: Graph) -> None:
-    count, _ = connected_components(g)
-    if count != 1:
-        raise DisconnectedInputError(f"heuristics need a connected graph, got {count} components")
+def _grow_from(state: HeuristicState, restrict_to_tree: bool) -> int:
+    """start_restart_select while the tree is short: running dry means disconnected."""
+    try:
+        return start_restart_select(state, restrict_to_tree)
+    except NoEligibleVertexError:
+        raise DisconnectedInputError(
+            f"heuristics need a connected graph: growth stopped at "
+            f"{len(state.tree_edges)} of {state.graph.n - 1} tree edges"
+        ) from None
 
 
 def path_expanding(
@@ -121,12 +128,13 @@ def path_expanding(
     """Grow one path at a time, restarting from tree endpoints when stuck.
 
     Restarts prefer a tree vertex of degree at most one that can still grow
-    (fewest unvisited neighbors first, then smallest id) and fall back to the
-    start-restart rule. Expansion always moves to the unvisited neighbor with
+    and fall back to the start-restart rule. Only the start vertex can be
+    such a vertex: every other vertex enters the tree by an edge and is then
+    either closed for good (no unvisited neighbor left) or grown on from, to
+    tree degree two or more. Expansion always moves to the unvisited neighbor with
     the fewest unvisited neighbors of its own, steering each path into dead
     ends rather than leaving strands the tree would later branch around.
     """
-    _require_connected(g)
     st = HeuristicState(g, lb, component)
     if g.n == 1:
         return spanning_tree(g, ())
@@ -134,18 +142,15 @@ def path_expanding(
     in_tree = st.in_tree
     unvisited = st.unvisited
     tree_degree = st.tree_degree
-    st.add_vertex(start_restart_select(g, lb, st, False))
+    start = _grow_from(st, False)
+    st.add_vertex(start)
     target = g.n - 1
     sentinel = 1 << 60
     while len(st.tree_edges) < target:
-        u, uc = -1, sentinel
-        for v in st.open_vertices:
-            if tree_degree[v] <= 1:
-                c = unvisited[v]
-                if c < uc or (c == uc and v < u):
-                    u, uc = v, c
-        if u < 0:
-            u = start_restart_select(g, lb, st, True)
+        if tree_degree[start] <= 1 and unvisited[start] > 0:
+            u = start
+        else:
+            u = _grow_from(st, True)
         while unvisited[u] > 0:
             v, vc = -1, sentinel
             for x in adj[u]:
@@ -169,12 +174,11 @@ def multi_path_expanding(
     candidate retires once its tree degree reaches two, unless it is obligatory
     or a split copy; those stay available no matter their degree.
     """
-    _require_connected(g)
     st = HeuristicState(g, lb, component)
     if g.n == 1:
         return spanning_tree(g, ())
     adj = g.adjacency
-    st.add_vertex(start_restart_select(g, lb, st, False))
+    st.add_vertex(_grow_from(st, False))
 
     cand_nbrs = [0] * g.n  # per outside vertex: how many candidates it touches
     heap: list[tuple[int, int]] = []
@@ -222,7 +226,7 @@ def multi_path_expanding(
 
     target = g.n - 1
     while len(st.tree_edges) < target:
-        cand_add(start_restart_select(g, lb, st, True))
+        cand_add(_grow_from(st, True))
         while (v := pop_eligible()) is not None:
             u = min(x for x in adj[v] if x in st.candidates)
             absorb(v)

@@ -44,6 +44,8 @@ def parse_instance(text: str) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise MalformedHeaderError(f"non-integer header {lines[0]!r}") from None
+    if n < 0 or m < 0:
+        raise MalformedHeaderError(f"negative count in header {lines[0]!r}")
     body = lines[1:]
     if len(body) != m:
         raise BadEdgeLineError(f"header promises {m} edges, found {len(body)} edge lines")
@@ -85,6 +87,8 @@ def parse_dimacs(text: str) -> Graph:
                 n, m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise MalformedHeaderError(f"non-integer problem line {line!r}") from None
+            if n < 0 or m < 0:
+                raise MalformedHeaderError(f"negative count in problem line {line!r}")
         elif parts[0] == "e":
             if n is None:
                 raise MalformedHeaderError("edge line before the 'p' line")

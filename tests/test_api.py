@@ -15,7 +15,6 @@ PUBLIC = [
     "SolveReport",
     "SpanningTree",
     "SplitCopy",
-    "StructuralReport",
     "UnionFind",
     "bench",
     "bench_graph",
@@ -43,7 +42,6 @@ PUBLIC = [
     "solve_with_decomposition",
     "spanning_tree",
     "start_restart_select",
-    "structural_report",
     "summarize",
     "write_dimacs",
     "write_instance",

@@ -210,6 +210,11 @@ def test_cli_usage_and_parse_errors(tmp_path, capsys):
     bad.write_text("oops\n", encoding="utf-8")
     assert run_cli(capsys, "stats", str(bad))[0] == 1
     assert run_cli(capsys, "stats", str(tmp_path / "missing.graph"))[0] == 1
+    for header in ("-3 0\n", "3 -1\n", "p edge -3 0\n"):
+        negative = tmp_path / "negative.graph"
+        negative.write_text(header, encoding="utf-8")
+        code, out, err = run_cli(capsys, "stats", str(negative))
+        assert code == 1 and out == "" and err.startswith("error: negative count")
     assert run_cli(capsys, "gen", "--n", "4", "--m", "99", "--seed", "1")[0] == 1
     binary = tmp_path / "binary.graph"
     binary.write_bytes(b"\xff\xfe3 2\n1 2\n2 3\n")

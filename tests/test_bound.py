@@ -9,7 +9,6 @@ from mbv import (
     generate_random_connected,
     graph_fingerprint,
     obligatory_branch_bound,
-    structural_report,
 )
 from mbv.errors import DisconnectedInputError
 
@@ -64,18 +63,58 @@ def test_bound_below_optimum_and_necessity():
                 assert sum(1 for a, b in t if v in (a, b)) >= 3
 
 
-def test_alpha_matches_explicit_deletion():
-    rng = random.Random(31)
-    for trial in range(30):
+def _pieces_without(g, v):
+    """The components of g without v, as a list of vertex sets."""
+    seen = {v}
+    pieces = []
+    for s in range(g.n):
+        if s in seen:
+            continue
+        piece = {s}
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for y in g.adjacency[x]:
+                if y not in seen and y not in piece:
+                    piece.add(y)
+                    stack.append(y)
+        seen |= piece
+        pieces.append(piece)
+    return pieces
+
+
+def _random_graphs(seed, count):
+    rng = random.Random(seed)
+    for trial in range(count):
         n = rng.randrange(4, 11)
         m = min(n * (n - 1) // 2, n - 1 + rng.randrange(0, 5))
-        g = generate_random_connected(n, m, rng.randrange(10**6))
+        yield generate_random_connected(n, m, rng.randrange(10**6))
+
+
+def test_alpha_matches_explicit_deletion():
+    for g in _random_graphs(31, 30):
         lb = obligatory_branch_bound(g)
-        rep = structural_report(g)
-        for v, alpha in lb.split_counts.items():
-            assert rep.articulation[v] == alpha
-        for v, alpha in rep.articulation.items():
+        for v in range(g.n):
+            alpha = len(_pieces_without(g, v))
             if alpha >= 3:
-                assert v in lb.obligatory
+                assert lb.split_counts[v] == alpha
             else:
                 assert v not in lb.obligatory
+
+
+def test_pieces_and_bridges_match_explicit_deletion():
+    for g in _random_graphs(37, 40):
+        lb = obligatory_branch_bound(g)
+        for v in lb.obligatory:
+            # neighbors share a piece number exactly when they share a piece
+            number = lb.piece_of[v]
+            assert set(number) == set(g.adjacency[v])
+            assert set(number.values()) == set(range(1, lb.split_counts[v] + 1))
+            for piece in _pieces_without(g, v):
+                assert len({number[u] for u in g.adjacency[v] if u in piece}) == 1
+        bridges = set()
+        for e in g.edges:
+            rest = build_graph(g.n, [f for f in g.edges if f != e])
+            if len(_pieces_without(rest, -1)) > 1:
+                bridges.add(e)
+        assert lb.bridges == bridges

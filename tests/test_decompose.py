@@ -163,6 +163,11 @@ def test_accounting_identities_random():
                     assert 1 <= p.piece <= lb.split_counts[p.vertex]
             if comp.graph.n > 1:
                 assert connected_components(comp.graph)[0] == 1
+                # splitting never creates a bridge, so a component is final
+                again = decompose_of(comp.graph)
+                assert again.obligatory.value == 0
+                assert again.cut_edges == frozenset()
+                assert len(again.components) == 1
 
 
 def test_split_copy_pieces_are_complete():

@@ -46,8 +46,8 @@ CLI_COMMANDS = (
 )
 # criterion-7 instances solved to proof, and one budgeted solve at n=100
 SEARCH_CASES = tuple((60, 66, s, None) for s in range(2000, 2005)) + ((100, 130, 4000, 1000),)
-# (n, m, seed) for the heuristic digests: 120 graphs, n from 5 to 1195
-# (denser among small n) at three edge densities
+# (n, m, seed) for the heuristic digests: 120 graphs, n from 5 to 1195 with
+# most of them small (the heuristics are quadratic), at three edge densities
 HEURISTIC_CASES = tuple(
     (n, n + n // (3 + i % 3 * 3), 7000 + i)
     for i, n in enumerate(5 + i * i // 12 for i in range(120))

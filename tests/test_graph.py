@@ -8,8 +8,8 @@ from mbv import (
     connected_components,
     generate_random_connected,
     is_spanning_tree,
+    obligatory_branch_bound,
     spanning_tree,
-    structural_report,
 )
 from mbv.graph import _lowpoint
 from mbv.errors import (
@@ -42,6 +42,8 @@ def test_build_graph_rejects_out_of_range():
         build_graph(2, [(0, 2)])
     with pytest.raises(IndexOutOfRangeError):
         build_graph(2, [(-1, 1)])
+    with pytest.raises(IndexOutOfRangeError):
+        build_graph(-3, [])
 
 
 def test_connected_components(p4, c5):
@@ -54,23 +56,35 @@ def test_connected_components(p4, c5):
     assert len({labels[0], labels[2], labels[4]}) == 3
 
 
-def test_structural_report_star(star):
-    rep = structural_report(star)
-    assert rep.component_count == 1
-    assert rep.articulation == {0: 3}
-    assert rep.bridges == {(0, 1), (0, 2), (0, 3)}
+def _articulation(scan):
+    """Articulation points of a connected graph mapped to their split counts."""
+    return {v: pieces for v, pieces in enumerate(scan.pieces) if pieces >= 2}
 
 
-def test_structural_report_cycle(c5):
-    rep = structural_report(c5)
-    assert rep.articulation == {}
-    assert rep.bridges == frozenset()
+def test_lowpoint_star(star):
+    scan = _lowpoint(star.n, star.adjacency)
+    assert scan.count == 1
+    assert _articulation(scan) == {0: 3}
+    assert set(scan.bridges) == {(0, 1), (0, 2), (0, 3)}
+    lb = obligatory_branch_bound(star)
+    assert lb.split_counts == {0: 3}
+    assert lb.bridges == {(0, 1), (0, 2), (0, 3)}
 
 
-def test_structural_report_two_triangles(two_triangles):
-    rep = structural_report(two_triangles)
-    assert rep.articulation == {2: 2, 3: 2}
-    assert rep.bridges == {(2, 3)}
+def test_lowpoint_cycle(c5):
+    scan = _lowpoint(c5.n, c5.adjacency)
+    assert _articulation(scan) == {}
+    assert scan.bridges == []
+    assert obligatory_branch_bound(c5).bridges == frozenset()
+
+
+def test_lowpoint_two_triangles(two_triangles):
+    scan = _lowpoint(two_triangles.n, two_triangles.adjacency)
+    assert _articulation(scan) == {2: 2, 3: 2}
+    assert scan.bridges == [(2, 3)]
+    lb = obligatory_branch_bound(two_triangles)
+    assert lb.split_counts == {}
+    assert lb.bridges == {(2, 3)}
 
 
 def _components_without_vertex(g, v):
@@ -134,31 +148,25 @@ def _kernel_cases():
         yield build_graph(n, edges)
 
 
-def test_structural_report_matches_deletion_recount():
+def test_lowpoint_matches_deletion_recount():
     # cross-check the lowpoint scan against brute-force deletion recounts:
-    # component labels, split counts, articulation points, bridges, classes
+    # component labels, split counts, bridges, classes
     for g in _kernel_cases():
         n = g.n
-        rep = structural_report(g)
         scan = _lowpoint(n, g.adjacency)
         base = _components_without_vertex(g, -1)
-        assert rep.component_count == scan.count == base
+        assert scan.count == base
         first_seen = {}
         for v in range(n):
             reach = _reachable(g, v, None)
-            assert {u for u in range(n) if rep.component_of[u] == rep.component_of[v]} == reach
-            first_seen.setdefault(rep.component_of[v], v)
+            label = scan.component_of[v]
+            assert {u for u in range(n) if scan.component_of[u] == label} == reach
+            first_seen.setdefault(scan.component_of[v], v)
         # components are numbered in order of their smallest vertex
         assert list(first_seen) == list(range(base))
         for v in range(n):
-            recount = _components_without_vertex(g, v)
-            assert scan.pieces[v] == recount - base + 1
-            if recount > base:
-                assert rep.articulation[v] == recount
-            else:
-                assert v not in rep.articulation
+            assert scan.pieces[v] == _components_without_vertex(g, v) - base + 1
         bridges = {e for e in g.edges if _components_without_edge(g, e) > base}
-        assert rep.bridges == bridges
         assert sorted(scan.bridges) == sorted(bridges)
         classes = {frozenset(_reachable(g, v, bridges)) for v in range(n)}
         assert sorted(map(sorted, scan.classes)) == sorted(sorted(c) for c in classes if len(c) > 1)
@@ -186,13 +194,13 @@ def test_bridge_endpoints_are_articulation_points():
         n = rng.randrange(4, 13)
         m = min(n * (n - 1) // 2, n - 1 + rng.randrange(0, 6))
         g = generate_random_connected(n, m, rng.randrange(10**6))
-        rep = structural_report(g)
+        scan = _lowpoint(n, g.adjacency)
         for v in range(n):
             if g.degree(v) < 2:
                 continue
-            incident = [e for e in rep.bridges if v in e]
+            incident = [e for e in scan.bridges if v in e]
             if len(incident) >= 2 or (incident and g.degree(v) > len(incident)):
-                assert v in rep.articulation
+                assert scan.pieces[v] >= 2
 
 
 def test_is_spanning_tree(p4, c5):

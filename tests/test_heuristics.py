@@ -29,13 +29,13 @@ def lb_of(g):
 def test_start_restart_prefers_obligatory(star):
     lb = lb_of(star)
     state = HeuristicState(star, lb)
-    assert start_restart_select(star, lb, state, False) == 0
+    assert start_restart_select(state, False) == 0
 
 
 def test_start_restart_tie_breaks_by_id(c5):
     lb = lb_of(c5)
     state = HeuristicState(c5, lb)
-    assert start_restart_select(c5, lb, state, False) == 0
+    assert start_restart_select(state, False) == 0
 
 
 def test_start_restart_after_one_path(star):
@@ -44,7 +44,7 @@ def test_start_restart_after_one_path(star):
     state.add_vertex(0)
     state.add_vertex(1)
     state.add_edge(0, 1)
-    assert start_restart_select(star, lb, state, True) == 0
+    assert start_restart_select(state, True) == 0
 
 
 def test_start_restart_no_candidates(p4):
@@ -53,7 +53,7 @@ def test_start_restart_no_candidates(p4):
     for v in range(4):
         state.add_vertex(v)
     with pytest.raises(NoEligibleVertexError):
-        start_restart_select(p4, lb, state, True)
+        start_restart_select(state, True)
 
 
 def test_path_expanding_cycle(c5):

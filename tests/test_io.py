@@ -43,6 +43,10 @@ def test_parse_simple_errors():
         parse_instance("4\n")
     with pytest.raises(MalformedHeaderError):
         parse_instance("a b\n")
+    with pytest.raises(MalformedHeaderError):
+        parse_instance("-3 0\n")
+    with pytest.raises(MalformedHeaderError):
+        parse_instance("3 -1\n")
     with pytest.raises(BadEdgeLineError):
         parse_instance("2 1\n")
     with pytest.raises(BadEdgeLineError):
@@ -76,6 +80,10 @@ def test_parse_dimacs_comment():
 def test_parse_dimacs_errors():
     with pytest.raises(MalformedHeaderError):
         parse_dimacs("p edge 2 1\np edge 2 1\ne 1 2\n")
+    with pytest.raises(MalformedHeaderError):
+        parse_dimacs("p edge -3 0\n")
+    with pytest.raises(MalformedHeaderError):
+        parse_dimacs("p edge 3 -1\n")
     with pytest.raises(BadEdgeLineError):
         parse_dimacs("p edge 2 1\ne 1\n")
     with pytest.raises(BadEdgeLineError):
