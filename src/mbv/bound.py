@@ -48,6 +48,10 @@ def obligatory_branch_bound(g: Graph) -> LowerBoundResult:
     decomposition never scans g again.
     """
     n = g.n
+    if n == 0:
+        raise DisconnectedInputError(
+            "lower bound needs a connected graph, but the graph has no vertices"
+        )
     s = _lowpoint(n, g.adjacency)
     if s.count != 1:
         raise DisconnectedInputError(

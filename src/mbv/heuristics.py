@@ -14,6 +14,12 @@ and then follow its objective: tree degrees start at the vertex's extra degree
 and split copies, which never count, behave like obligatory vertices
 (preferred for restarts, never retired).
 
+Restarts cost O(log m) amortized, not a scan of the tree: HeuristicState keeps
+the open tree vertices in one lazy-deletion heap keyed (tier, -unvisited
+count, id), exactly the order of the rule, so a restart pops stale entries
+until the top one is current. With expansion steps O(degree) each, both
+builders run in O(m log m) time.
+
 Neither builder scans for connectivity up front; the lower bound already did.
 When no tree vertex can grow while the tree is short of n - 1 edges, the graph
 is disconnected and DisconnectedInputError is raised.
@@ -33,7 +39,17 @@ class HeuristicState:
 
     ``unvisited[v]`` is the number of neighbors of v not yet in the tree; it is
     updated whenever the tree grows so every greedy test stays O(1) per vertex
-    looked at. ``open_vertices`` tracks tree vertices that can still grow.
+    looked at. A tree vertex is open while it still has unvisited neighbors.
+
+    ``restarts`` is a heap of open vertices under ``restart_key``: tier 0 for
+    priority vertices, 1 for tree degree above two, 2 for the rest, then the
+    most unvisited neighbors, then the smallest id. Entries are deleted
+    lazily. Three invariants keep it exact: ``unvisited`` only falls,
+    ``tree_degree`` only rises (so a tier can only drop from 2 to 1), and a
+    closed vertex never reopens. So an open vertex is pushed when it enters
+    the tree, again whenever its count falls, and again when its tree degree
+    first exceeds two; an entry is current exactly when it equals the
+    vertex's key now, and every other entry is dropped when it reaches the top.
     """
 
     __slots__ = (
@@ -43,8 +59,8 @@ class HeuristicState:
         "unvisited",
         "tree_edges",
         "candidates",
-        "open_vertices",
         "priority",
+        "restarts",
     )
 
     def __init__(self, g: Graph, lb: LowerBoundResult, component: Component | None = None):
@@ -55,60 +71,65 @@ class HeuristicState:
         self.unvisited = [g.degree(v) for v in range(n)]
         self.tree_edges: list[tuple[int, int]] = []
         self.candidates: set[int] = set()
-        self.open_vertices: set[int] = set()
         self.priority = frozenset(lb.obligatory)
         if component is not None:
             for v, d in component.extra_degree.items():
                 self.tree_degree[v] = d
             self.priority |= {v for v, keep in enumerate(component.countable) if not keep}
+        self.restarts: list[int] = []
+
+    def restart_key(self, v: int) -> int:
+        """Where v ranks under the start-restart rule; smaller is preferred.
+
+        The triple (tier, -unvisited[v], v) packed into one int, which keeps
+        heap comparisons cheap: counts and ids are below n, so the order is
+        lexicographic and ``key % n`` is v.
+        """
+        n = self.graph.n
+        tier = 0 if v in self.priority else 1 if self.tree_degree[v] > 2 else 2
+        return (tier * n - self.unvisited[v]) * n + v
 
     def add_vertex(self, w: int) -> None:
-        self.in_tree[w] = True
+        in_tree = self.in_tree
         unvisited = self.unvisited
-        open_vertices = self.open_vertices
+        restarts, key = self.restarts, self.restart_key
+        in_tree[w] = True
         for x in self.graph.adjacency[w]:
             unvisited[x] -= 1
-            if unvisited[x] == 0:
-                open_vertices.discard(x)
+            if in_tree[x] and unvisited[x] > 0:
+                heappush(restarts, key(x))
         if unvisited[w] > 0:
-            open_vertices.add(w)
+            heappush(restarts, key(w))
 
     def add_edge(self, u: int, v: int) -> None:
         self.tree_edges.append((u, v) if u < v else (v, u))
-        self.tree_degree[u] += 1
-        self.tree_degree[v] += 1
+        tree_degree = self.tree_degree
+        for x in (u, v):
+            tree_degree[x] += 1
+            if tree_degree[x] == 3 and self.in_tree[x] and self.unvisited[x] > 0:
+                heappush(self.restarts, self.restart_key(x))
 
 
 def start_restart_select(state: HeuristicState, restrict_to_tree: bool) -> int:
     """Pick the vertex the next path should grow from.
 
-    With ``restrict_to_tree`` the pool is the tree vertices that still have
-    unvisited neighbors; otherwise (the initial start) any vertex with
-    unvisited neighbors qualifies.
+    With ``restrict_to_tree`` the pool is the open tree vertices, read off the
+    restart heap; otherwise (the initial start) one scan of all vertices picks
+    by the same key among those with unvisited neighbors.
     """
-    pool = state.open_vertices if restrict_to_tree else range(state.graph.n)
-    unvisited = state.unvisited
-    tree_degree = state.tree_degree
-    priority = state.priority
-    b1 = b2 = b3 = -1
-    c1 = c2 = c3 = -1
-    for v in pool:
-        c = unvisited[v]
-        if c <= 0:
-            continue
-        if v in priority and (c > c1 or (c == c1 and v < b1)):
-            b1, c1 = v, c
-        if tree_degree[v] > 2 and (c > c2 or (c == c2 and v < b2)):
-            b2, c2 = v, c
-        if c > c3 or (c == c3 and v < b3):
-            b3, c3 = v, c
-    if b1 >= 0:
-        return b1
-    if b2 >= 0:
-        return b2
-    if b3 >= 0:
-        return b3
-    raise NoEligibleVertexError("no vertex with unvisited neighbors")
+    n = state.graph.n
+    if restrict_to_tree:
+        heap = state.restarts
+        while heap and heap[0] != state.restart_key(heap[0] % n):
+            heappop(heap)
+        best = heap[0] if heap else None
+    else:
+        unvisited = state.unvisited
+        pool = (v for v in range(n) if unvisited[v] > 0)
+        best = min(map(state.restart_key, pool), default=None)
+    if best is None:
+        raise NoEligibleVertexError("no vertex with unvisited neighbors")
+    return best % n
 
 
 def _grow_from(state: HeuristicState, restrict_to_tree: bool) -> int:
@@ -203,16 +224,11 @@ def multi_path_expanding(
                 cand_nbrs[x] -= 1
 
     def absorb(w: int) -> None:
-        # add_vertex plus heap refresh for neighbors whose key just changed
-        st.in_tree[w] = True
+        # add_vertex plus a candidate-heap refresh for outside neighbors whose key just changed
+        st.add_vertex(w)
         for x in adj[w]:
-            st.unvisited[x] -= 1
-            if st.unvisited[x] == 0:
-                st.open_vertices.discard(x)
             if not st.in_tree[x] and cand_nbrs[x] > 0:
                 enqueue(x)
-        if st.unvisited[w] > 0:
-            st.open_vertices.add(w)
 
     def pop_eligible() -> int | None:
         while heap:
@@ -228,7 +244,7 @@ def multi_path_expanding(
     while len(st.tree_edges) < target:
         cand_add(_grow_from(st, True))
         while (v := pop_eligible()) is not None:
-            u = min(x for x in adj[v] if x in st.candidates)
+            u = next(x for x in adj[v] if x in st.candidates)  # adjacency is sorted
             absorb(v)
             st.add_edge(u, v)
             if st.tree_degree[u] == 2 and u not in st.priority:

@@ -81,7 +81,7 @@ def parse_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if n is not None:
                 raise MalformedHeaderError("second 'p' line")
-            if len(parts) != 4:
+            if len(parts) != 4 or parts[1] != "edge":
                 raise MalformedHeaderError(f"expected 'p edge n m', got {line!r}")
             try:
                 n, m = int(parts[2]), int(parts[3])

@@ -379,15 +379,18 @@ def solve_with_decomposition(g: Graph, opts: SolveOptions = SolveOptions()) -> S
     if opts.use_warm_start and g.n > 1:
         global_warm_edges = best_heuristic(g, lb).edges
     reports = []
-    for k, comp in enumerate(d.components):
+    # edges of this and every later component, kept as a running remainder
+    remaining_edges = sum(c.graph.m for c in d.components)
+    for comp in d.components:
         sub = opts
         if deadline is not None:
-            remaining_edges = sum(c.graph.m for c in d.components[k:])
+            m = comp.graph.m
             remaining_time = max(deadline - perf_counter(), 0.0)
             if remaining_edges:
-                share = remaining_time * comp.graph.m / remaining_edges
+                share = remaining_time * m / remaining_edges
             else:
                 share = remaining_time
+            remaining_edges -= m
             sub = replace(opts, time_limit=max(share, 1e-3))
         seed = None
         if global_warm_edges is not None and comp.graph.n > 1:

@@ -228,6 +228,16 @@ def test_cli_usage_and_parse_errors(tmp_path, capsys):
     disconnected.write_text("4 2\n1 2\n3 4\n", encoding="utf-8")
     assert run_cli(capsys, "stats", str(disconnected))[0] == 1
     assert run_cli(capsys, "solve", str(disconnected))[0] == 1
+    wrong_format = tmp_path / "wrong.col"
+    wrong_format.write_text("p col 3 2\ne 1 2\ne 2 3\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "stats", str(wrong_format))
+    assert code == 1 and out == "" and err.startswith("error: expected 'p edge n m'")
+    empty = tmp_path / "empty.graph"
+    empty.write_text("0 0\n", encoding="utf-8")
+    for command in ("stats", "solve"):
+        code, out, err = run_cli(capsys, command, str(empty))
+        assert code == 1 and out == ""
+        assert err == "error: lower bound needs a connected graph, but the graph has no vertices\n"
 
 
 def test_cli_bench(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 
+import mbv.heuristics
 from mbv import (
     Component,
     HeuristicState,
@@ -12,6 +14,7 @@ from mbv import (
     brute_force_optimum,
     build_graph,
     component_branch_count,
+    decompose,
     generate_random_connected,
     is_spanning_tree,
     multi_path_expanding,
@@ -54,6 +57,75 @@ def test_start_restart_no_candidates(p4):
         state.add_vertex(v)
     with pytest.raises(NoEligibleVertexError):
         start_restart_select(state, True)
+
+
+def _scan_select(state, restrict_to_tree):
+    """The start-restart rule as one plain scan: the reference for the heaps."""
+    unvisited = state.unvisited
+    pool = [
+        v for v in range(state.graph.n)
+        if unvisited[v] > 0 and (state.in_tree[v] or not restrict_to_tree)
+    ]
+    for tier in (
+        [v for v in pool if v in state.priority],
+        [v for v in pool if state.tree_degree[v] > 2],
+        pool,
+    ):
+        if tier:
+            return min(tier, key=lambda v: (-unvisited[v], v))
+    raise NoEligibleVertexError("no vertex with unvisited neighbors")
+
+
+def test_heap_restart_matches_scan_rule(monkeypatch):
+    real = mbv.heuristics.start_restart_select
+    seen = Counter()
+
+    def checked(state, restrict_to_tree):
+        try:
+            want = _scan_select(state, restrict_to_tree)
+        except NoEligibleVertexError:
+            want = None
+        try:
+            got = real(state, restrict_to_tree)
+        except NoEligibleVertexError:
+            got = None
+        assert got == want
+        if got is None:
+            raise NoEligibleVertexError("no vertex with unvisited neighbors")
+        if restrict_to_tree:
+            tier = "priority" if got in state.priority else (
+                "branch" if state.tree_degree[got] > 2 else "any"
+            )
+            seen[tier] += 1
+        return got
+
+    monkeypatch.setattr(mbv.heuristics, "start_restart_select", checked)
+    rng = random.Random(29)
+    for _ in range(80):
+        n = rng.randrange(5, 150)
+        m = min(n * (n - 1) // 2, n - 1 + rng.randrange(0, n))
+        g = generate_random_connected(n, m, rng.randrange(10**6))
+        lb = lb_of(g)
+        # decomposed components give multi-vertex components extra degree at
+        # most one, so a hand-made one also starts vertices above two
+        provenance = tuple(
+            SplitCopy(v, 1) if rng.random() < 0.1 else Original(v) for v in range(n)
+        )
+        extra = {v: rng.randrange(1, 5) for v in rng.sample(range(n), n // 4)}
+        made = Component(g, provenance, extra, {e: e for e in g.edges})
+        runs = [(g, lb, None), (g, lb, made)]
+        for comp in decompose(g, lb).components:
+            if comp.graph.n > 1:
+                runs.append((comp.graph, lb_of(comp.graph), comp))
+                seen["split copy"] += not all(comp.countable)
+                seen["extra degree"] += bool(comp.extra_degree)
+        seen["obligatory"] += lb.value > 0
+        for graph, graph_lb, comp in runs:
+            for heuristic in (path_expanding, multi_path_expanding):
+                assert is_spanning_tree(graph, heuristic(graph, graph_lb, comp).edges)
+    # every tier answered restarts, and the components exercised their semantics
+    kinds = ("priority", "branch", "any", "split copy", "extra degree", "obligatory")
+    assert all(seen[k] > 0 for k in kinds), seen
 
 
 def test_path_expanding_cycle(c5):

@@ -81,6 +81,8 @@ def test_parse_dimacs_errors():
     with pytest.raises(MalformedHeaderError):
         parse_dimacs("p edge 2 1\np edge 2 1\ne 1 2\n")
     with pytest.raises(MalformedHeaderError):
+        parse_dimacs("p col 3 2\ne 1 2\ne 2 3\n")
+    with pytest.raises(MalformedHeaderError):
         parse_dimacs("p edge -3 0\n")
     with pytest.raises(MalformedHeaderError):
         parse_dimacs("p edge 3 -1\n")

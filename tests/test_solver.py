@@ -3,6 +3,7 @@ import random
 import pytest
 
 from mbv import (
+    Graph,
     Original,
     SplitCopy,
     SolveOptions,
@@ -197,6 +198,26 @@ def test_time_limit_returns_incumbent(k24):
     assert report.upper_bound >= 1
     assert is_spanning_tree(k24, report.tree.edges)
     assert report.lower_bound <= report.upper_bound
+
+
+def test_time_split_is_linear_in_component_count(monkeypatch):
+    # splitting a time limit across K components must stay linear in K; a
+    # per-component re-sum of the remaining edge counts reads Graph.m ~K^2/2 times
+    g = generate_random_connected(2000, 2400, 1)
+    k = len(decompose(g, obligatory_branch_bound(g)).components)
+    assert k > 100
+    reads = 0
+    edge_count = Graph.m.fget
+
+    def counting(self):
+        nonlocal reads
+        reads += 1
+        return edge_count(self)
+
+    monkeypatch.setattr(Graph, "m", property(counting))
+    report = solve_with_decomposition(g, SolveOptions(time_limit=30.0, node_limit=1))
+    assert is_spanning_tree(g, report.tree.edges)
+    assert reads <= 4 * k
 
 
 def test_gap_percent_definition(k24):
