@@ -8,9 +8,10 @@ Usage (from the repository root):
 Each call imports ``mbv`` from ``--src`` (default: this checkout's ``src``),
 times ``path_expanding``, ``multi_path_expanding`` and
 ``solve_with_decomposition(node_limit=1)`` with and without
-``time_limit=30`` on ``generate_random_connected(n, 1.2 n, seed)`` for every
-``--sizes`` entry, keeps the minimum of ``--repeat`` runs, and stores the
-timings under ``runs[label]`` in ``--out``, keeping the other labels there.
+``time_limit=30`` on ``generate_random_connected(n, 1.2 n, SEED)`` for every
+n in ``SIZES``, keeps the minimum of ``REPEAT`` runs, and stores the timings
+under ``runs[label]`` in BENCH_heuristic_restarts.json at the repository
+root, keeping the other labels there.
 The bound is computed outside the heuristic timings; the solves time the whole
 pipeline. The record carries the interpreter and the core count.
 """
@@ -25,25 +26,29 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_heuristic_restarts.json"
+SIZES = (1000, 10000, 100000)
+SEED = 1
+REPEAT = 3
 
 
-def min_time(fn, repeat: int) -> float:
+def min_time(fn) -> float:
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         t0 = perf_counter()
         fn()
         best = min(best, perf_counter() - t0)
     return round(best, 4)
 
 
-def measure(sizes: list[int], seed: int, repeat: int) -> dict:
+def measure() -> dict:
     import mbv
 
     timed = mbv.SolveOptions(node_limit=1, time_limit=30.0)
     untimed = mbv.SolveOptions(node_limit=1)
     out = {}
-    for n in sizes:
-        g = mbv.generate_random_connected(n, int(1.2 * n), seed)
+    for n in SIZES:
+        g = mbv.generate_random_connected(n, int(1.2 * n), SEED)
         lb = mbv.obligatory_branch_bound(g)
         row = {"m": g.m}
         cases = (
@@ -53,7 +58,7 @@ def measure(sizes: list[int], seed: int, repeat: int) -> dict:
             ("solve_node_limit_1_time_limit_30_s", lambda: mbv.solve_with_decomposition(g, timed)),
         )
         for key, fn in cases:
-            row[key] = min_time(fn, repeat)
+            row[key] = min_time(fn)
             print(f"n={n} {key}={row[key]}", file=sys.stderr, flush=True)
         out[str(n)] = row
     return out
@@ -63,21 +68,15 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="key under 'runs', e.g. parent or change")
     ap.add_argument("--src", default=str(ROOT / "src"), help="directory holding the mbv package")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_heuristic_restarts.json"))
-    ap.add_argument("--sizes", default="1000,10000,100000")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
-    sizes = [int(s) for s in args.sizes.split(",")]
-    timings = measure(sizes, args.seed, args.repeat)
+    timings = measure()
 
-    out = Path(args.out)
-    doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+    doc = json.loads(OUT.read_text(encoding="utf-8")) if OUT.exists() else {}
     doc["setup"] = {
         "graphs": "generate_random_connected(n, int(1.2 * n), seed)",
-        "seed": args.seed,
-        "timing": f"min of {args.repeat} runs, seconds",
+        "seed": SEED,
+        "timing": f"min of {REPEAT} runs, seconds",
     }
     doc.setdefault("runs", {})[args.label] = {
         "python": platform.python_version(),
@@ -85,7 +84,7 @@ def main(argv=None) -> int:
         "cores": os.cpu_count(),
         "sizes": timings,
     }
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    OUT.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
 

@@ -128,6 +128,33 @@ def test_heap_restart_matches_scan_rule(monkeypatch):
     assert all(seen[k] > 0 for k in kinds), seen
 
 
+def test_heuristics_read_counts_linearly(monkeypatch):
+    # an operation count, not a timing: the heap builders read the unvisited
+    # counts about 5.7 (path) and 5.4 (multi) times per vertex and edge, while
+    # a restart that scans the open tree vertices reads them 48 and 20 times
+    # per vertex and edge on this graph, and more as n grows
+    class CountingList(list):
+        reads = 0
+
+        def __getitem__(self, i):
+            CountingList.reads += 1
+            return list.__getitem__(self, i)
+
+    init = HeuristicState.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.unvisited = CountingList(self.unvisited)
+
+    monkeypatch.setattr(HeuristicState, "__init__", counting_init)
+    g = generate_random_connected(4000, 4800, 1)
+    lb = lb_of(g)
+    for heuristic in (path_expanding, multi_path_expanding):
+        CountingList.reads = 0
+        assert is_spanning_tree(g, heuristic(g, lb).edges)
+        assert CountingList.reads <= 8 * (g.n + g.m), heuristic.__name__
+
+
 def test_path_expanding_cycle(c5):
     tree = path_expanding(c5, lb_of(c5))
     assert tree.branches == 0
