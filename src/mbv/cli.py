@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -34,6 +35,17 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's default 2
         raise _UsageError(message)
+
+
+def _time_limit(text: str) -> float:
+    """Parse --time-limit: a finite number of seconds above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number of seconds above 0, got {text!r}")
+    return value
 
 
 def _configure_logging() -> None:
@@ -218,13 +230,13 @@ def _build_parser() -> _Parser:
     p.add_argument("instance")
     p.add_argument("--no-decompose", action="store_true")
     p.add_argument("--no-warm-start", action="store_true")
-    p.add_argument("--time-limit", type=float, default=None, metavar="SECS")
+    p.add_argument("--time-limit", type=_time_limit, default=None, metavar="SECS")
     p.add_argument("--tree", action="store_true", help="print the tree edges")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("bench", help="run the full pipeline over a directory")
     p.add_argument("directory")
-    p.add_argument("--time-limit", type=float, default=None, metavar="SECS")
+    p.add_argument("--time-limit", type=_time_limit, default=None, metavar="SECS")
     p.add_argument("--jobs", type=int, default=1, metavar="K")
     p.add_argument("--records", default=None, help="key=value records file, or - for stdout")
     p.add_argument("--json", default=None, help="JSON results file")

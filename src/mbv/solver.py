@@ -29,6 +29,23 @@ Branching picks the undecided edge at the most constrained endpoint (largest
 extra-plus-bridge-plus-chosen degree), then the highest remaining degree, then
 the smallest edge index, and explores the exclude child first. These are
 measured defaults, not load-bearing for correctness.
+
+The search keeps one state and changes it in place: a status per edge
+(undecided, included, excluded), the live adjacency (every edge not
+excluded), included degrees, and the groups joined by included edges
+(explicit labels merged by size, so a union is undone by relabeling the
+smaller group). Every change is pushed on one trail: a branching decision, a
+forced bridge, a dropped cycle closer, each inclusion with its union. An open node holds its edge, its decision, the trail length at its
+parent and the parent's bound; popping it undoes the trail back to that mark,
+which restores the parent's fixpoint, and then applies the decision.
+
+A node scans the live graph only when it has changed. An exclude child always
+rescans. An include child rescans only when its union drops a cycle closer;
+otherwise it keeps the split counts, bridge degrees and classes of its
+parent's last scan, which its stack entry carries. Within propagation, a round
+that only forces bridges leaves the live graph as it was, so only a round that
+drops an edge is followed by another scan. The contracted graph of term 2 is
+scanned only when some group could count.
 """
 from __future__ import annotations
 
@@ -39,7 +56,7 @@ from time import perf_counter
 
 from .bound import obligatory_branch_bound
 from .decompose import Component, component_branch_count, decompose, recombine
-from .graph import Graph, SpanningTree, UnionFind, _count_branches, _lowpoint, spanning_tree
+from .graph import Graph, SpanningTree, _count_branches, _lowpoint, spanning_tree
 from .heuristics import best_heuristic
 
 
@@ -81,7 +98,7 @@ def _report(lower, upper, tree, optimal, nodes, elapsed) -> SolveReport:
     )
 
 
-def _fallback_tree_ids(g: Graph) -> set[int]:
+def _fallback_tree_ids(g: Graph) -> list[int]:
     """Deterministic DFS spanning tree by edge ids, for reports with no incumbent."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for ei, (u, v) in enumerate(g.edges):
@@ -89,16 +106,20 @@ def _fallback_tree_ids(g: Graph) -> set[int]:
         adj[v].append((u, ei))
     seen = [False] * g.n
     seen[0] = True
-    picked: set[int] = set()
+    picked: list[int] = []
     stack = [0]
     while stack:
         v = stack.pop()
         for w, ei in adj[v]:
             if not seen[w]:
                 seen[w] = True
-                picked.add(ei)
+                picked.append(ei)
                 stack.append(w)
     return picked
+
+
+# search states of an edge
+_UNDECIDED, _INCLUDED, _EXCLUDED = 0, 1, 2
 
 
 def _search(
@@ -108,26 +129,117 @@ def _search(
     warm_ids: set[int] | None,
     warm_value: int | None,
     opts: SolveOptions,
-) -> tuple[float, int, frozenset[int], bool, int, float]:
-    """Core branch and bound over edge ids; returns (lb, ub, tree_ids, optimal, nodes, elapsed)."""
+) -> tuple[float, int, list[int], bool, int]:
+    """Core branch and bound over edge ids; returns (lb, ub, tree_ids, optimal, nodes)."""
     t0 = perf_counter()
     deadline = t0 + opts.time_limit if opts.time_limit is not None else None
     n, m = g.n, g.m
     edges = g.edges
     edge_id = {e: ei for ei, e in enumerate(edges)}
     gamma = [extra.get(v, 0) for v in range(n)]
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for ei, (u, v) in enumerate(edges):
+        incident[u].append((v, ei))
+        incident[v].append((u, ei))
 
-    best_ids: frozenset[int] | None = None
+    best_ids: list[int] | None = None
     best_val = math.inf
     if warm_ids is not None:
-        best_ids = frozenset(warm_ids)
+        best_ids = list(warm_ids)
         best_val = warm_value
+
+    # the one search state, changed in place and undone on backtrack; trail
+    # entries are ei for an included edge (and the union it made) and ~ei for
+    # an excluded one
+    status = [_UNDECIDED] * m
+    adj = [list(a) for a in g.adjacency]  # live adjacency: the edges not excluded
+    inc_deg = [0] * n
+    # groups joined by included edges: union by size with explicit labels, so
+    # a find is one read and a union is undone by relabeling the smaller group
+    group_of = list(range(n))
+    members = [[v] for v in range(n)]
+    hung = [0] * m  # the group an included edge merged into a larger one
+    trail: list[int] = []
+
+    def exclude(ei: int) -> None:
+        u, v = edges[ei]
+        adj[u].remove(v)
+        adj[v].remove(u)
+        status[ei] = _EXCLUDED
+        trail.append(~ei)
+
+    def include(ei: int) -> bool:
+        """Include ei and drop the cycle closers it makes; True if any dropped."""
+        u, v = edges[ei]
+        inc_deg[u] += 1
+        inc_deg[v] += 1
+        status[ei] = _INCLUDED
+        trail.append(ei)
+        a, b = group_of[u], group_of[v]
+        if len(members[a]) < len(members[b]):
+            a, b = b, a
+        hung[ei] = b
+        small = members[b]
+        closers = [
+            e for x in small for w, e in incident[x] if status[e] == _UNDECIDED and group_of[w] == a
+        ]
+        for x in small:
+            group_of[x] = a
+        members[a] += small
+        for e in closers:
+            exclude(e)
+        return bool(closers)
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            ei = trail.pop()
+            if ei >= 0:
+                u, v = edges[ei]
+                inc_deg[u] -= 1
+                inc_deg[v] -= 1
+                b = hung[ei]
+                small = members[b]
+                del members[group_of[b]][-len(small):]
+                for x in small:
+                    group_of[x] = b
+            else:
+                ei = ~ei
+                u, v = edges[ei]
+                adj[u].append(v)
+                adj[v].append(u)
+            status[ei] = _UNDECIDED
+
+    def propagate():
+        """Force bridges and drop cycle closers to a fixpoint; None if infeasible.
+
+        Returns what the bound reads from the last live scan: split counts,
+        bridge degrees and two-edge-connected classes. Forcing a bridge leaves
+        the live graph as it is, so only a round that drops an edge rescans.
+        """
+        while True:
+            live = _lowpoint(n, adj)
+            if live.count != 1:
+                return None
+            dropped = False
+            for e in live.bridges:
+                ei = edge_id[e]
+                if status[ei] == _UNDECIDED and include(ei):
+                    dropped = True
+            if not dropped:
+                break
+        bridge_deg = [0] * n
+        for u, v in live.bridges:
+            bridge_deg[u] += 1
+            bridge_deg[v] += 1
+        return live.pieces, bridge_deg, live.classes
 
     nodes = 0
     stopped = False
-    # node bounds and the objective are integers, so a node is pruned exactly
-    # when its bound reaches the incumbent
-    stack: list[tuple[frozenset[int], frozenset[int], int]] = [(frozenset(), frozenset(), 0)]
+    # an entry is (edge, include it?, trail mark, inherited bound, parent's
+    # fixpoint scan for an include child); the root decides nothing. Node
+    # bounds and the objective are integers, so a node is pruned exactly when
+    # its bound reaches the incumbent.
+    stack: list[tuple] = [(-1, False, 0, 0, None)]
     while stack:
         if opts.node_limit is not None and nodes >= opts.node_limit:
             stopped = True
@@ -135,131 +247,100 @@ def _search(
         if deadline is not None and perf_counter() > deadline:
             stopped = True
             break
-        excluded_f, included_f, inherited = stack.pop()
+        ei, take, mark, inherited, scan = stack.pop()
         if inherited >= best_val:
             continue
         nodes += 1
-
-        excluded = set(excluded_f)
-        included = set(included_f)
-        uf = UnionFind(n)
-        for ei in included:
-            uf.union(*edges[ei])
-
-        # propagate: force bridges of the live graph, drop cycle closers
-        feasible = True
-        while True:
-            live_adj: list[list[int]] = [[] for _ in range(n)]
-            for ei in range(m):
-                if ei not in excluded:
-                    u, v = edges[ei]
-                    live_adj[u].append(v)
-                    live_adj[v].append(u)
-            live = _lowpoint(n, live_adj)
-            if live.count != 1:
-                feasible = False
-                break
-            changed = False
-            for e in live.bridges:
-                ei = edge_id[e]
-                if ei in included:
-                    continue
-                if not uf.union(*e):
-                    feasible = False  # a mandatory edge would close a cycle
-                    break
-                included.add(ei)
-                changed = True
-            if not feasible:
-                break
-            closers = [
-                ei
-                for ei in range(m)
-                if ei not in excluded
-                and ei not in included
-                and uf.find(edges[ei][0]) == uf.find(edges[ei][1])
-            ]
-            if closers:
-                excluded.update(closers)
-                changed = True
-            if not changed:
-                break
-        if not feasible:
+        undo(mark)
+        if take:
+            # with no cycle closers the live graph is the parent's fixpoint
+            if include(ei):
+                scan = propagate()
+        else:
+            if ei >= 0:
+                exclude(ei)
+            scan = propagate()
+        if scan is None:
             continue
-        # the last scan saw the fixpoint: its bridges are all included, and its
+        # the scan saw the fixpoint: its bridges are all included, and its
         # pieces and classes describe the live graph the bound is taken on
 
-        if len(included) == n - 1:
-            value = _count_branches(n, [edges[ei] for ei in included], extra, countable)
+        if len(members[group_of[0]]) == n:  # the included edges span: a leaf
+            ids = [e for e in range(m) if status[e] == _INCLUDED]
+            value = _count_branches(n, [edges[e] for e in ids], extra, countable)
             if value < best_val:
                 best_val = value
-                best_ids = frozenset(included)
+                best_ids = ids
             continue
+        pieces, bridge_deg, classes = scan
 
         # node lower bound, term 1: branches forced by guaranteed degree. Each
         # bridge at v cuts off a piece of its own and is already included, so
         # bridge degree + max(class pieces, chosen class degree) from the
         # module docstring is max(pieces, chosen degree) in the live graph.
-        inc_deg = [0] * n
-        for ei in included:
-            u, v = edges[ei]
-            inc_deg[u] += 1
-            inc_deg[v] += 1
-        pieces = live.pieces
         forced_branch = [False] * n
+        absorbs = [False] * n  # groups with a member not counted or already forced
         c1 = 0
         for v in range(n):
             if countable[v]:
                 d = pieces[v] if pieces[v] > inc_deg[v] else inc_deg[v]
                 if gamma[v] + d > 2:
                     forced_branch[v] = True
+                    absorbs[group_of[v]] = True
                     c1 += 1
+            else:
+                absorbs[group_of[v]] = True
 
-        # term 2: contracted groups whose removal leaves three or more pieces
-        super_adj: list[list[int]] = [[] for _ in range(n)]
-        super_edges: set[tuple[int, int]] = set()
-        for ei in range(m):
-            if ei in excluded:
-                continue
-            u, v = edges[ei]
-            ru, rv = uf.find(u), uf.find(v)
-            if ru == rv:
-                continue
-            key = (ru, rv) if ru < rv else (rv, ru)
-            if key in super_edges:
-                continue
-            super_edges.add(key)
-            super_adj[ru].append(rv)
-            super_adj[rv].append(ru)
-        group_pieces = _lowpoint(n, super_adj).pieces
-        group_absorbs: dict[int, bool] = {}
-        group_members: dict[int, list[int]] = {}
-        for v in range(n):
-            r = uf.find(v)
-            group_members.setdefault(r, []).append(v)
-            if not countable[v] or forced_branch[v]:
-                group_absorbs[r] = True
-        in_c2_group = [False] * n
+        # term 2: contracted groups whose removal leaves three or more pieces.
+        # At the fixpoint the undecided edges are exactly the live edges
+        # between two groups, and each piece needs one of them into the group.
+        # A lone vertex with three pieces is already forced, so only groups of
+        # two or more members that absorb nothing and have three or more
+        # undecided edges leaving them can count; the contracted graph is
+        # scanned only when there is one.
+        live_deg = [len(a) for a in adj]
+        labels = [r for r in range(n) if group_of[r] == r]
+        candidates = [
+            r
+            for r in labels
+            if len(members[r]) > 1
+            and not absorbs[r]
+            and sum(live_deg[v] - inc_deg[v] for v in members[r]) >= 3
+        ]
+        in_c2 = [False] * n
         c2 = 0
-        for r, members in group_members.items():
-            if group_pieces[r] >= 3 and not group_absorbs.get(r, False):
-                c2 += 1
-                for v in members:
-                    in_c2_group[v] = True
+        if candidates:
+            k = len(labels)
+            index = [0] * n  # groups numbered 0..k-1 in label order
+            for i, r in enumerate(labels):
+                index[r] = i
+            super_adj: list[list[int]] = [[] for _ in range(k)]
+            super_edges: set[int] = set()
+            for e in range(m):
+                if status[e] == _UNDECIDED:
+                    u, v = edges[e]
+                    r, s = index[group_of[u]], index[group_of[v]]
+                    key = r * k + s if r < s else s * k + r
+                    if key not in super_edges:
+                        super_edges.add(key)
+                        super_adj[r].append(s)
+                        super_adj[s].append(r)
+            group_pieces = _lowpoint(k, super_adj).pieces
+            for r in candidates:
+                if group_pieces[index[r]] >= 3:
+                    c2 += 1
+                    for v in members[r]:
+                        in_c2[v] = True
 
         # term 3: degree accounting inside each two-edge-connected class
-        bridge_deg = [0] * n
-        for u, v in live.bridges:
-            bridge_deg[u] += 1
-            bridge_deg[v] += 1
-        live_deg = [len(a) for a in live_adj]
         c3 = 0
-        for group in live.classes:  # a lone vertex needs no class edges
+        for group in classes:  # a lone vertex needs no class edges
             h = len(group)
             free = 0
             gains = []
             for v in group:
                 d = live_deg[v] - bridge_deg[v]
-                if not countable[v] or forced_branch[v] or in_c2_group[v]:
+                if not countable[v] or forced_branch[v] or in_c2[v]:
                     free += d - 1
                     continue
                 cap = 2 - gamma[v] - bridge_deg[v]
@@ -286,26 +367,26 @@ def _search(
         tightness = [gamma[v] + inc_deg[v] if countable[v] else -1 for v in range(n)]
         pick = -1
         pick_score = (-2, -1)
-        for ei in range(m):
-            if ei in excluded or ei in included:
+        for e in range(m):
+            if status[e] != _UNDECIDED:
                 continue
-            u, v = edges[ei]
+            u, v = edges[e]
             tu, tv = tightness[u], tightness[v]
             du, dv = live_deg[u], live_deg[v]
             score = (tu if tu >= tv else tv, du if du >= dv else dv)
             if score > pick_score:
                 pick_score = score
-                pick = ei
-        stack.append((frozenset(excluded), frozenset(included | {pick}), bound))
-        stack.append((frozenset(excluded | {pick}), frozenset(included), bound))
+                pick = e
+        mark = len(trail)
+        stack.append((pick, True, mark, bound, scan))
+        stack.append((pick, False, mark, bound, None))
 
-    elapsed = perf_counter() - t0
     if best_ids is None:  # stopped before any incumbent
-        best_ids = frozenset(_fallback_tree_ids(g))
+        best_ids = _fallback_tree_ids(g)
         best_val = _count_branches(n, [edges[ei] for ei in best_ids], extra, countable)
     # a finished search pruned every open node against the incumbent
-    lower = float(min([best_val] + [b for _, _, b in stack])) if stopped else float(best_val)
-    return lower, int(best_val), best_ids, lower == best_val, nodes, elapsed
+    lower = float(min([best_val] + [entry[3] for entry in stack])) if stopped else float(best_val)
+    return lower, int(best_val), best_ids, lower == best_val, nodes
 
 
 def _edge_ids(g: Graph, tree_edges) -> set[int]:
@@ -324,7 +405,7 @@ def solve_plain(g: Graph, opts: SolveOptions = SolveOptions()) -> SolveReport:
         warm = best_heuristic(g, lb0)
         warm_ids = _edge_ids(g, warm.edges)
         warm_val = warm.branches
-    lower, upper, ids, optimal, nodes, _ = _search(
+    lower, upper, ids, optimal, nodes = _search(
         g, {}, [True] * g.n, warm_ids, warm_val, opts
     )
     tree = spanning_tree(g, [g.edges[ei] for ei in ids])
@@ -358,7 +439,7 @@ def solve_component(
         if warm_val is None or seed_val < warm_val:
             warm_ids = _edge_ids(g, seed.edges)
             warm_val = seed_val
-    lower, upper, ids, optimal, nodes, _ = _search(
+    lower, upper, ids, optimal, nodes = _search(
         g, c.extra_degree, c.countable, warm_ids, warm_val, opts
     )
     tree = spanning_tree(g, [g.edges[ei] for ei in ids])

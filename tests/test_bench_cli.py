@@ -224,6 +224,14 @@ def test_cli_usage_and_parse_errors(tmp_path, capsys):
         assert err.startswith("error: ") and "binary.graph" in err
     assert run_cli(capsys, "bench", str(tmp_path), "--jobs", "0")[0] == 1
     assert run_cli(capsys, "bench", str(tmp_path), "--jobs", "-2")[0] == 1
+    instance = tmp_path / "ok.graph"
+    instance.write_text("3 2\n1 2\n2 3\n", encoding="utf-8")
+    for limit in ("nan", "inf", "-inf", "-1", "0", "soon"):
+        for argv in (("solve", str(instance)), ("bench", str(tmp_path))):
+            code, out, err = run_cli(capsys, *argv, f"--time-limit={limit}")
+            assert code == 1 and out == ""
+            assert err.startswith("usage error: argument --time-limit: must be a finite number")
+    assert run_cli(capsys, "solve", str(instance), "--time-limit", "1e-9")[0] in (0, 2)
     disconnected = tmp_path / "disc.graph"
     disconnected.write_text("4 2\n1 2\n3 4\n", encoding="utf-8")
     assert run_cli(capsys, "stats", str(disconnected))[0] == 1

@@ -4,7 +4,7 @@
 reads there; the heuristics prove nothing up front. Every ``mbv`` module that
 imports ``_lowpoint`` gets a counting wrapper, and only calls on the input
 graph's own adjacency are counted (the split, live and contracted graphs the
-decomposition and the search scan are built afresh).
+decomposition and the search scan are lists of their own).
 """
 import sys
 

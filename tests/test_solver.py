@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import mbv.solver
 from mbv import (
     Graph,
     Original,
@@ -156,13 +157,39 @@ def test_anytime_soundness_with_node_limit():
         m = min(n * (n - 1) // 2, n - 1 + rng.randrange(2, 6))
         g = generate_random_connected(n, m, rng.randrange(10**6))
         optimum = brute_force_optimum(g).optimum
-        for limit in (1, 3):
-            report = solve_plain(g, SolveOptions(node_limit=limit))
-            assert report.lower_bound <= optimum <= report.upper_bound
-            assert is_spanning_tree(g, report.tree.edges)
-            assert report.tree.branches == report.upper_bound
-            if report.optimal:
-                assert report.upper_bound == optimum
+        # every stop point leaves the trail part-way; the answer must not care
+        for limit in range(1, 51):
+            for solve in (solve_plain, solve_with_decomposition):
+                report = solve(g, SolveOptions(node_limit=limit))
+                assert report.lower_bound <= optimum <= report.upper_bound
+                assert is_spanning_tree(g, report.tree.edges)
+                assert report.tree.branches == report.upper_bound
+                if report.optimal:
+                    assert report.upper_bound == optimum
+
+
+def test_search_scans_per_node(monkeypatch):
+    # a node rescans the live graph only when it changed and the contracted
+    # graph only when a group could count; scanning the live graph on every
+    # propagation round plus the contracted graph costs about 2.4 calls a node
+    calls = 0
+    lowpoint = mbv.solver._lowpoint
+
+    def counting(n, adj):
+        nonlocal calls
+        calls += 1
+        return lowpoint(n, adj)
+
+    monkeypatch.setattr(mbv.solver, "_lowpoint", counting)
+    cases = [(60, 66, seed, None) for seed in range(2000, 2005)]
+    cases += [(100, 130, seed, 1000) for seed in range(3000, 3003)]
+    for n, m, seed, limit in cases:
+        g = generate_random_connected(n, m, seed)
+        for solve in (solve_plain, solve_with_decomposition):
+            calls = 0
+            report = solve(g, SolveOptions(node_limit=limit))
+            assert report.nodes_explored > 0
+            assert calls <= 1.8 * report.nodes_explored, (n, m, seed, solve.__name__)
 
 
 def test_root_bound_dominates_obligatory_count():
