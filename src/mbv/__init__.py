@@ -14,7 +14,6 @@ from .decompose import (
     Decomposition,
     Original,
     SplitCopy,
-    component_branch_count,
     decompose,
     recombine,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "branch_count",
     "brute_force_optimum",
     "build_graph",
-    "component_branch_count",
     "connected_components",
     "decompose",
     "enumerate_spanning_trees",

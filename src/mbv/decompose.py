@@ -27,7 +27,6 @@ from .graph import (
     Edge,
     Graph,
     SpanningTree,
-    _count_branches,
     _lowpoint,
     build_graph,
     is_spanning_tree,
@@ -65,7 +64,7 @@ class Component:
     vertices (the originals; split copies never count) whose tree degree plus
     ``extra_degree`` exceeds two. ``extra_degree`` holds, for original
     vertices only, the number of deleted bridges that were incident to them.
-    The heuristics and the exact search read both from here.
+    ``spanning_tree``, the heuristics and the exact search read both from here.
     """
 
     graph: Graph
@@ -162,17 +161,6 @@ def decompose(g: Graph, lb: LowerBoundResult) -> Decomposition:
         components.append(Component(cg, provenance, extra, edge_origin))
 
     return Decomposition(g, tuple(components), lb, bridges)
-
-
-def component_branch_count(c: Component, tree_edges) -> int:
-    """Branch vertices of a component spanning tree under component semantics.
-
-    An original vertex counts when its local tree degree plus its extra degree
-    exceeds two; split copies never count.
-    """
-    if not is_spanning_tree(c.graph, tree_edges):
-        raise NotASpanningTreeError("edge set is not a spanning tree of the component")
-    return _count_branches(c.graph.n, tree_edges, c.extra_degree, c.countable)
 
 
 def recombine(d: Decomposition, component_trees) -> SpanningTree:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import (
     DuplicateEdgeError,
@@ -19,6 +19,9 @@ from .errors import (
     LoopEdgeError,
     NotASpanningTreeError,
 )
+
+if TYPE_CHECKING:
+    from .decompose import Component
 
 Edge = tuple[int, int]
 
@@ -47,7 +50,11 @@ class Graph:
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """An edge subset certified to be a spanning tree, with its branch count."""
+    """An edge subset certified to be a spanning tree, with its branch count.
+
+    ``branches`` is the objective of the graph the tree spans: the plain count
+    for a whole graph, the component's count for a decomposition component.
+    """
 
     n: int
     edges: frozenset[Edge]
@@ -243,8 +250,12 @@ def branch_count(n: int, tree_edges) -> int:
     return _count_branches(n, tree_edges, {}, repeat(True))
 
 
-def spanning_tree(g: Graph, tree_edges) -> SpanningTree:
-    """Certify an edge set as a spanning tree of g and compute its branch count."""
+def spanning_tree(g: Graph, tree_edges, component: Component | None = None) -> SpanningTree:
+    """Certify an edge set as a spanning tree of g and compute its branch count.
+
+    With the decomposition component g is the graph of, branches are counted
+    by the component's objective.
+    """
     edges = frozenset((u, v) if u < v else (v, u) for u, v in tree_edges)
     if not edges.issubset(g.edges):
         raise NotASpanningTreeError("edge set is not a subset of the graph's edges")
@@ -252,4 +263,7 @@ def spanning_tree(g: Graph, tree_edges) -> SpanningTree:
         raise NotASpanningTreeError(
             f"edge set of size {len(edges)} does not span {g.n} vertices"
         )
-    return SpanningTree(g.n, edges, branch_count(g.n, edges))
+    if component is None:
+        return SpanningTree(g.n, edges, branch_count(g.n, edges))
+    branches = _count_branches(g.n, edges, component.extra_degree, component.countable)
+    return SpanningTree(g.n, edges, branches)

@@ -12,7 +12,9 @@ identical trees.
 Both algorithms also accept the decomposition component the graph came from,
 and then follow its objective: tree degrees start at the vertex's extra degree
 and split copies, which never count, behave like obligatory vertices
-(preferred for restarts, never retired).
+(preferred for restarts, never retired), and the returned tree is scored by
+the component's objective. ``lb=None`` reads as "no obligatory vertex", which
+always holds on a component.
 
 Restarts cost O(log m) amortized, not a scan of the tree: HeuristicState keeps
 the open tree vertices in one lazy-deletion heap keyed (tier, -unvisited
@@ -29,7 +31,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from .bound import LowerBoundResult
-from .decompose import Component, component_branch_count
+from .decompose import Component
 from .errors import DisconnectedInputError, NoEligibleVertexError
 from .graph import Graph, SpanningTree, spanning_tree
 
@@ -63,7 +65,7 @@ class HeuristicState:
         "restarts",
     )
 
-    def __init__(self, g: Graph, lb: LowerBoundResult, component: Component | None = None):
+    def __init__(self, g: Graph, lb: LowerBoundResult | None, component: Component | None = None):
         n = g.n
         self.graph = g
         self.in_tree = [False] * n
@@ -71,7 +73,7 @@ class HeuristicState:
         self.unvisited = [g.degree(v) for v in range(n)]
         self.tree_edges: list[tuple[int, int]] = []
         self.candidates: set[int] = set()
-        self.priority = frozenset(lb.obligatory)
+        self.priority = frozenset(lb.obligatory if lb is not None else ())
         if component is not None:
             for v, d in component.extra_degree.items():
                 self.tree_degree[v] = d
@@ -144,7 +146,7 @@ def _grow_from(state: HeuristicState, restrict_to_tree: bool) -> int:
 
 
 def path_expanding(
-    g: Graph, lb: LowerBoundResult, component: Component | None = None
+    g: Graph, lb: LowerBoundResult | None, component: Component | None = None
 ) -> SpanningTree:
     """Grow one path at a time, restarting from tree endpoints when stuck.
 
@@ -158,7 +160,7 @@ def path_expanding(
     """
     st = HeuristicState(g, lb, component)
     if g.n == 1:
-        return spanning_tree(g, ())
+        return spanning_tree(g, (), component)
     adj = g.adjacency
     in_tree = st.in_tree
     unvisited = st.unvisited
@@ -182,11 +184,11 @@ def path_expanding(
             st.add_vertex(v)
             st.add_edge(u, v)
             u = v
-    return spanning_tree(g, st.tree_edges)
+    return spanning_tree(g, st.tree_edges, component)
 
 
 def multi_path_expanding(
-    g: Graph, lb: LowerBoundResult, component: Component | None = None
+    g: Graph, lb: LowerBoundResult | None, component: Component | None = None
 ) -> SpanningTree:
     """Grow several paths at once from a retiring candidate set.
 
@@ -197,7 +199,7 @@ def multi_path_expanding(
     """
     st = HeuristicState(g, lb, component)
     if g.n == 1:
-        return spanning_tree(g, ())
+        return spanning_tree(g, (), component)
     adj = g.adjacency
     st.add_vertex(_grow_from(st, False))
 
@@ -251,20 +253,13 @@ def multi_path_expanding(
                 cand_drop(u)
             if not (st.tree_degree[v] == 2 and v not in st.priority):
                 cand_add(v)
-    return spanning_tree(g, st.tree_edges)
+    return spanning_tree(g, st.tree_edges, component)
 
 
 def best_heuristic(
-    g: Graph, lb: LowerBoundResult, component: Component | None = None
+    g: Graph, lb: LowerBoundResult | None, component: Component | None = None
 ) -> SpanningTree:
-    """Run both heuristics and keep the tree with fewer branches (ties: path).
-
-    With a component, "fewer branches" is measured by the component's objective.
-    """
+    """Run both heuristics and keep the tree with fewer branches (ties: path)."""
     a = path_expanding(g, lb, component)
     b = multi_path_expanding(g, lb, component)
-    if component is None:
-        return a if a.branches <= b.branches else b
-    if component_branch_count(component, a.edges) <= component_branch_count(component, b.edges):
-        return a
-    return b
+    return a if a.branches <= b.branches else b

@@ -35,9 +35,11 @@ The search keeps one state and changes it in place: a status per edge
 excluded), included degrees, and the groups joined by included edges
 (explicit labels merged by size, so a union is undone by relabeling the
 smaller group). Every change is pushed on one trail: a branching decision, a
-forced bridge, a dropped cycle closer, each inclusion with its union. An open node holds its edge, its decision, the trail length at its
-parent and the parent's bound; popping it undoes the trail back to that mark,
-which restores the parent's fixpoint, and then applies the decision.
+forced bridge, a dropped cycle closer, each inclusion with its union.
+
+An open node holds its edge, its decision, the trail length at its parent and
+the parent's bound. Popping it undoes the trail back to that mark, which
+restores the parent's fixpoint, and then applies the decision.
 
 A node scans the live graph only when it has changed. An exclude child always
 rescans. An include child rescans only when its union drops a cycle closer;
@@ -50,23 +52,31 @@ scanned only when some group could count.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from time import perf_counter
 
 from .bound import obligatory_branch_bound
-from .decompose import Component, component_branch_count, decompose, recombine
+from .decompose import Component, decompose, recombine
 from .graph import Graph, SpanningTree, _count_branches, _lowpoint, spanning_tree
 from .heuristics import best_heuristic
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Search controls: optional time and node budgets, and the warm start."""
+    """Search controls: optional time and node budgets, and the warm start.
+
+    A time limit is a finite number of seconds above 0, a node limit at least 1.
+    """
 
     time_limit: float | None = None
     use_warm_start: bool = True
     node_limit: int | None = None
+
+    def __post_init__(self):
+        if self.time_limit is not None and not 0.0 < self.time_limit < math.inf:
+            raise ValueError(f"time_limit must be finite and above 0, got {self.time_limit!r}")
+        if self.node_limit is not None and self.node_limit < 1:
+            raise ValueError(f"node_limit must be at least 1, got {self.node_limit!r}")
 
 
 @dataclass(frozen=True)
@@ -123,17 +133,16 @@ _UNDECIDED, _INCLUDED, _EXCLUDED = 0, 1, 2
 
 
 def _search(
-    g: Graph,
-    extra: dict[int, int],
-    countable: Sequence[bool],
-    warm_ids: set[int] | None,
-    warm_value: int | None,
-    opts: SolveOptions,
-) -> tuple[float, int, list[int], bool, int]:
-    """Core branch and bound over edge ids; returns (lb, ub, tree_ids, optimal, nodes)."""
+    g: Graph, c: Component | None, warm: SpanningTree | None, opts: SolveOptions
+) -> tuple[float, int, list[int], int]:
+    """Core branch and bound over edge ids; returns (lb, ub, tree_ids, nodes).
+
+    ``c`` is the component g is the graph of, or None for a whole graph.
+    """
     t0 = perf_counter()
     deadline = t0 + opts.time_limit if opts.time_limit is not None else None
     n, m = g.n, g.m
+    extra, countable = ({}, [True] * n) if c is None else (c.extra_degree, c.countable)
     edges = g.edges
     edge_id = {e: ei for ei, e in enumerate(edges)}
     gamma = [extra.get(v, 0) for v in range(n)]
@@ -144,9 +153,9 @@ def _search(
 
     best_ids: list[int] | None = None
     best_val = math.inf
-    if warm_ids is not None:
-        best_ids = list(warm_ids)
-        best_val = warm_value
+    if warm is not None:
+        best_ids = [edge_id[e] for e in warm.edges]
+        best_val = warm.branches
 
     # the one search state, changed in place and undone on backtrack; trail
     # entries are ei for an included edge (and the union it made) and ~ei for
@@ -386,12 +395,20 @@ def _search(
         best_val = _count_branches(n, [edges[ei] for ei in best_ids], extra, countable)
     # a finished search pruned every open node against the incumbent
     lower = float(min([best_val] + [entry[3] for entry in stack])) if stopped else float(best_val)
-    return lower, int(best_val), best_ids, lower == best_val, nodes
+    return lower, int(best_val), best_ids, nodes
 
 
-def _edge_ids(g: Graph, tree_edges) -> set[int]:
-    index = {e: i for i, e in enumerate(g.edges)}
-    return {index[(u, v) if u < v else (v, u)] for u, v in tree_edges}
+def _solve(g, c, incumbents, opts, t0, floor=0) -> SolveReport:
+    """Search from the best incumbent (the first on ties), certify the tree, report.
+
+    ``floor`` is a lower bound known before the search, reported when a
+    search stopped before its root knows less.
+    """
+    warm = min(incumbents, key=lambda t: t.branches, default=None)
+    lower, upper, ids, nodes = _search(g, c, warm, opts)
+    tree = spanning_tree(g, [g.edges[ei] for ei in ids], c)
+    lower = max(lower, float(floor))
+    return _report(lower, upper, tree, lower == upper, nodes, perf_counter() - t0)
 
 
 def solve_plain(g: Graph, opts: SolveOptions = SolveOptions()) -> SolveReport:
@@ -400,16 +417,8 @@ def solve_plain(g: Graph, opts: SolveOptions = SolveOptions()) -> SolveReport:
     lb0 = obligatory_branch_bound(g)  # also rejects disconnected input
     if g.n == 1:
         return _report(0.0, 0, spanning_tree(g, ()), True, 0, perf_counter() - t0)
-    warm_ids = warm_val = None
-    if opts.use_warm_start:
-        warm = best_heuristic(g, lb0)
-        warm_ids = _edge_ids(g, warm.edges)
-        warm_val = warm.branches
-    lower, upper, ids, optimal, nodes = _search(
-        g, {}, [True] * g.n, warm_ids, warm_val, opts
-    )
-    tree = spanning_tree(g, [g.edges[ei] for ei in ids])
-    return _report(lower, upper, tree, optimal, nodes, perf_counter() - t0)
+    warm = [best_heuristic(g, lb0)] if opts.use_warm_start else []
+    return _solve(g, None, warm, opts, t0, lb0.value)
 
 
 def solve_component(
@@ -421,29 +430,17 @@ def solve_component(
     their extra degree. Single-vertex components are answered immediately.
     ``seed_tree`` is an optional extra incumbent (local edges); the enhanced
     pipeline passes the projection of a whole-graph heuristic tree, which is
-    sometimes better than the component's own heuristics.
+    sometimes better than the component's own heuristics. A component has no
+    obligatory vertex, so its heuristics get no bound.
     """
     t0 = perf_counter()
     g = c.graph
     if g.n == 1:
         return _report(0.0, 0, spanning_tree(g, ()), True, 0, perf_counter() - t0)
-    warm_ids = warm_val = None
-    if opts.use_warm_start:
-        lb0 = obligatory_branch_bound(g)
-        warm = best_heuristic(g, lb0, c)
-        warm_ids = _edge_ids(g, warm.edges)
-        warm_val = component_branch_count(c, warm.edges)
+    incumbents = [best_heuristic(g, None, c)] if opts.use_warm_start else []
     if seed_tree is not None:
-        seed = spanning_tree(g, seed_tree)
-        seed_val = component_branch_count(c, seed.edges)
-        if warm_val is None or seed_val < warm_val:
-            warm_ids = _edge_ids(g, seed.edges)
-            warm_val = seed_val
-    lower, upper, ids, optimal, nodes = _search(
-        g, c.extra_degree, c.countable, warm_ids, warm_val, opts
-    )
-    tree = spanning_tree(g, [g.edges[ei] for ei in ids])
-    return _report(lower, upper, tree, optimal, nodes, perf_counter() - t0)
+        incumbents.append(spanning_tree(g, seed_tree, c))
+    return _solve(g, c, incumbents, opts, t0)
 
 
 def solve_with_decomposition(g: Graph, opts: SolveOptions = SolveOptions()) -> SolveReport:

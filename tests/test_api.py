@@ -22,7 +22,6 @@ PUBLIC = [
     "branch_count",
     "brute_force_optimum",
     "build_graph",
-    "component_branch_count",
     "connected_components",
     "decompose",
     "enumerate_spanning_trees",

@@ -7,7 +7,6 @@ from mbv import (
     SplitCopy,
     brute_force_optimum,
     build_graph,
-    component_branch_count,
     connected_components,
     decompose,
     enumerate_spanning_trees,
@@ -16,6 +15,7 @@ from mbv import (
     obligatory_branch_bound,
     recombine,
     solve_component,
+    spanning_tree,
 )
 from mbv.decompose import Component
 from mbv.errors import NotASpanningTreeError, StaleBoundError
@@ -92,9 +92,9 @@ def _triangle_component(extra):
 def test_component_branch_count_triangle():
     comp = _triangle_component({2: 1})
     # vertex 2 as a path endpoint: local degree 1 + extra 1 stays within two
-    assert component_branch_count(comp, [(0, 2), (0, 1)]) == 0
+    assert spanning_tree(comp.graph, [(0, 2), (0, 1)], comp).branches == 0
     # vertex 2 in the middle: 2 + 1 > 2
-    assert component_branch_count(comp, [(0, 2), (1, 2)]) == 1
+    assert spanning_tree(comp.graph, [(0, 2), (1, 2)], comp).branches == 1
 
 
 def test_component_branch_count_ignores_split_copies():
@@ -106,13 +106,13 @@ def test_component_branch_count_ignores_split_copies():
         edge_origin={e: e for e in star.edges},
     )
     # the copy has degree five, yet nothing counts
-    assert component_branch_count(comp, star.edges) == 0
+    assert spanning_tree(star, star.edges, comp).branches == 0
 
 
 def test_component_branch_count_rejects_non_tree():
     comp = _triangle_component({})
     with pytest.raises(NotASpanningTreeError):
-        component_branch_count(comp, [(0, 1)])
+        spanning_tree(comp.graph, [(0, 1)], comp)
 
 
 def test_recombine_two_triangles(two_triangles):

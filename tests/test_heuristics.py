@@ -11,15 +11,16 @@ from mbv import (
     Original,
     SplitCopy,
     best_heuristic,
+    branch_count,
     brute_force_optimum,
     build_graph,
-    component_branch_count,
     decompose,
     generate_random_connected,
     is_spanning_tree,
     multi_path_expanding,
     obligatory_branch_bound,
     path_expanding,
+    spanning_tree,
     start_restart_select,
 )
 from mbv.errors import DisconnectedInputError, NoEligibleVertexError
@@ -245,7 +246,7 @@ def test_overlay_runs_on_components():
         tree = heuristic(g, lb, comp)
         assert is_spanning_tree(g, tree.edges)
         # a path keeping vertex 2 off the middle has no component branches
-        assert component_branch_count(comp, tree.edges) == 0
+        assert spanning_tree(g, tree.edges, comp).branches == tree.branches == 0
 
 
 def test_overlay_exempt_absorbs_degree():
@@ -254,8 +255,8 @@ def test_overlay_exempt_absorbs_degree():
     provenance = (SplitCopy(9, 1),) + tuple(Original(v) for v in range(1, 5))
     comp = Component(star, provenance, {}, {e: e for e in star.edges})
     tree = multi_path_expanding(star, lb, comp)
-    assert component_branch_count(comp, tree.edges) == 0
-    assert tree.branches == 1  # plain count still sees the center
+    assert spanning_tree(star, tree.edges, comp).branches == tree.branches == 0
+    assert branch_count(star.n, tree.edges) == 1  # a plain count still sees the center
 
 
 def test_runtime_scales_roughly_quadratically():

@@ -1,0 +1,50 @@
+"""Property tests on small random connected graphs, drawn by hypothesis.
+
+A graph is a random tree on n <= 10 vertices plus a few random extra edges, so
+it is connected by construction and small enough for the oracle. Examples are
+derandomized, so every run checks the same graphs.
+"""
+import pytest
+
+from mbv import (
+    best_heuristic,
+    brute_force_optimum,
+    build_graph,
+    decompose,
+    multi_path_expanding,
+    obligatory_branch_bound,
+    path_expanding,
+    solve_component,
+    solve_plain,
+    solve_with_decomposition,
+)
+from mbv.graph import _count_branches
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+@st.composite
+def connected_graphs(draw):
+    n = draw(st.integers(1, 10))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if n > 2:
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        edges |= draw(st.sets(st.sampled_from(pairs), max_size=6))
+    return build_graph(n, edges)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(connected_graphs())
+def test_solvers_meet_the_oracle_and_trees_carry_their_own_count(g):
+    optimum = brute_force_optimum(g).optimum
+    plain, enhanced = solve_plain(g), solve_with_decomposition(g)
+    assert plain.optimal and enhanced.optimal
+    assert plain.upper_bound == enhanced.upper_bound == optimum
+    for c in decompose(g, obligatory_branch_bound(g)).components:
+        trees = [h(c.graph, None, c) for h in (path_expanding, multi_path_expanding, best_heuristic)]
+        trees.append(solve_component(c).tree)
+        for tree in trees:
+            assert tree.branches == _count_branches(
+                c.graph.n, tree.edges, c.extra_degree, c.countable
+            )

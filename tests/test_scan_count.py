@@ -1,16 +1,20 @@
 """Guard: the lowpoint scan runs on an input graph once per solve or report.
 
 ``obligatory_branch_bound`` scans the input and hands ``decompose`` what it
-reads there; the heuristics prove nothing up front. Every ``mbv`` module that
+reads there; the heuristics prove nothing up front, and a component, which has
+no obligatory vertex, is never scanned for a bound. Every ``mbv`` module that
 imports ``_lowpoint`` gets a counting wrapper, and only calls on the input
 graph's own adjacency are counted (the split, live and contracted graphs the
-decomposition and the search scan are lists of their own).
+decomposition and the search scan are lists of their own). Tree certifications
+are counted the same way, by graph.
 """
 import sys
+from collections import Counter
 
 import pytest
 
 import mbv.cli
+import mbv.graph
 import mbv.io
 from mbv import (
     SolveOptions,
@@ -22,7 +26,6 @@ from mbv import (
     solve_with_decomposition,
     write_instance,
 )
-from mbv.graph import _lowpoint
 
 # g30 has obligatory vertices and bridges; all three split into components
 GRAPHS = tuple(
@@ -32,23 +35,29 @@ GRAPHS = tuple(
 OPTS = SolveOptions(node_limit=20)
 
 
-@pytest.fixture
-def scans(monkeypatch):
-    """The adjacency of every lowpoint scan, in call order."""
+def _calls(monkeypatch, attr) -> list[tuple]:
+    """Wrap ``mbv.graph``'s ``attr`` wherever mbv imported it; the arguments of each call."""
     seen = []
+    original = getattr(mbv.graph, attr)
 
-    def counting(n, adj):
-        seen.append(adj)
-        return _lowpoint(n, adj)
+    def counting(*args):
+        seen.append(args)
+        return original(*args)
 
     for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "mbv" and hasattr(module, "_lowpoint"):
-            monkeypatch.setattr(module, "_lowpoint", counting)
+        if name.partition(".")[0] == "mbv" and hasattr(module, attr):
+            monkeypatch.setattr(module, attr, counting)
     return seen
 
 
+@pytest.fixture
+def scans(monkeypatch):
+    """(n, adjacency) of every lowpoint scan, in call order."""
+    return _calls(monkeypatch, "_lowpoint")
+
+
 def _scans_of(seen, g) -> int:
-    return sum(1 for adj in seen if adj is g.adjacency)
+    return sum(1 for n, adj in seen if adj is g.adjacency)
 
 
 @pytest.mark.parametrize("solve", [solve_with_decomposition, solve_plain])
@@ -59,14 +68,27 @@ def test_one_input_scan_per_solve(scans, solve):
         assert _scans_of(scans, g) == 1
 
 
-def test_one_scan_per_multi_vertex_component(scans):
+def test_no_scan_of_a_component_graph(scans):
     for g in GRAPHS:
         d = decompose(g, obligatory_branch_bound(g))
         assert any(c.graph.n > 1 for c in d.components)
         for comp in d.components:
             scans.clear()
             solve_component(comp, OPTS)
-            assert _scans_of(scans, comp.graph) == (1 if comp.graph.n > 1 else 0)
+            assert _scans_of(scans, comp.graph) == 0
+
+
+def test_certifications_per_multi_vertex_component(monkeypatch):
+    # each heuristic's tree, the seed, the final tree and recombine's check:
+    # every tree is scored once, by the objective of the graph it spans
+    certified = _calls(monkeypatch, "is_spanning_tree")
+    for g in GRAPHS:
+        certified.clear()
+        solve_with_decomposition(g, OPTS)
+        per_component = Counter(id(h) for h, edges in certified if h is not g and h.n > 1)
+        multi = [c for c in decompose(g, obligatory_branch_bound(g)).components if c.graph.n > 1]
+        assert len(per_component) == len(multi)
+        assert max(per_component.values()) <= 5
 
 
 @pytest.mark.parametrize("command", ["stats", "decompose"])

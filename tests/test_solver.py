@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,7 +12,6 @@ from mbv import (
     branch_count,
     brute_force_optimum,
     build_graph,
-    component_branch_count,
     decompose,
     enumerate_spanning_trees,
     generate_random_connected,
@@ -20,6 +20,7 @@ from mbv import (
     solve_component,
     solve_plain,
     solve_with_decomposition,
+    spanning_tree,
 )
 from mbv.decompose import Component
 from mbv.errors import DisconnectedInputError
@@ -94,14 +95,15 @@ def test_component_report_matches_semantics(two_triangles):
     for comp in d.components:
         report = solve_component(comp)
         assert report.optimal
-        assert component_branch_count(comp, report.tree.edges) == report.upper_bound
+        assert spanning_tree(comp.graph, report.tree.edges, comp).branches == report.upper_bound
+        assert report.tree.branches == report.upper_bound
 
 
 def _component_brute_force(comp):
     best = [None]
 
     def visit(tree):
-        val = component_branch_count(comp, tree)
+        val = spanning_tree(comp.graph, tree, comp).branches
         if best[0] is None or val < best[0]:
             best[0] = val
 
@@ -157,11 +159,14 @@ def test_anytime_soundness_with_node_limit():
         m = min(n * (n - 1) // 2, n - 1 + rng.randrange(2, 6))
         g = generate_random_connected(n, m, rng.randrange(10**6))
         optimum = brute_force_optimum(g).optimum
-        # every stop point leaves the trail part-way; the answer must not care
-        for limit in range(1, 51):
+        obligatory = obligatory_branch_bound(g).value
+        # every stop point leaves the trail part-way; the answer must not care.
+        # A time limit that passes before the root node stops earliest of all.
+        stops = [SolveOptions(node_limit=limit) for limit in range(1, 51)]
+        for opts in stops + [SolveOptions(time_limit=1e-9)]:
             for solve in (solve_plain, solve_with_decomposition):
-                report = solve(g, SolveOptions(node_limit=limit))
-                assert report.lower_bound <= optimum <= report.upper_bound
+                report = solve(g, opts)
+                assert obligatory <= report.lower_bound <= optimum <= report.upper_bound
                 assert is_spanning_tree(g, report.tree.edges)
                 assert report.tree.branches == report.upper_bound
                 if report.optimal:
@@ -225,6 +230,17 @@ def test_time_limit_returns_incumbent(k24):
     assert report.upper_bound >= 1
     assert is_spanning_tree(k24, report.tree.edges)
     assert report.lower_bound <= report.upper_bound
+
+
+def test_solve_options_validates_limits():
+    bad = [dict(time_limit=t) for t in (math.nan, math.inf, -math.inf, 0, 0.0, -1)]
+    bad += [dict(node_limit=k) for k in (0, -3)]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            SolveOptions(**kwargs)
+    opts = SolveOptions(time_limit=1e-9, node_limit=1)
+    assert (opts.time_limit, opts.node_limit) == (1e-9, 1)
+    assert solve_plain(build_graph(2, [(0, 1)]), opts).upper_bound == 0
 
 
 def test_time_split_is_linear_in_component_count(monkeypatch):
