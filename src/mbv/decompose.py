@@ -16,6 +16,12 @@ is exactly the image of the bridges the bound found on the input. The split
 graph is scanned once more, only to label its components. The surviving pieces
 are returned as ordinary graphs with dense local ids; provenance is the only
 mapping back.
+
+Most pieces are single vertices (a lone bridge leg, an isolated split copy).
+Such a piece never counts: a non-obligatory vertex has at most two bridges and
+a split copy is never scored. So every single-vertex component shares one
+validated one-vertex graph, carries only its provenance and extra degree, and
+is never solved: its tree is the empty edge set.
 """
 from __future__ import annotations
 
@@ -32,6 +38,9 @@ from .graph import (
     is_spanning_tree,
     spanning_tree,
 )
+
+# the graph of every single-vertex component
+_POINT = build_graph(1, ())
 
 
 @dataclass(frozen=True)
@@ -65,6 +74,9 @@ class Component:
     ``extra_degree`` exceeds two. ``extra_degree`` holds, for original
     vertices only, the number of deleted bridges that were incident to them.
     ``spanning_tree``, the heuristics and the exact search read both from here.
+
+    Every single-vertex component of a decomposition shares one graph and has
+    no edges to map; the enhanced solve gives it the empty tree unsolved.
     """
 
     graph: Graph
@@ -122,13 +134,14 @@ def decompose(g: Graph, lb: LowerBoundResult) -> Decomposition:
 
     split_adj: list[list[int]] = [[] for _ in range(n_split)]
     origin_of: dict[Edge, Edge] = {}
-    for u, w in g.edges:
-        if (u, w) in bridges:
+    for e in g.edges:
+        if e in bridges:
             continue
+        u, w = e
         a, b = mapped(u, w), mapped(w, u)
         split_adj[a].append(b)
         split_adj[b].append(a)
-        origin_of[(a, b) if a < b else (b, a)] = (u, w)
+        origin_of[(a, b) if a < b else (b, a)] = e
 
     bridge_deg = [0] * n
     for u, w in bridges:
@@ -142,16 +155,22 @@ def decompose(g: Graph, lb: LowerBoundResult) -> Decomposition:
 
     components = []
     for ids in members:  # ascending: ids were scanned in order
+        if len(ids) == 1:
+            p = node_origin[ids[0]]
+            d = bridge_deg[p.vertex] if isinstance(p, Original) else 0
+            components.append(Component(_POINT, (p,), {0: d} if d else {}, {}))
+            continue
+        # local ids keep the order of split ids, so x < y gives a local pair in order
         local = {x: i for i, x in enumerate(ids)}
         local_edges = []
         edge_origin: dict[Edge, Edge] = {}
         for x in ids:
+            a = local[x]
             for y in split_adj[x]:
                 if x < y:
-                    a, b = local[x], local[y]
-                    local_edges.append((a, b))
-                    key = (a, b) if a < b else (b, a)
-                    edge_origin[key] = origin_of[(x, y)]
+                    e = (a, local[y])
+                    local_edges.append(e)
+                    edge_origin[e] = origin_of[(x, y)]
         cg = build_graph(len(ids), local_edges)
         provenance = tuple(node_origin[x] for x in ids)
         extra = {}
@@ -167,7 +186,9 @@ def recombine(d: Decomposition, component_trees) -> SpanningTree:
     """Stitch per-component spanning trees and the deleted bridges back together.
 
     The result is a spanning tree of the source graph whose branch count equals
-    the number of obligatory vertices plus the component branch counts.
+    the number of obligatory vertices plus the component branch counts. An
+    empty edge set for a single-vertex component is its tree as it stands;
+    every other edge set is checked to span its component.
     """
     trees = list(component_trees)
     if len(trees) != len(d.components):
@@ -176,8 +197,10 @@ def recombine(d: Decomposition, component_trees) -> SpanningTree:
         )
     edges: set[Edge] = set(d.cut_edges)
     for k, (comp, te) in enumerate(zip(d.components, trees)):
+        if comp.graph.n == 1 and not te:
+            continue
         if not is_spanning_tree(comp.graph, te):
             raise NotASpanningTreeError(f"component {k}: edge set is not a spanning tree")
-        for u, v in te:
-            edges.add(comp.edge_origin[(u, v) if u < v else (v, u)])
+        origin = comp.edge_origin
+        edges.update(origin[e if e[0] < e[1] else (e[1], e[0])] for e in te)
     return spanning_tree(d.source, edges)

@@ -217,16 +217,27 @@ def connected_components(g: Graph) -> tuple[int, tuple[int, ...]]:
 
 
 def is_spanning_tree(g: Graph, tree_edges) -> bool:
-    """True iff tree_edges has exactly n-1 edges and connects all n vertices."""
+    """True iff tree_edges has exactly n-1 edges and connects all n vertices.
+
+    One pass of an inlined union-find with path halving: an n-th edge is one
+    too many, an edge whose ends already share a root closes a cycle, and n-1
+    edges without a cycle span. Endpoints must be vertices of g.
+    """
     n = g.n
-    edges = list(tree_edges)
-    if len(edges) != n - 1:
-        return False
-    uf = UnionFind(n)
-    for u, v in edges:
-        if not uf.union(u, v):
+    parent = list(range(n))
+    joined = 0
+    for u, v in tree_edges:
+        if joined == n - 1:
             return False
-    return True
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
+            return False
+        parent[u] = v
+        joined += 1
+    return joined == n - 1
 
 
 def _count_branches(n: int, tree_edges, extra_degree: Mapping[int, int], countable) -> int:
@@ -256,7 +267,8 @@ def spanning_tree(g: Graph, tree_edges, component: Component | None = None) -> S
     With the decomposition component g is the graph of, branches are counted
     by the component's objective.
     """
-    edges = frozenset((u, v) if u < v else (v, u) for u, v in tree_edges)
+    # a normalized edge is kept as it is, so a tree of g's own edges shares them
+    edges = frozenset(e if e[0] < e[1] else (e[1], e[0]) for e in tree_edges)
     if not edges.issubset(g.edges):
         raise NotASpanningTreeError("edge set is not a subset of the graph's edges")
     if not is_spanning_tree(g, edges):

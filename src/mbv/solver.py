@@ -446,8 +446,10 @@ def solve_component(
 def solve_with_decomposition(g: Graph, opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Bound, decompose, solve every component, and recombine the witness.
 
-    Any remaining time budget is split across unfinished components in
-    proportion to their edge counts, recomputed as components finish.
+    A single-vertex component is not solved: its tree is empty, it adds 0 to
+    both bounds, is optimal and takes no node. Any remaining time budget is
+    split across the unfinished multi-vertex components in proportion to their
+    edge counts, recomputed as components finish.
     """
     t0 = perf_counter()
     deadline = t0 + opts.time_limit if opts.time_limit is not None else None
@@ -457,30 +459,33 @@ def solve_with_decomposition(g: Graph, opts: SolveOptions = SolveOptions()) -> S
     if opts.use_warm_start and g.n > 1:
         global_warm_edges = best_heuristic(g, lb).edges
     reports = []
+    trees = []
     # edges of this and every later component, kept as a running remainder
     remaining_edges = sum(c.graph.m for c in d.components)
     for comp in d.components:
+        if comp.graph.n == 1:
+            trees.append(())
+            continue
         sub = opts
         if deadline is not None:
             m = comp.graph.m
             remaining_time = max(deadline - perf_counter(), 0.0)
-            if remaining_edges:
-                share = remaining_time * m / remaining_edges
-            else:
-                share = remaining_time
+            share = remaining_time * m / remaining_edges
             remaining_edges -= m
             sub = replace(opts, time_limit=max(share, 1e-3))
         seed = None
-        if global_warm_edges is not None and comp.graph.n > 1:
+        if global_warm_edges is not None:
             # a whole-graph tree restricted to a component spans it
             seed = [
                 e for e, origin in comp.edge_origin.items()
                 if origin in global_warm_edges
             ]
-        reports.append(solve_component(comp, sub, seed_tree=seed))
+        report = solve_component(comp, sub, seed_tree=seed)
+        reports.append(report)
+        trees.append(report.tree.edges)
     upper = lb.value + sum(r.upper_bound for r in reports)
     lower = float(lb.value) + sum(r.lower_bound for r in reports)
-    tree = recombine(d, [r.tree.edges for r in reports])
+    tree = recombine(d, trees)
     return _report(
         lower,
         upper,

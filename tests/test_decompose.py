@@ -137,6 +137,19 @@ def test_recombine_rejects_bad_component_tree(two_triangles):
         recombine(d, [good])
 
 
+def test_recombine_single_vertex_components(spider):
+    d = decompose_of(spider)
+    assert all(c.graph.n == 1 for c in d.components)
+    # every single vertex shares one graph and maps no edges
+    assert len({id(c.graph) for c in d.components}) == 1
+    assert all(c.edge_origin == {} for c in d.components)
+    assert recombine(d, [[]] * 9).edges == frozenset(spider.edges)
+    with pytest.raises(NotASpanningTreeError):
+        recombine(d, [[(0, 0)]] + [()] * 8)
+    with pytest.raises(NotASpanningTreeError):
+        recombine(d, [()] * 8 + [[(0, 1)]])
+
+
 def test_accounting_identities_random():
     rng = random.Random(97)
     for trial in range(60):

@@ -209,6 +209,24 @@ def test_is_spanning_tree(p4, c5):
     assert is_spanning_tree(c5, c5.edges[1:])
 
 
+def test_is_spanning_tree_edge_cases(p4):
+    assert is_spanning_tree(build_graph(1, ()), ())
+    assert not is_spanning_tree(build_graph(0, ()), ())
+    # n-1 edges, but a triangle leaves vertex 3 isolated
+    k4_minus = build_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    assert not is_spanning_tree(k4_minus, [(0, 1), (1, 2), (0, 2)])
+    assert is_spanning_tree(p4, [(1, 0), (3, 2), (2, 1)])
+    assert not is_spanning_tree(p4, [(0, 1), (1, 2)])
+    assert not is_spanning_tree(p4, [(0, 1), (1, 2), (2, 3), (0, 1)])
+
+
+def test_spanning_tree_keeps_normalized_tuples(p4):
+    tree = spanning_tree(p4, [(1, 0)] + list(p4.edges[1:]))
+    assert tree.edges == frozenset(p4.edges)
+    kept = {id(e) for e in tree.edges}
+    assert all(id(e) in kept for e in p4.edges[1:])
+
+
 def test_spanning_tree_implies_connected_and_sized():
     for seed in range(20):
         g = generate_random_connected(9, 12, seed)

@@ -7,10 +7,12 @@ derandomized, so every run checks the same graphs.
 import pytest
 
 from mbv import (
+    UnionFind,
     best_heuristic,
     brute_force_optimum,
     build_graph,
     decompose,
+    is_spanning_tree,
     multi_path_expanding,
     obligatory_branch_bound,
     path_expanding,
@@ -48,3 +50,21 @@ def test_solvers_meet_the_oracle_and_trees_carry_their_own_count(g):
             assert tree.branches == _count_branches(
                 c.graph.n, tree.edges, c.extra_degree, c.countable
             )
+
+
+@st.composite
+def edge_sets_of_tree_size(draw):
+    """A connected graph and n-1 of its edges, some written in reverse."""
+    g = draw(connected_graphs())
+    edges = draw(st.permutations(g.edges))[: g.n - 1]
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return g, [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(edge_sets_of_tree_size())
+def test_is_spanning_tree_matches_union_find(case):
+    g, edges = case
+    uf = UnionFind(g.n)
+    # n-1 edges span exactly when every one of them joins two groups
+    assert is_spanning_tree(g, edges) == all(uf.union(u, v) for u, v in edges)

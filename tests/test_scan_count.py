@@ -6,7 +6,8 @@ no obligatory vertex, is never scanned for a bound. Every ``mbv`` module that
 imports ``_lowpoint`` gets a counting wrapper, and only calls on the input
 graph's own adjacency are counted (the split, live and contracted graphs the
 decomposition and the search scan are lists of their own). Tree certifications
-are counted the same way, by graph.
+are counted the same way, by graph, and so are the component solves and graph
+builds that single-vertex components must never cost.
 """
 import sys
 from collections import Counter
@@ -14,8 +15,10 @@ from collections import Counter
 import pytest
 
 import mbv.cli
+import mbv.decompose
 import mbv.graph
 import mbv.io
+import mbv.solver
 from mbv import (
     SolveOptions,
     decompose,
@@ -35,14 +38,14 @@ GRAPHS = tuple(
 OPTS = SolveOptions(node_limit=20)
 
 
-def _calls(monkeypatch, attr) -> list[tuple]:
-    """Wrap ``mbv.graph``'s ``attr`` wherever mbv imported it; the arguments of each call."""
+def _calls(monkeypatch, attr, home=mbv.graph) -> list[tuple]:
+    """Wrap ``home``'s ``attr`` wherever mbv imported it; the arguments of each call."""
     seen = []
-    original = getattr(mbv.graph, attr)
+    original = getattr(home, attr)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         seen.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == "mbv" and hasattr(module, attr):
@@ -89,6 +92,31 @@ def test_certifications_per_multi_vertex_component(monkeypatch):
         multi = [c for c in decompose(g, obligatory_branch_bound(g)).components if c.graph.n > 1]
         assert len(per_component) == len(multi)
         assert max(per_component.values()) <= 5
+
+
+def test_single_vertex_components_are_never_solved_or_certified(monkeypatch):
+    solved = _calls(monkeypatch, "solve_component", mbv.solver)
+    certified = _calls(monkeypatch, "is_spanning_tree")
+    for g in GRAPHS:
+        d = decompose(g, obligatory_branch_bound(g))
+        assert any(c.graph.n == 1 for c in d.components)
+        solved.clear()
+        certified.clear()
+        report = solve_with_decomposition(g, OPTS)
+        assert report.nodes_explored >= 1
+        assert [c for c, *_ in solved] == [c for c in d.components if c.graph.n > 1]
+        assert all(h.n > 1 for h, edges in certified)
+
+
+def test_one_graph_build_per_multi_vertex_component(monkeypatch):
+    built = _calls(monkeypatch, "build_graph")
+    for g in GRAPHS:
+        lb = obligatory_branch_bound(g)
+        built.clear()
+        d = decompose(g, lb)
+        multi = [c for c in d.components if c.graph.n > 1]
+        assert len(multi) < len(d.components)
+        assert [n for n, pairs in built] == [c.graph.n for c in multi]
 
 
 @pytest.mark.parametrize("command", ["stats", "decompose"])

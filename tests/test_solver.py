@@ -152,6 +152,27 @@ def test_exactness_random_suite():
         assert branch_count(g.n, enhanced.tree.edges) == optimum
 
 
+# a certified tree keeps the graph's own normalized tuples instead of copies
+SHARED = (generate_random_connected(300, 360, 5), SolveOptions(node_limit=50))
+
+
+def test_plain_tree_shares_the_graphs_edge_tuples():
+    g, opts = SHARED
+    own = {id(e) for e in g.edges}
+    tree = solve_plain(g, opts).tree.edges
+    assert len(tree) == g.n - 1
+    assert all(id(e) in own for e in tree)
+
+
+def test_enhanced_tree_shares_the_graphs_edge_tuples():
+    g, opts = SHARED
+    own = {id(e) for e in g.edges}
+    # the deleted bridges come back as the bound's own tuples
+    tree = solve_with_decomposition(g, opts).tree.edges - obligatory_branch_bound(g).bridges
+    assert len(tree) > g.n // 2
+    assert all(id(e) in own for e in tree)
+
+
 def test_anytime_soundness_with_node_limit():
     rng = random.Random(83)
     for trial in range(25):
