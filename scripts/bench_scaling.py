@@ -1,19 +1,19 @@
-"""Time the heuristics and the node-limited enhanced solve at growing n.
+"""Time the bound, the decomposition, both heuristics and the node-limited enhanced solve at growing n.
 
 Usage (from the repository root):
 
-    python scripts/bench_heuristic_restarts.py --label change
-    python scripts/bench_heuristic_restarts.py --label parent --src OTHER/src
+    python scripts/bench_scaling.py --label change
+    python scripts/bench_scaling.py --label parent --src OTHER/src
 
 Each call imports ``mbv`` from ``--src`` (default: this checkout's ``src``),
-times ``path_expanding``, ``multi_path_expanding`` and
-``solve_with_decomposition(node_limit=1)`` with and without
-``time_limit=30`` on ``generate_random_connected(n, 1.2 n, SEED)`` for every
-n in ``SIZES``, keeps the minimum of ``REPEAT`` runs, and stores the timings
-under ``runs[label]`` in BENCH_heuristic_restarts.json at the repository
-root, keeping the other labels there.
-The bound is computed outside the heuristic timings; the solves time the whole
-pipeline. The record carries the interpreter and the core count.
+times ``obligatory_branch_bound``, ``decompose``, ``path_expanding`` and
+``multi_path_expanding`` (the last three given that bound) and
+``solve_with_decomposition(node_limit=1)`` on
+``generate_random_connected(n, 1.2 n, SEED)`` for every n in ``SIZES``, keeps
+the minimum of ``REPEAT`` runs, and counts the components and the
+single-vertex ones. The timings go under ``runs[label]`` in BENCH_scaling.json
+at the repository root; the other keys there are kept. The solve times the
+whole pipeline. The record carries the interpreter and the core count.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-OUT = ROOT / "BENCH_heuristic_restarts.json"
+OUT = ROOT / "BENCH_scaling.json"
 SIZES = (1000, 10000, 100000)
 SEED = 1
 REPEAT = 3
@@ -44,18 +44,23 @@ def min_time(fn) -> float:
 def measure() -> dict:
     import mbv
 
-    timed = mbv.SolveOptions(node_limit=1, time_limit=30.0)
-    untimed = mbv.SolveOptions(node_limit=1)
+    opts = mbv.SolveOptions(node_limit=1)
     out = {}
     for n in SIZES:
         g = mbv.generate_random_connected(n, int(1.2 * n), SEED)
         lb = mbv.obligatory_branch_bound(g)
-        row = {"m": g.m}
+        components = mbv.decompose(g, lb).components
+        row = {
+            "m": g.m,
+            "components": len(components),
+            "single_vertex_components": sum(1 for c in components if c.graph.n == 1),
+        }
         cases = (
+            ("bound_s", lambda: mbv.obligatory_branch_bound(g)),
+            ("decompose_s", lambda: mbv.decompose(g, lb)),
             ("path_expanding_s", lambda: mbv.path_expanding(g, lb)),
             ("multi_path_expanding_s", lambda: mbv.multi_path_expanding(g, lb)),
-            ("solve_node_limit_1_s", lambda: mbv.solve_with_decomposition(g, untimed)),
-            ("solve_node_limit_1_time_limit_30_s", lambda: mbv.solve_with_decomposition(g, timed)),
+            ("solve_node_limit_1_s", lambda: mbv.solve_with_decomposition(g, opts)),
         )
         for key, fn in cases:
             row[key] = min_time(fn)

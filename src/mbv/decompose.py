@@ -188,7 +188,8 @@ def recombine(d: Decomposition, component_trees) -> SpanningTree:
     The result is a spanning tree of the source graph whose branch count equals
     the number of obligatory vertices plus the component branch counts. An
     empty edge set for a single-vertex component is its tree as it stands;
-    every other edge set is checked to span its component.
+    every other edge set must be edges of its component that span it, or
+    NotASpanningTreeError is raised.
     """
     trees = list(component_trees)
     if len(trees) != len(d.components):
@@ -202,5 +203,9 @@ def recombine(d: Decomposition, component_trees) -> SpanningTree:
         if not is_spanning_tree(comp.graph, te):
             raise NotASpanningTreeError(f"component {k}: edge set is not a spanning tree")
         origin = comp.edge_origin
-        edges.update(origin[e if e[0] < e[1] else (e[1], e[0])] for e in te)
+        for u, v in te:
+            e = origin.get((u, v) if u < v else (v, u))
+            if e is None:
+                raise NotASpanningTreeError(f"component {k}: ({u}, {v}) is not an edge")
+            edges.add(e)
     return spanning_tree(d.source, edges)

@@ -4,8 +4,8 @@ Vertices are dense integers 0..n-1, edges are normalized tuples (u, v) with
 u < v. Graphs are immutable after construction; all functions here are pure.
 Every structure scan of the package (components, articulation points, split
 counts, bridges, two-edge-connected classes) comes from ``_lowpoint``, run on
-the input graph, on the decomposition's split graph and on the live and
-contracted graphs of each search node.
+the input graph, on the decomposition's split graph and on the live graph of
+each search node.
 """
 from __future__ import annotations
 
@@ -164,7 +164,7 @@ def _lowpoint(n: int, adj) -> _Lowpoint:
         timer += 1
         component_of[r] = count
         count += 1
-        if not adj[r]:  # common in contracted graphs: skip the frame set-up
+        if not adj[r]:  # common in the split graph: skip the frame set-up
             end[r] = timer
             continue
         pending = [r]  # discovered vertices whose class is still open
@@ -221,13 +221,13 @@ def is_spanning_tree(g: Graph, tree_edges) -> bool:
 
     One pass of an inlined union-find with path halving: an n-th edge is one
     too many, an edge whose ends already share a root closes a cycle, and n-1
-    edges without a cycle span. Endpoints must be vertices of g.
+    edges without a cycle span. An endpoint outside [0, n) returns False.
     """
     n = g.n
     parent = list(range(n))
     joined = 0
     for u, v in tree_edges:
-        if joined == n - 1:
+        if joined == n - 1 or not (0 <= u < n and 0 <= v < n):
             return False
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]

@@ -6,7 +6,7 @@ disconnect the graph. Each node first propagates what is already decided:
 bridges of the remaining graph go into the tree, edges that would close a
 cycle with the chosen forest are dropped, repeated to a fixpoint.
 
-The node lower bound sums three terms over disjoint vertex sets, each sound
+The node lower bound sums two terms over disjoint vertex sets, each sound
 for every completion of the node:
 
 * forced branches: a completion gives v at least its extra degree, plus one
@@ -14,11 +14,6 @@ for every completion of the node:
   two-edge-connected class) the larger of its chosen class degree and the
   number of pieces the class falls into without v; when that total exceeds
   two, v is a branch no matter what.
-* contracted groups: a group of vertices joined by chosen edges whose removal
-  splits the contracted remaining graph into three or more pieces needs three
-  outside connections, but its members jointly have at most two units of
-  branch-free degree left, so some member branches. Only groups where every
-  member is scored and none is already forced are counted.
 * class degree accounting: inside one two-edge-connected class of h vertices,
   any completion's class degrees sum to 2(h-1) with every vertex at least 1;
   a branch-free vertex absorbs at most 2 minus its extra degree minus its
@@ -46,8 +41,8 @@ rescans. An include child rescans only when its union drops a cycle closer;
 otherwise it keeps the split counts, bridge degrees and classes of its
 parent's last scan, which its stack entry carries. Within propagation, a round
 that only forces bridges leaves the live graph as it was, so only a round that
-drops an edge is followed by another scan. The contracted graph of term 2 is
-scanned only when some group could count.
+drops an edge is followed by another scan. The live graph is the only graph
+a node scans.
 """
 from __future__ import annotations
 
@@ -66,6 +61,8 @@ class SolveOptions:
     """Search controls: optional time and node budgets, and the warm start.
 
     A time limit is a finite number of seconds above 0, a node limit at least 1.
+    ``solve_with_decomposition`` splits the time limit across its multi-vertex
+    components but applies the node limit to each component's search separately.
     """
 
     time_limit: float | None = None
@@ -288,68 +285,24 @@ def _search(
         # bridge degree + max(class pieces, chosen class degree) from the
         # module docstring is max(pieces, chosen degree) in the live graph.
         forced_branch = [False] * n
-        absorbs = [False] * n  # groups with a member not counted or already forced
         c1 = 0
         for v in range(n):
             if countable[v]:
                 d = pieces[v] if pieces[v] > inc_deg[v] else inc_deg[v]
                 if gamma[v] + d > 2:
                     forced_branch[v] = True
-                    absorbs[group_of[v]] = True
                     c1 += 1
-            else:
-                absorbs[group_of[v]] = True
 
-        # term 2: contracted groups whose removal leaves three or more pieces.
-        # At the fixpoint the undecided edges are exactly the live edges
-        # between two groups, and each piece needs one of them into the group.
-        # A lone vertex with three pieces is already forced, so only groups of
-        # two or more members that absorb nothing and have three or more
-        # undecided edges leaving them can count; the contracted graph is
-        # scanned only when there is one.
+        # term 2: degree accounting inside each two-edge-connected class
         live_deg = [len(a) for a in adj]
-        labels = [r for r in range(n) if group_of[r] == r]
-        candidates = [
-            r
-            for r in labels
-            if len(members[r]) > 1
-            and not absorbs[r]
-            and sum(live_deg[v] - inc_deg[v] for v in members[r]) >= 3
-        ]
-        in_c2 = [False] * n
         c2 = 0
-        if candidates:
-            k = len(labels)
-            index = [0] * n  # groups numbered 0..k-1 in label order
-            for i, r in enumerate(labels):
-                index[r] = i
-            super_adj: list[list[int]] = [[] for _ in range(k)]
-            super_edges: set[int] = set()
-            for e in range(m):
-                if status[e] == _UNDECIDED:
-                    u, v = edges[e]
-                    r, s = index[group_of[u]], index[group_of[v]]
-                    key = r * k + s if r < s else s * k + r
-                    if key not in super_edges:
-                        super_edges.add(key)
-                        super_adj[r].append(s)
-                        super_adj[s].append(r)
-            group_pieces = _lowpoint(k, super_adj).pieces
-            for r in candidates:
-                if group_pieces[index[r]] >= 3:
-                    c2 += 1
-                    for v in members[r]:
-                        in_c2[v] = True
-
-        # term 3: degree accounting inside each two-edge-connected class
-        c3 = 0
         for group in classes:  # a lone vertex needs no class edges
             h = len(group)
             free = 0
             gains = []
             for v in group:
                 d = live_deg[v] - bridge_deg[v]
-                if not countable[v] or forced_branch[v] or in_c2[v]:
+                if not countable[v] or forced_branch[v]:
                     free += d - 1
                     continue
                 cap = 2 - gamma[v] - bridge_deg[v]
@@ -362,12 +315,12 @@ def _search(
             if need > 0:
                 gains.sort(reverse=True)
                 for gain in gains:
-                    c3 += 1
+                    c2 += 1
                     need -= gain
                     if need <= 0:
                         break
 
-        bound = c1 + c2 + c3
+        bound = c1 + c2
         if bound >= best_val:
             continue
 
@@ -449,7 +402,9 @@ def solve_with_decomposition(g: Graph, opts: SolveOptions = SolveOptions()) -> S
     A single-vertex component is not solved: its tree is empty, it adds 0 to
     both bounds, is optimal and takes no node. Any remaining time budget is
     split across the unfinished multi-vertex components in proportion to their
-    edge counts, recomputed as components finish.
+    edge counts, recomputed as components finish. The node limit is not split:
+    every multi-vertex component's search may explore up to ``node_limit``
+    nodes, and ``nodes_explored`` is their sum.
     """
     t0 = perf_counter()
     deadline = t0 + opts.time_limit if opts.time_limit is not None else None

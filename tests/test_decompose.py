@@ -128,13 +128,21 @@ def test_recombine_two_triangles(two_triangles):
     assert tree.branches == 0
 
 
-def test_recombine_rejects_bad_component_tree(two_triangles):
+def test_recombine_rejects_bad_component_tree(two_triangles, c5):
     d = decompose_of(two_triangles)
     good = [(0, 1), (0, 2)]
     with pytest.raises(NotASpanningTreeError):
         recombine(d, [good, [(0, 1)]])
     with pytest.raises(NotASpanningTreeError):
         recombine(d, [good])
+    with pytest.raises(NotASpanningTreeError):
+        recombine(d, [good, [(0, -1), (1, 2)]])
+    with pytest.raises(NotASpanningTreeError):
+        recombine(d, [good, [(0, 3), (1, 2)]])
+    # spans the cycle's vertices, but (0, 2) is no edge of it
+    d = decompose_of(c5)
+    with pytest.raises(NotASpanningTreeError):
+        recombine(d, [[(0, 2), (0, 1), (2, 3), (3, 4)]])
 
 
 def test_recombine_single_vertex_components(spider):

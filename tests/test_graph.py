@@ -134,7 +134,7 @@ def _kernel_cases():
         yield build_graph(n, rng.sample(pool, m))
     for trial in range(40):
         # several connected blocks among isolated vertices, shuffled: the
-        # shapes the search's class and contracted graphs take
+        # shape of the decomposition's split graph
         sizes = [rng.randrange(1, 7) for _ in range(rng.randrange(1, 4))]
         n = sum(sizes) + rng.randrange(0, 5)
         perm = list(range(n))
@@ -218,6 +218,11 @@ def test_is_spanning_tree_edge_cases(p4):
     assert is_spanning_tree(p4, [(1, 0), (3, 2), (2, 1)])
     assert not is_spanning_tree(p4, [(0, 1), (1, 2)])
     assert not is_spanning_tree(p4, [(0, 1), (1, 2), (2, 3), (0, 1)])
+    # an endpoint outside [0, n) is no vertex: -1 must not wrap to the last one
+    p3 = build_graph(3, [(0, 1), (1, 2)])
+    assert not is_spanning_tree(p3, [(0, -1), (1, 2)])
+    assert not is_spanning_tree(p3, [(0, 9)])
+    assert not is_spanning_tree(p3, [(3, 1), (1, 2)])
 
 
 def test_spanning_tree_keeps_normalized_tuples(p4):

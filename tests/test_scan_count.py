@@ -4,7 +4,7 @@
 reads there; the heuristics prove nothing up front, and a component, which has
 no obligatory vertex, is never scanned for a bound. Every ``mbv`` module that
 imports ``_lowpoint`` gets a counting wrapper, and only calls on the input
-graph's own adjacency are counted (the split, live and contracted graphs the
+graph's own adjacency are counted (the split and live graphs the
 decomposition and the search scan are lists of their own). Tree certifications
 are counted the same way, by graph, and so are the component solves and graph
 builds that single-vertex components must never cost.

@@ -173,6 +173,19 @@ def test_enhanced_tree_shares_the_graphs_edge_tuples():
     assert all(id(e) in own for e in tree)
 
 
+def test_node_limit_bounds_each_component_search():
+    # two K_{2,4} joined by a bridge: two multi-vertex components, each
+    # searched with the whole node limit
+    k24 = [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5)]
+    g = build_graph(12, k24 + [(u + 6, v + 6) for u, v in k24] + [(5, 6)])
+    d = decompose(g, obligatory_branch_bound(g))
+    assert sorted(c.graph.n for c in d.components) == [6, 6]
+    for limit in (1, 2, 3):
+        opts = SolveOptions(node_limit=limit, use_warm_start=False)
+        assert solve_with_decomposition(g, opts).nodes_explored == 2 * limit
+        assert solve_plain(g, opts).nodes_explored == limit
+
+
 def test_anytime_soundness_with_node_limit():
     rng = random.Random(83)
     for trial in range(25):
@@ -195,27 +208,36 @@ def test_anytime_soundness_with_node_limit():
 
 
 def test_search_scans_per_node(monkeypatch):
-    # a node rescans the live graph only when it changed and the contracted
-    # graph only when a group could count; scanning the live graph on every
-    # propagation round plus the contracted graph costs about 2.4 calls a node
-    calls = 0
+    # a node rescans the live graph only when it changed (0.51-0.58 calls a
+    # node on these cases), and the live graph is the only graph it scans:
+    # every call is on the searched graph's n vertices
+    calls = []  # (vertices scanned, vertices of the graph being searched)
+    size = 0
     lowpoint = mbv.solver._lowpoint
+    search = mbv.solver._search
 
     def counting(n, adj):
-        nonlocal calls
-        calls += 1
+        calls.append((n, size))
         return lowpoint(n, adj)
 
+    def recording(g, *args):
+        nonlocal size
+        size = g.n
+        return search(g, *args)
+
     monkeypatch.setattr(mbv.solver, "_lowpoint", counting)
+    monkeypatch.setattr(mbv.solver, "_search", recording)
     cases = [(60, 66, seed, None) for seed in range(2000, 2005)]
     cases += [(100, 130, seed, 1000) for seed in range(3000, 3003)]
     for n, m, seed, limit in cases:
         g = generate_random_connected(n, m, seed)
         for solve in (solve_plain, solve_with_decomposition):
-            calls = 0
+            calls.clear()
             report = solve(g, SolveOptions(node_limit=limit))
+            case = (n, m, seed, solve.__name__)
             assert report.nodes_explored > 0
-            assert calls <= 1.8 * report.nodes_explored, (n, m, seed, solve.__name__)
+            assert len(calls) <= 0.65 * report.nodes_explored, case
+            assert all(scanned == size for scanned, size in calls), case
 
 
 def test_root_bound_dominates_obligatory_count():
