@@ -12,45 +12,43 @@ of the input:
 
 Splitting never breaks a cycle (a cycle through v enters and leaves within a
 single component of the graph without v), so the bridge set of the split graph
-is exactly the image of the bridges the bound found on the input. The split
-graph is scanned once more, only to label its components. The surviving pieces
-are returned as ordinary graphs with dense local ids; provenance is the only
-mapping back.
+is exactly the image of the bridges the bound found on the input. Labeling
+the split graph's components needs no second lowpoint scan, only one
+union-find pass over its edges. The surviving pieces are returned as ordinary
+graphs with dense local ids; provenance is the only mapping back.
 
 Most pieces are single vertices (a lone bridge leg, an isolated split copy).
 Such a piece never counts: a non-obligatory vertex has at most two bridges and
 a split copy is never scored. So every single-vertex component shares one
-validated one-vertex graph, carries only its provenance and extra degree, and
-is never solved: its tree is the empty edge set.
+validated one-vertex graph and one empty edge map, carries only its
+provenance and extra degree, and is never solved: its tree is the empty edge
+set.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from .bound import LowerBoundResult, graph_fingerprint
 from .errors import NotASpanningTreeError, StaleBoundError
-from .graph import (
-    Edge,
-    Graph,
-    SpanningTree,
-    _lowpoint,
-    build_graph,
-    is_spanning_tree,
-    spanning_tree,
-)
+from .graph import Edge, Graph, SpanningTree, build_graph, is_spanning_tree, spanning_tree
 
-# the graph of every single-vertex component
+# the graph of every single-vertex component, and the maps they share and
+# never change: a non-obligatory vertex with three bridges would split into
+# three pieces, so a single original vertex carries at most two
 _POINT = build_graph(1, ())
+_NO_EDGES: Mapping[Edge, Edge] = {}
+_POINT_EXTRA: tuple[Mapping[int, int], ...] = ({}, {0: 1}, {0: 2})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Original(object):
     """A component vertex that is an input-graph vertex."""
 
     vertex: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SplitCopy(object):
     """A stub created for one piece of the graph without an obligatory branch.
 
@@ -65,7 +63,7 @@ class SplitCopy(object):
 Provenance = Original | SplitCopy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Component:
     """One connected piece of the decomposed graph, with its own objective.
 
@@ -75,14 +73,15 @@ class Component:
     vertices only, the number of deleted bridges that were incident to them.
     ``spanning_tree``, the heuristics and the exact search read both from here.
 
-    Every single-vertex component of a decomposition shares one graph and has
-    no edges to map; the enhanced solve gives it the empty tree unsolved.
+    Every single-vertex component of a decomposition shares one graph, the
+    empty edge map and an extra-degree map, none of them ever changed; the
+    enhanced solve gives it the empty tree unsolved.
     """
 
     graph: Graph
     provenance: tuple[Provenance, ...]
-    extra_degree: dict[int, int]
-    edge_origin: dict[Edge, Edge]
+    extra_degree: Mapping[int, int]
+    edge_origin: Mapping[Edge, Edge]
 
     @property
     def countable(self) -> tuple[bool, ...]:
@@ -113,71 +112,82 @@ def decompose(g: Graph, lb: LowerBoundResult) -> Decomposition:
     bridges = lb.bridges
     piece_of = lb.piece_of
 
-    # assign ids in the split graph: surviving originals first, then copies
+    # split ids: surviving originals first, then copies; sid[v] is the id of
+    # v itself, or of its first copy when v is obligatory
+    sid = [0] * n
     node_origin: list[Provenance] = []
-    orig_id: dict[int, int] = {}
-    copy_id: dict[tuple[int, int], int] = {}
     for v in range(n):
         if v not in obligatory:
-            orig_id[v] = len(node_origin)
+            sid[v] = len(node_origin)
             node_origin.append(Original(v))
     for v in sorted(obligatory):
-        for p in range(1, lb.split_counts[v] + 1):
-            copy_id[(v, p)] = len(node_origin)
-            node_origin.append(SplitCopy(v, p))
+        sid[v] = len(node_origin)
+        node_origin.extend(SplitCopy(v, p) for p in range(1, lb.split_counts[v] + 1))
     n_split = len(node_origin)
 
-    def mapped(x: int, other: int) -> int:
-        if x not in obligatory:
-            return orig_id[x]
-        return copy_id[(x, piece_of[x][other])]
-
-    split_adj: list[list[int]] = [[] for _ in range(n_split)]
-    origin_of: dict[Edge, Edge] = {}
+    # every kept edge's split endpoints lo < hi, and the input edge; a
+    # union-find links the larger root under the smaller one as it goes, so
+    # parent[x] <= x and a component's root is its smallest id
+    lo, hi, kept = [], [], []
+    parent = list(range(n_split))
     for e in g.edges:
         if e in bridges:
             continue
         u, w = e
-        a, b = mapped(u, w), mapped(w, u)
-        split_adj[a].append(b)
-        split_adj[b].append(a)
-        origin_of[(a, b) if a < b else (b, a)] = e
+        a, b = sid[u], sid[w]
+        if u in piece_of:
+            a += piece_of[u][w] - 1
+        if w in piece_of:
+            b += piece_of[w][u] - 1
+        if a > b:
+            a, b = b, a
+        lo.append(a)
+        hi.append(b)
+        kept.append(e)
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a > b:
+            a, b = b, a
+        parent[b] = a
+    # in id order every smaller id already points at its root, so members
+    # come out ascending and local ids keep that order
+    local = [0] * n_split
+    members: dict[int, list[int]] = {}  # root -> ids of a multi-vertex component
+    for x in range(n_split):
+        r = parent[x] = parent[parent[x]]
+        if r != x:
+            ids = members.get(r) or members.setdefault(r, [r])
+            local[x] = len(ids)
+            ids.append(x)
+    edges_of: dict[int, tuple[list[Edge], list[Edge]]] = {r: ([], []) for r in members}
+    for a, b, e in zip(lo, hi, kept):
+        pairs, origins = edges_of[parent[a]]
+        pairs.append((local[a], local[b]))
+        origins.append(e)
 
     bridge_deg = [0] * n
     for u, w in bridges:
         bridge_deg[u] += 1
         bridge_deg[w] += 1
-
-    split = _lowpoint(n_split, split_adj)
-    members: list[list[int]] = [[] for _ in range(split.count)]
-    for x in range(n_split):
-        members[split.component_of[x]].append(x)
-
     components = []
-    for ids in members:  # ascending: ids were scanned in order
-        if len(ids) == 1:
-            p = node_origin[ids[0]]
-            d = bridge_deg[p.vertex] if isinstance(p, Original) else 0
-            components.append(Component(_POINT, (p,), {0: d} if d else {}, {}))
+    for r in range(n_split):
+        if parent[r] != r:
             continue
-        # local ids keep the order of split ids, so x < y gives a local pair in order
-        local = {x: i for i, x in enumerate(ids)}
-        local_edges = []
-        edge_origin: dict[Edge, Edge] = {}
-        for x in ids:
-            a = local[x]
-            for y in split_adj[x]:
-                if x < y:
-                    e = (a, local[y])
-                    local_edges.append(e)
-                    edge_origin[e] = origin_of[(x, y)]
-        cg = build_graph(len(ids), local_edges)
-        provenance = tuple(node_origin[x] for x in ids)
+        if r not in members:
+            p = node_origin[r]
+            d = bridge_deg[p.vertex] if isinstance(p, Original) else 0
+            components.append(Component(_POINT, (p,), _POINT_EXTRA[d], _NO_EDGES))
+            continue
+        provenance = tuple(node_origin[x] for x in members[r])
         extra = {}
         for i, p in enumerate(provenance):
             if isinstance(p, Original) and bridge_deg[p.vertex]:
                 extra[i] = bridge_deg[p.vertex]
-        components.append(Component(cg, provenance, extra, edge_origin))
+        pairs, origins = edges_of[r]
+        cg = build_graph(len(provenance), pairs)
+        components.append(Component(cg, provenance, extra, dict(zip(pairs, origins))))
 
     return Decomposition(g, tuple(components), lb, bridges)
 

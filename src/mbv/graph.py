@@ -4,8 +4,8 @@ Vertices are dense integers 0..n-1, edges are normalized tuples (u, v) with
 u < v. Graphs are immutable after construction; all functions here are pure.
 Every structure scan of the package (components, articulation points, split
 counts, bridges, two-edge-connected classes) comes from ``_lowpoint``, run on
-the input graph, on the decomposition's split graph and on the live graph of
-each search node.
+the input graph and on the live graph of each search node; the decomposition
+labels its split graph's components with a union-find pass instead.
 """
 from __future__ import annotations
 
@@ -97,6 +97,7 @@ def build_graph(n: int, edge_pairs) -> Graph:
     if n < 0:
         raise IndexOutOfRangeError(f"negative vertex count {n}")
     seen: set[Edge] = set()
+    edges: list[Edge] = []
     for u, v in edge_pairs:
         if not (0 <= u < n and 0 <= v < n):
             raise IndexOutOfRangeError(f"edge ({u}, {v}) outside vertex range [0, {n})")
@@ -106,13 +107,14 @@ def build_graph(n: int, edge_pairs) -> Graph:
         if e in seen:
             raise DuplicateEdgeError(f"duplicate edge {e}")
         seen.add(e)
-    edges = tuple(sorted(seen))
+        edges.append(e)
+    edges.sort()  # linear time on input that is already nearly in order
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
     # iterating sorted edges appends every neighbor list in ascending order
-    return Graph(n, edges, tuple(tuple(a) for a in adj))
+    return Graph(n, tuple(edges), tuple(tuple(a) for a in adj))
 
 
 class _Lowpoint(NamedTuple):
@@ -164,9 +166,6 @@ def _lowpoint(n: int, adj) -> _Lowpoint:
         timer += 1
         component_of[r] = count
         count += 1
-        if not adj[r]:  # common in the split graph: skip the frame set-up
-            end[r] = timer
-            continue
         pending = [r]  # discovered vertices whose class is still open
         path = [r]
         scans = [iter(adj[r])]

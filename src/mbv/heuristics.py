@@ -19,8 +19,13 @@ always holds on a component.
 Restarts cost O(log m) amortized, not a scan of the tree: HeuristicState keeps
 the open tree vertices in one lazy-deletion heap keyed (tier, -unvisited
 count, id), exactly the order of the rule, so a restart pops stale entries
-until the top one is current. With expansion steps O(degree) each, both
-builders run in O(m log m) time.
+until the top one is current. The key is one int,
+``base[v] - unvisited[v] * n`` with a per-vertex base ``tier * n**2 + v``, so
+it takes no set lookup or call. The multi-path builder keeps its outside
+vertices in a second heap of packed ints, ``unvisited * n + id``. With
+expansion steps O(degree) each, both builders run in O(m log m) time; each
+step updates the counts and makes its greedy choice in one pass over the new
+vertex's neighbors.
 
 Neither builder scans for connectivity up front; the lower bound already did.
 When no tree vertex can grow while the tree is short of n - 1 edges, the graph
@@ -45,39 +50,40 @@ class HeuristicState:
 
     ``restarts`` is a heap of open vertices under ``restart_key``: tier 0 for
     priority vertices, 1 for tree degree above two, 2 for the rest, then the
-    most unvisited neighbors, then the smallest id. Entries are deleted
-    lazily. Three invariants keep it exact: ``unvisited`` only falls,
+    most unvisited neighbors, then the smallest id. ``base[v]`` is the fixed
+    part ``tier * n**2 + v`` of v's key; it drops by ``n**2`` once, when a
+    non-priority vertex's tree degree first goes above two. Entries are
+    deleted lazily. Three invariants keep it exact: ``unvisited`` only falls,
     ``tree_degree`` only rises (so a tier can only drop from 2 to 1), and a
     closed vertex never reopens. So an open vertex is pushed when it enters
-    the tree, again whenever its count falls, and again when its tree degree
-    first exceeds two; an entry is current exactly when it equals the
-    vertex's key now, and every other entry is dropped when it reaches the top.
+    the tree, again whenever its count falls, and again when its tier drops;
+    an entry is current exactly when it equals the vertex's key now, and every
+    other entry is dropped when it reaches the top. The multi-path builder's
+    candidate heap packs its keys the same way, ``unvisited * n + id``.
     """
 
-    __slots__ = (
-        "graph",
-        "in_tree",
-        "tree_degree",
-        "unvisited",
-        "tree_edges",
-        "candidates",
-        "priority",
-        "restarts",
-    )
+    __slots__ = ("graph", "in_tree", "tree_degree", "unvisited", "tree_edges", "priority",
+                 "base", "restarts")
 
     def __init__(self, g: Graph, lb: LowerBoundResult | None, component: Component | None = None):
         n = g.n
+        nn = n * n
         self.graph = g
         self.in_tree = [False] * n
-        self.tree_degree = [0] * n
-        self.unvisited = [g.degree(v) for v in range(n)]
+        self.tree_degree = tree_degree = [0] * n
+        self.unvisited = [len(a) for a in g.adjacency]
         self.tree_edges: list[tuple[int, int]] = []
-        self.candidates: set[int] = set()
-        self.priority = frozenset(lb.obligatory if lb is not None else ())
+        priority = set(lb.obligatory if lb is not None else ())
+        self.base = base = list(range(2 * nn, 2 * nn + n))
         if component is not None:
             for v, d in component.extra_degree.items():
-                self.tree_degree[v] = d
-            self.priority |= {v for v, keep in enumerate(component.countable) if not keep}
+                tree_degree[v] = d
+                if d > 2:
+                    base[v] -= nn
+            priority.update(v for v, keep in enumerate(component.countable) if not keep)
+        for v in priority:
+            base[v] = v
+        self.priority = frozenset(priority)
         self.restarts: list[int] = []
 
     def restart_key(self, v: int) -> int:
@@ -87,29 +93,27 @@ class HeuristicState:
         heap comparisons cheap: counts and ids are below n, so the order is
         lexicographic and ``key % n`` is v.
         """
-        n = self.graph.n
-        tier = 0 if v in self.priority else 1 if self.tree_degree[v] > 2 else 2
-        return (tier * n - self.unvisited[v]) * n + v
+        return self.base[v] - self.unvisited[v] * self.graph.n
 
     def add_vertex(self, w: int) -> None:
-        in_tree = self.in_tree
-        unvisited = self.unvisited
-        restarts, key = self.restarts, self.restart_key
+        n, base, unvisited, in_tree = self.graph.n, self.base, self.unvisited, self.in_tree
         in_tree[w] = True
         for x in self.graph.adjacency[w]:
-            unvisited[x] -= 1
-            if in_tree[x] and unvisited[x] > 0:
-                heappush(restarts, key(x))
-        if unvisited[w] > 0:
-            heappush(restarts, key(w))
+            c = unvisited[x] = unvisited[x] - 1
+            if c and in_tree[x]:
+                heappush(self.restarts, base[x] - c * n)
+        if unvisited[w]:
+            heappush(self.restarts, base[w] - unvisited[w] * n)
 
     def add_edge(self, u: int, v: int) -> None:
         self.tree_edges.append((u, v) if u < v else (v, u))
-        tree_degree = self.tree_degree
+        n, base, tree_degree = self.graph.n, self.base, self.tree_degree
         for x in (u, v):
-            tree_degree[x] += 1
-            if tree_degree[x] == 3 and self.in_tree[x] and self.unvisited[x] > 0:
-                heappush(self.restarts, self.restart_key(x))
+            d = tree_degree[x] = tree_degree[x] + 1
+            if d == 3 and base[x] >= n * n:  # tier 2 drops to 1
+                base[x] -= n * n
+                if self.unvisited[x] and self.in_tree[x]:
+                    heappush(self.restarts, self.restart_key(x))
 
 
 def start_restart_select(state: HeuristicState, restrict_to_tree: bool) -> int:
@@ -119,16 +123,14 @@ def start_restart_select(state: HeuristicState, restrict_to_tree: bool) -> int:
     restart heap; otherwise (the initial start) one scan of all vertices picks
     by the same key among those with unvisited neighbors.
     """
-    n = state.graph.n
+    n, base, unvisited = state.graph.n, state.base, state.unvisited
     if restrict_to_tree:
         heap = state.restarts
-        while heap and heap[0] != state.restart_key(heap[0] % n):
+        while heap and heap[0] != base[heap[0] % n] - unvisited[heap[0] % n] * n:
             heappop(heap)
         best = heap[0] if heap else None
     else:
-        unvisited = state.unvisited
-        pool = (v for v in range(n) if unvisited[v] > 0)
-        best = min(map(state.restart_key, pool), default=None)
+        best = min((base[v] - c * n for v, c in enumerate(unvisited) if c), default=None)
     if best is None:
         raise NoEligibleVertexError("no vertex with unvisited neighbors")
     return best % n
@@ -159,31 +161,33 @@ def path_expanding(
     ends rather than leaving strands the tree would later branch around.
     """
     st = HeuristicState(g, lb, component)
-    if g.n == 1:
+    n = g.n
+    if n == 1:
         return spanning_tree(g, (), component)
-    adj = g.adjacency
-    in_tree = st.in_tree
-    unvisited = st.unvisited
-    tree_degree = st.tree_degree
+    adj, in_tree, unvisited, base = g.adjacency, st.in_tree, st.unvisited, st.base
+    restarts, tree_degree = st.restarts, st.tree_degree
     start = _grow_from(st, False)
     st.add_vertex(start)
-    target = g.n - 1
-    sentinel = 1 << 60
-    while len(st.tree_edges) < target:
-        if tree_degree[start] <= 1 and unvisited[start] > 0:
-            u = start
-        else:
-            u = _grow_from(st, True)
-        while unvisited[u] > 0:
-            v, vc = -1, sentinel
-            for x in adj[u]:
-                if not in_tree[x]:
-                    c = unvisited[x]
-                    if c < vc or (c == vc and x < v):
-                        v, vc = x, c
-            st.add_vertex(v)
+    while len(st.tree_edges) < n - 1:
+        u = start if tree_degree[start] <= 1 and unvisited[start] else _grow_from(st, True)
+        v, vc = -1, n
+        for x in adj[u]:  # adjacency is sorted, so the first minimum has the smallest id
+            if not in_tree[x] and unvisited[x] < vc:
+                v, vc = x, unvisited[x]
+        while v >= 0:  # add_vertex(v), picking v's own next step in the same pass
+            in_tree[v] = True
+            w, wc = -1, n
+            for x in adj[v]:
+                c = unvisited[x] = unvisited[x] - 1
+                if in_tree[x]:
+                    if c:
+                        heappush(restarts, base[x] - c * n)
+                elif c < wc:
+                    w, wc = x, c
+            if unvisited[v]:
+                heappush(restarts, base[v] - unvisited[v] * n)
             st.add_edge(u, v)
-            u = v
+            u, v = v, w
     return spanning_tree(g, st.tree_edges, component)
 
 
@@ -196,63 +200,61 @@ def multi_path_expanding(
     among those adjacent to a candidate (smallest-id candidate on ties). A
     candidate retires once its tree degree reaches two, unless it is obligatory
     or a split copy; those stay available no matter their degree.
+
+    ``cand_nbrs[x]`` counts the candidates next to outside vertex x, and
+    ``heap`` holds those with a count above zero keyed ``unvisited * n + x``,
+    pushed again whenever that key changes; an entry is current when it
+    equals the key now.
     """
     st = HeuristicState(g, lb, component)
-    if g.n == 1:
+    n = g.n
+    if n == 1:
         return spanning_tree(g, (), component)
-    adj = g.adjacency
+    adj, in_tree, unvisited, base = g.adjacency, st.in_tree, st.unvisited, st.base
+    restarts, tree_degree = st.restarts, st.tree_degree
     st.add_vertex(_grow_from(st, False))
-
-    cand_nbrs = [0] * g.n  # per outside vertex: how many candidates it touches
-    heap: list[tuple[int, int]] = []
-
-    def enqueue(x: int) -> None:
-        heappush(heap, (st.unvisited[x], x))
-
-    def cand_add(u: int) -> None:
-        if u in st.candidates:
-            return
-        st.candidates.add(u)
-        for x in adj[u]:
-            if not st.in_tree[x]:
-                cand_nbrs[x] += 1
-                if cand_nbrs[x] == 1:
-                    enqueue(x)
-
-    def cand_drop(u: int) -> None:
-        st.candidates.discard(u)
-        for x in adj[u]:
-            if not st.in_tree[x]:
-                cand_nbrs[x] -= 1
-
-    def absorb(w: int) -> None:
-        # add_vertex plus a candidate-heap refresh for outside neighbors whose key just changed
-        st.add_vertex(w)
-        for x in adj[w]:
-            if not st.in_tree[x] and cand_nbrs[x] > 0:
-                enqueue(x)
-
-    def pop_eligible() -> int | None:
-        while heap:
-            c, v = heap[0]
-            if st.in_tree[v] or cand_nbrs[v] == 0 or c != st.unvisited[v]:
-                heappop(heap)
-                continue
-            heappop(heap)
-            return v
-        return None
-
-    target = g.n - 1
-    while len(st.tree_edges) < target:
-        cand_add(_grow_from(st, True))
-        while (v := pop_eligible()) is not None:
-            u = next(x for x in adj[v] if x in st.candidates)  # adjacency is sorted
-            absorb(v)
+    cand, cand_nbrs, heap = [False] * n, [0] * n, []
+    while len(st.tree_edges) < n - 1:
+        v = _grow_from(st, True)  # it has unvisited neighbors, so it is no candidate
+        while True:
+            if v >= 0:  # v joins the candidates
+                cand[v] = True
+                for x in adj[v]:
+                    if not in_tree[x]:
+                        cand_nbrs[x] += 1
+                        if cand_nbrs[x] == 1:
+                            heappush(heap, unvisited[x] * n + x)
+            while heap:
+                k = heappop(heap)
+                v = k % n
+                if not in_tree[v] and cand_nbrs[v] and k == unvisited[v] * n + v:
+                    break
+            else:  # no outside vertex touches a candidate
+                break
+            # add_vertex(v), finding its smallest-id candidate neighbor u and
+            # re-keying its outside neighbors that touch a candidate, in one pass
+            in_tree[v] = True
+            u = -1
+            for x in adj[v]:
+                c = unvisited[x] = unvisited[x] - 1
+                if in_tree[x]:
+                    if c:
+                        heappush(restarts, base[x] - c * n)
+                    if u < 0 and cand[x]:
+                        u = x
+                elif cand_nbrs[x]:
+                    heappush(heap, c * n + x)
+            if unvisited[v]:
+                heappush(restarts, base[v] - unvisited[v] * n)
             st.add_edge(u, v)
-            if st.tree_degree[u] == 2 and u not in st.priority:
-                cand_drop(u)
-            if not (st.tree_degree[v] == 2 and v not in st.priority):
-                cand_add(v)
+            # a base below n**2 marks a priority vertex, which never retires
+            if tree_degree[u] == 2 and base[u] >= n * n:
+                cand[u] = False
+                for x in adj[u]:
+                    if not in_tree[x]:
+                        cand_nbrs[x] -= 1
+            if tree_degree[v] == 2 and base[v] >= n * n:
+                v = -1
     return spanning_tree(g, st.tree_edges, component)
 
 

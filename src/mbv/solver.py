@@ -404,23 +404,25 @@ def solve_with_decomposition(g: Graph, opts: SolveOptions = SolveOptions()) -> S
     split across the unfinished multi-vertex components in proportion to their
     edge counts, recomputed as components finish. The node limit is not split:
     every multi-vertex component's search may explore up to ``node_limit``
-    nodes, and ``nodes_explored`` is their sum.
+    nodes, and ``nodes_explored`` is their sum. The whole-graph heuristic tree
+    only seeds those components, so it is built only when there is one.
     """
     t0 = perf_counter()
     deadline = t0 + opts.time_limit if opts.time_limit is not None else None
     lb = obligatory_branch_bound(g)
     d = decompose(g, lb)
-    global_warm_edges = None
-    if opts.use_warm_start and g.n > 1:
-        global_warm_edges = best_heuristic(g, lb).edges
+    multi = [c for c in d.components if c.graph.n > 1]
+    seeds: list[list | None] = [None] * len(multi)
+    if opts.use_warm_start and multi:
+        # a whole-graph tree restricted to a component spans it; only the
+        # restrictions are kept, so the whole tree is freed before any search
+        warm = best_heuristic(g, lb).edges
+        seeds = [[e for e, origin in c.edge_origin.items() if origin in warm] for c in multi]
+        del warm
     reports = []
-    trees = []
     # edges of this and every later component, kept as a running remainder
-    remaining_edges = sum(c.graph.m for c in d.components)
-    for comp in d.components:
-        if comp.graph.n == 1:
-            trees.append(())
-            continue
+    remaining_edges = sum(c.graph.m for c in multi)
+    for comp, seed in zip(multi, seeds):
         sub = opts
         if deadline is not None:
             m = comp.graph.m
@@ -428,24 +430,11 @@ def solve_with_decomposition(g: Graph, opts: SolveOptions = SolveOptions()) -> S
             share = remaining_time * m / remaining_edges
             remaining_edges -= m
             sub = replace(opts, time_limit=max(share, 1e-3))
-        seed = None
-        if global_warm_edges is not None:
-            # a whole-graph tree restricted to a component spans it
-            seed = [
-                e for e, origin in comp.edge_origin.items()
-                if origin in global_warm_edges
-            ]
-        report = solve_component(comp, sub, seed_tree=seed)
-        reports.append(report)
-        trees.append(report.tree.edges)
+        reports.append(solve_component(comp, sub, seed_tree=seed))
+    solved = iter(reports)
+    trees = [next(solved).tree.edges if c.graph.n > 1 else () for c in d.components]
     upper = lb.value + sum(r.upper_bound for r in reports)
     lower = float(lb.value) + sum(r.lower_bound for r in reports)
     tree = recombine(d, trees)
-    return _report(
-        lower,
-        upper,
-        tree,
-        all(r.optimal for r in reports),
-        sum(r.nodes_explored for r in reports),
-        perf_counter() - t0,
-    )
+    nodes = sum(r.nodes_explored for r in reports)
+    return _report(lower, upper, tree, all(r.optimal for r in reports), nodes, perf_counter() - t0)

@@ -153,7 +153,42 @@ def test_heuristics_read_counts_linearly(monkeypatch):
     for heuristic in (path_expanding, multi_path_expanding):
         CountingList.reads = 0
         assert is_spanning_tree(g, heuristic(g, lb).edges)
-        assert CountingList.reads <= 8 * (g.n + g.m), heuristic.__name__
+        assert g.n <= CountingList.reads <= 8 * (g.n + g.m), heuristic.__name__
+
+
+def test_restart_key_tracks_tier():
+    # the key base drops a tier exactly once, when a non-priority vertex's tree
+    # degree first goes above two; the key must equal the rule recomputed
+    rng = random.Random(41)
+    seen = Counter()
+    for _ in range(60):
+        n = rng.randrange(4, 40)
+        g = generate_random_connected(n, min(n * (n - 1) // 2, n - 1 + rng.randrange(0, n)),
+                                      rng.randrange(10**6))
+        provenance = tuple(
+            SplitCopy(v, 1) if rng.random() < 0.15 else Original(v) for v in range(n)
+        )
+        extra = {v: rng.randrange(1, 4) for v in rng.sample(range(n), n // 3)}
+        comp = Component(g, provenance, extra, {e: e for e in g.edges})
+        state = HeuristicState(g, lb_of(g), comp)
+        edges = list(g.edges)
+        rng.shuffle(edges)
+        for u, v in edges[: rng.randrange(len(edges) + 1)]:
+            for x in (u, v):
+                if not state.in_tree[x]:
+                    state.add_vertex(x)
+            state.add_edge(u, v)
+            for w in range(n):
+                tier = 0 if w in state.priority else 1 if state.tree_degree[w] > 2 else 2
+                assert state.restart_key(w) == (tier * n - state.unvisited[w]) * n + w
+        for w in range(n):
+            seen["priority above two"] += w in state.priority and state.tree_degree[w] > 2
+            seen["extra at least two"] += extra.get(w, 0) >= 2 and w not in state.priority
+            seen["dropped to tier 1"] += (
+                w not in state.priority and extra.get(w, 0) <= 2 and state.tree_degree[w] > 2
+            )
+    assert all(seen[k] > 0 for k in (
+        "priority above two", "extra at least two", "dropped to tier 1")), seen
 
 
 def test_path_expanding_cycle(c5):
@@ -259,8 +294,9 @@ def test_overlay_exempt_absorbs_degree():
     assert branch_count(star.n, tree.edges) == 1  # a plain count still sees the center
 
 
-def test_runtime_scales_roughly_quadratically():
-    # loose guard, not a strict benchmark: doubling n must not blow up
+def test_runtime_doubling_n_stays_under_12x():
+    # loose guard, not a strict benchmark: doubling n must not blow up; the
+    # operation count in test_heuristics_read_counts_linearly is the tight one
     def run(n, seed):
         g = generate_random_connected(n, int(1.2 * n), seed)
         lb = lb_of(g)

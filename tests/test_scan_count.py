@@ -4,10 +4,10 @@
 reads there; the heuristics prove nothing up front, and a component, which has
 no obligatory vertex, is never scanned for a bound. Every ``mbv`` module that
 imports ``_lowpoint`` gets a counting wrapper, and only calls on the input
-graph's own adjacency are counted (the split and live graphs the
-decomposition and the search scan are lists of their own). Tree certifications
-are counted the same way, by graph, and so are the component solves and graph
-builds that single-vertex components must never cost.
+graph's own adjacency are counted (the live graphs the search scans are
+lists of their own). Tree certifications are counted the same way, by graph,
+and so are the component solves and graph builds that single-vertex
+components must never cost.
 """
 import sys
 from collections import Counter

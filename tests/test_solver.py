@@ -267,6 +267,29 @@ def test_warm_start_never_worsens():
         assert warm.upper_bound == cold.upper_bound
 
 
+def test_tree_input_runs_no_whole_graph_heuristic(monkeypatch, spider):
+    # every component of a tree is a single vertex, and the whole-graph
+    # heuristic tree only seeds multi-vertex components
+    calls = []
+    real = mbv.solver.best_heuristic
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mbv.solver, "best_heuristic", counting)
+    tree = generate_random_connected(300, 299, 5)
+    for g in (spider, tree):
+        report = solve_with_decomposition(g)
+        assert report.optimal and report.tree.edges == frozenset(g.edges)
+        assert report.upper_bound == branch_count(g.n, g.edges)
+    assert calls == []
+    g = generate_random_connected(30, 34, 1)
+    multi = sum(c.graph.n > 1 for c in decompose(g, obligatory_branch_bound(g)).components)
+    solve_with_decomposition(g)
+    assert multi > 0 and len(calls) == 1 + multi  # the whole graph, then each component
+
+
 def test_time_limit_returns_incumbent(k24):
     report = solve_plain(k24, SolveOptions(time_limit=1e-9))
     assert not report.optimal
