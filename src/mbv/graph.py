@@ -56,7 +56,6 @@ class SpanningTree:
     for a whole graph, the component's count for a decomposition component.
     """
 
-    n: int
     edges: frozenset[Edge]
     branches: int
 
@@ -275,6 +274,6 @@ def spanning_tree(g: Graph, tree_edges, component: Component | None = None) -> S
             f"edge set of size {len(edges)} does not span {g.n} vertices"
         )
     if component is None:
-        return SpanningTree(g.n, edges, branch_count(g.n, edges))
+        return SpanningTree(edges, branch_count(g.n, edges))
     branches = _count_branches(g.n, edges, component.extra_degree, component.countable)
-    return SpanningTree(g.n, edges, branches)
+    return SpanningTree(edges, branches)

@@ -1,10 +1,19 @@
 """Exact minimum-branch-vertices solving by combinatorial branch and bound.
 
 The search branches on one undecided edge at a time (exclude child explored
-first), keeps the chosen edges acyclic, and prunes any node whose exclusions
-disconnect the graph. Each node first propagates what is already decided:
-bridges of the remaining graph go into the tree, edges that would close a
-cycle with the chosen forest are dropped, repeated to a fixpoint.
+first) and keeps the chosen edges acyclic. Each node propagates once: bridges
+of the live graph (every edge not excluded) go into the tree, and an inclusion
+drops the edges that would close a cycle with the chosen forest. One scan
+reaches the fixpoint because of two invariants:
+
+* the live graph stays connected: the root graph is, an exclude child drops
+  an undecided edge of its parent's fixpoint, which is no bridge, and a
+  dropped closer has an included path between its ends;
+* including a bridge drops no edge: a closer joining the bridge's two groups
+  would, with the included paths inside each group, be a live path around it.
+
+So a node with no undecided edge left is a leaf whose live graph is its tree,
+and the node bound below is exactly that tree's branch count.
 
 The node lower bound sums two terms over disjoint vertex sets, each sound
 for every completion of the node:
@@ -39,10 +48,9 @@ restores the parent's fixpoint, and then applies the decision.
 A node scans the live graph only when it has changed. An exclude child always
 rescans. An include child rescans only when its union drops a cycle closer;
 otherwise it keeps the split counts, bridge degrees and classes of its
-parent's last scan, which its stack entry carries. Within propagation, a round
-that only forces bridges leaves the live graph as it was, so only a round that
-drops an edge is followed by another scan. The live graph is the only graph
-a node scans.
+parent's scan, which its stack entry carries. Forcing the scan's bridges
+leaves the live graph as it was. The live graph is the only graph a node
+scans.
 """
 from __future__ import annotations
 
@@ -78,31 +86,25 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one solve: bounds, witness tree, and search statistics."""
+    """Outcome of one solve: bounds, witness tree, and search statistics.
+
+    ``optimal`` and ``gap_percent`` are read off the two bounds.
+    """
 
     lower_bound: float
     upper_bound: int
     tree: SpanningTree
-    optimal: bool
     nodes_explored: int
     elapsed: float
-    gap_percent: float
 
+    @property
+    def optimal(self) -> bool:
+        return self.lower_bound == self.upper_bound
 
-def _gap_percent(lower: float, upper: int) -> float:
-    return 100.0 * (upper - lower) / upper if upper > 0 else 0.0
-
-
-def _report(lower, upper, tree, optimal, nodes, elapsed) -> SolveReport:
-    return SolveReport(
-        lower_bound=lower,
-        upper_bound=upper,
-        tree=tree,
-        optimal=optimal,
-        nodes_explored=nodes,
-        elapsed=elapsed,
-        gap_percent=_gap_percent(lower, upper),
-    )
+    @property
+    def gap_percent(self) -> float:
+        upper = self.upper_bound
+        return 100.0 * (upper - self.lower_bound) / upper if upper > 0 else 0.0
 
 
 def _fallback_tree_ids(g: Graph) -> list[int]:
@@ -216,27 +218,21 @@ def _search(
             status[ei] = _UNDECIDED
 
     def propagate():
-        """Force bridges and drop cycle closers to a fixpoint; None if infeasible.
+        """Scan the live graph and include its undecided bridges.
 
-        Returns what the bound reads from the last live scan: split counts,
-        bridge degrees and two-edge-connected classes. Forcing a bridge leaves
-        the live graph as it is, so only a round that drops an edge rescans.
+        Returns what the bound reads from the scan: split counts, bridge
+        degrees and two-edge-connected classes. No inclusion drops an edge, so
+        the scan still describes the live graph afterwards.
         """
-        while True:
-            live = _lowpoint(n, adj)
-            if live.count != 1:
-                return None
-            dropped = False
-            for e in live.bridges:
-                ei = edge_id[e]
-                if status[ei] == _UNDECIDED and include(ei):
-                    dropped = True
-            if not dropped:
-                break
+        live = _lowpoint(n, adj)
         bridge_deg = [0] * n
-        for u, v in live.bridges:
+        for e in live.bridges:
+            u, v = e
             bridge_deg[u] += 1
             bridge_deg[v] += 1
+            ei = edge_id[e]
+            if status[ei] == _UNDECIDED:
+                include(ei)
         return live.pieces, bridge_deg, live.classes
 
     nodes = 0
@@ -266,18 +262,8 @@ def _search(
             if ei >= 0:
                 exclude(ei)
             scan = propagate()
-        if scan is None:
-            continue
         # the scan saw the fixpoint: its bridges are all included, and its
         # pieces and classes describe the live graph the bound is taken on
-
-        if len(members[group_of[0]]) == n:  # the included edges span: a leaf
-            ids = [e for e in range(m) if status[e] == _INCLUDED]
-            value = _count_branches(n, [edges[e] for e in ids], extra, countable)
-            if value < best_val:
-                best_val = value
-                best_ids = ids
-            continue
         pieces, bridge_deg, classes = scan
 
         # node lower bound, term 1: branches forced by guaranteed degree. Each
@@ -339,6 +325,10 @@ def _search(
             if score > pick_score:
                 pick_score = score
                 pick = e
+        if pick < 0:  # a leaf: the bound is its tree's branch count
+            best_val = bound
+            best_ids = [e for e in range(m) if status[e] == _INCLUDED]
+            continue
         mark = len(trail)
         stack.append((pick, True, mark, bound, scan))
         stack.append((pick, False, mark, bound, None))
@@ -361,7 +351,7 @@ def _solve(g, c, incumbents, opts, t0, floor=0) -> SolveReport:
     lower, upper, ids, nodes = _search(g, c, warm, opts)
     tree = spanning_tree(g, [g.edges[ei] for ei in ids], c)
     lower = max(lower, float(floor))
-    return _report(lower, upper, tree, lower == upper, nodes, perf_counter() - t0)
+    return SolveReport(lower, upper, tree, nodes, perf_counter() - t0)
 
 
 def solve_plain(g: Graph, opts: SolveOptions = SolveOptions()) -> SolveReport:
@@ -369,7 +359,7 @@ def solve_plain(g: Graph, opts: SolveOptions = SolveOptions()) -> SolveReport:
     t0 = perf_counter()
     lb0 = obligatory_branch_bound(g)  # also rejects disconnected input
     if g.n == 1:
-        return _report(0.0, 0, spanning_tree(g, ()), True, 0, perf_counter() - t0)
+        return SolveReport(0.0, 0, spanning_tree(g, ()), 0, perf_counter() - t0)
     warm = [best_heuristic(g, lb0)] if opts.use_warm_start else []
     return _solve(g, None, warm, opts, t0, lb0.value)
 
@@ -389,7 +379,7 @@ def solve_component(
     t0 = perf_counter()
     g = c.graph
     if g.n == 1:
-        return _report(0.0, 0, spanning_tree(g, ()), True, 0, perf_counter() - t0)
+        return SolveReport(0.0, 0, spanning_tree(g, ()), 0, perf_counter() - t0)
     incumbents = [best_heuristic(g, None, c)] if opts.use_warm_start else []
     if seed_tree is not None:
         incumbents.append(spanning_tree(g, seed_tree, c))
@@ -437,4 +427,4 @@ def solve_with_decomposition(g: Graph, opts: SolveOptions = SolveOptions()) -> S
     lower = float(lb.value) + sum(r.lower_bound for r in reports)
     tree = recombine(d, trees)
     nodes = sum(r.nodes_explored for r in reports)
-    return _report(lower, upper, tree, all(r.optimal for r in reports), nodes, perf_counter() - t0)
+    return SolveReport(lower, upper, tree, nodes, perf_counter() - t0)

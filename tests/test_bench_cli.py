@@ -81,6 +81,8 @@ def test_bench_records_non_utf8_instance(tmp_path):
     assert "not UTF-8" in reports[0].error
     assert reports[1].error is None and reports[1].optimal
     assert 'error="' in to_record(reports[0])
+    rows = render_table(reports).splitlines()
+    assert rows[2].startswith("binary") and f"error: {reports[0].error}" in rows[2]
 
 
 class _SerialPool:
@@ -246,6 +248,9 @@ def test_cli_usage_and_parse_errors(tmp_path, capsys):
         code, out, err = run_cli(capsys, command, str(empty))
         assert code == 1 and out == ""
         assert err == "error: lower bound needs a connected graph, but the graph has no vertices\n"
+    blank = tmp_path / "blank.graph"
+    blank.write_text("\n  \n\n", encoding="utf-8")
+    assert run_cli(capsys, "stats", str(blank)) == (1, "", f"error: {blank}: empty instance\n")
 
 
 def test_cli_bench(tmp_path, capsys):

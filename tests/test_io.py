@@ -86,12 +86,16 @@ def test_parse_dimacs_errors():
         parse_dimacs("p edge -3 0\n")
     with pytest.raises(MalformedHeaderError):
         parse_dimacs("p edge 3 -1\n")
+    with pytest.raises(MalformedHeaderError):
+        parse_dimacs("p edge 3 x\n")
     with pytest.raises(BadEdgeLineError):
         parse_dimacs("p edge 2 1\ne 1\n")
     with pytest.raises(BadEdgeLineError):
         parse_dimacs("p edge 2 2\ne 1 2\n")
     with pytest.raises(BadEdgeLineError):
         parse_dimacs("p edge 2 1\nx 1 2\ne 1 2\n")
+    with pytest.raises(BadEdgeLineError):
+        parse_dimacs("p edge 2 1\ne 1 x\n")
 
 
 def test_round_trips():

@@ -7,6 +7,7 @@ derandomized, so every run checks the same graphs.
 import pytest
 
 from mbv import (
+    SolveOptions,
     UnionFind,
     best_heuristic,
     brute_force_optimum,
@@ -43,13 +44,24 @@ def test_solvers_meet_the_oracle_and_trees_carry_their_own_count(g):
     plain, enhanced = solve_plain(g), solve_with_decomposition(g)
     assert plain.optimal and enhanced.optimal
     assert plain.upper_bound == enhanced.upper_bound == optimum
-    for c in decompose(g, obligatory_branch_bound(g)).components:
+    # with no warm start every incumbent is a search leaf, valued by its bound
+    cold = SolveOptions(use_warm_start=False)
+    plain_cold = solve_plain(g, cold)
+    assert plain_cold.optimal and plain_cold.upper_bound == plain_cold.tree.branches == optimum
+    lb = obligatory_branch_bound(g)
+    total = lb.value
+    for c in decompose(g, lb).components:
         trees = [h(c.graph, None, c) for h in (path_expanding, multi_path_expanding, best_heuristic)]
         trees.append(solve_component(c).tree)
+        report = solve_component(c, cold)
+        assert report.optimal and report.tree.branches == report.upper_bound
+        total += report.upper_bound
+        trees.append(report.tree)
         for tree in trees:
             assert tree.branches == _count_branches(
                 c.graph.n, tree.edges, c.extra_degree, c.countable
             )
+    assert total == optimum
 
 
 @st.composite

@@ -210,7 +210,8 @@ def test_anytime_soundness_with_node_limit():
 def test_search_scans_per_node(monkeypatch):
     # a node rescans the live graph only when it changed (0.51-0.58 calls a
     # node on these cases), and the live graph is the only graph it scans:
-    # every call is on the searched graph's n vertices
+    # every call is on the searched graph's n vertices. The live graph stays
+    # connected, which the search relies on without checking.
     calls = []  # (vertices scanned, vertices of the graph being searched)
     size = 0
     lowpoint = mbv.solver._lowpoint
@@ -218,7 +219,9 @@ def test_search_scans_per_node(monkeypatch):
 
     def counting(n, adj):
         calls.append((n, size))
-        return lowpoint(n, adj)
+        scan = lowpoint(n, adj)
+        assert scan.count == 1
+        return scan
 
     def recording(g, *args):
         nonlocal size
