@@ -4,8 +4,10 @@ Vertices are dense integers 0..n-1, edges are normalized tuples (u, v) with
 u < v. Graphs are immutable after construction; all functions here are pure.
 Every structure scan of the package (components, articulation points, split
 counts, bridges, two-edge-connected classes) comes from ``_lowpoint``, run on
-the input graph and on the live graph of each search node; the decomposition
-labels its split graph's components with a union-find pass instead.
+the input graph and on the live graph of each search node. Two scans do not
+come from it: the decomposition labels its split graph's components with a
+union-find pass, and the oracle tests its trees with a union-find pass of its
+own, so it shares no scan with the code it checks.
 """
 from __future__ import annotations
 

@@ -1,11 +1,13 @@
 """Brute-force ground truth: enumerate all spanning trees of small graphs.
 
-Enumeration follows a contraction-deletion discipline: at each step an
-undecided edge is either committed to the tree or deleted, with every bridge
-of the remaining graph committed immediately and every edge that would close a
-cycle with the committed set deleted immediately. Both branches then still
-contain at least one spanning tree, so the recursion tree has exactly one leaf
-per spanning tree and never dead-ends.
+One depth-first take-or-skip pass over the edges in index order, checked by
+its own union-find pass, so it shares no scan with the code it verifies. An
+entry (i, taken) keeps one invariant: the taken edges are acyclic and, with
+``edges[i:]``, connect the graph. Edge i is skipped when the taken edges and
+``edges[i+1:]`` still connect, and taken when it closes no cycle with them. A
+cycle closer is always skippable, since the taken edges join its ends, so the
+pass never dead-ends. An entry with n-1 taken edges is a spanning tree, and
+two trees part at their first different decision, so each is visited once.
 """
 from __future__ import annotations
 
@@ -13,15 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, FrozenSet
 
 from .errors import DisconnectedInputError, TooLargeError
-from .graph import (
-    Edge,
-    Graph,
-    SpanningTree,
-    UnionFind,
-    _lowpoint,
-    connected_components,
-    spanning_tree,
-)
+from .graph import Edge, Graph, SpanningTree, spanning_tree
 
 CYCLE_RANK_LIMIT = 20
 
@@ -33,33 +27,21 @@ class OracleResult:
     trees_enumerated: int
 
 
-def _normalize(n, edges, live: set[int], forced: set[int]) -> None:
-    """Commit bridges and delete cycle closers until neither rule fires.
+def _joins(n: int, edges) -> int:
+    """How many of edges join two groups in one union-find pass.
 
-    On return every bridge of the live graph is forced and every live
-    non-forced edge joins two different forced components.
-    """
-    edge_id = {e: ei for ei, e in enumerate(edges)}
-    while True:
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for ei in live:
-            u, v = edges[ei]
-            adj[u].append(v)
-            adj[v].append(u)
-        bridge_ids = [edge_id[e] for e in _lowpoint(n, adj).bridges]
-        fresh = [ei for ei in bridge_ids if ei not in forced]
-        forced.update(fresh)
-        uf = UnionFind(n)
-        for ei in forced:
-            uf.union(*edges[ei])
-        closers = [
-            ei
-            for ei in live
-            if ei not in forced and uf.find(edges[ei][0]) == uf.find(edges[ei][1])
-        ]
-        live.difference_update(closers)
-        if not fresh and not closers:
-            return
+    n-1 means they connect all n vertices; their own count means no cycle."""
+    parent = list(range(n))
+    joined = 0
+    for u, v in edges:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            joined += 1
+    return joined
 
 
 def enumerate_spanning_trees(g: Graph, visit: Callable[[FrozenSet[Edge]], None]) -> int:
@@ -74,26 +56,22 @@ def enumerate_spanning_trees(g: Graph, visit: Callable[[FrozenSet[Edge]], None])
     if rank > CYCLE_RANK_LIMIT:
         raise TooLargeError(f"cycle rank {rank} exceeds the enumeration guard {CYCLE_RANK_LIMIT}")
     edges = g.edges
-    if connected_components(g)[0] != 1:
+    if _joins(n, edges) != n - 1:  # also rejects n == 0
         raise DisconnectedInputError("spanning tree enumeration needs a connected graph")
-    if n == 1:
-        visit(frozenset())
-        return 1
 
     count = 0
-    stack: list[tuple[set[int], set[int]]] = [(set(range(m)), set())]
+    stack: list[tuple[int, tuple[Edge, ...]]] = [(0, ())]
     while stack:
-        live, forced = stack.pop()
-        _normalize(n, edges, live, forced)
-        if len(forced) == n - 1:
-            visit(frozenset(edges[ei] for ei in forced))
+        i, taken = stack.pop()
+        if len(taken) == n - 1:  # n == 1 visits its one empty tree here
+            visit(frozenset(taken))
             count += 1
             continue
-        pivot = min(ei for ei in live if ei not in forced)
-        without = set(live)
-        without.discard(pivot)
-        stack.append((without, set(forced)))
-        stack.append((set(live), forced | {pivot}))
+        if _joins(n, taken + edges[i + 1 :]) == n - 1:
+            stack.append((i + 1, taken))
+        with_i = taken + (edges[i],)
+        if _joins(n, with_i) == len(with_i):
+            stack.append((i + 1, with_i))
     return count
 
 

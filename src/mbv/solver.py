@@ -68,7 +68,9 @@ from .heuristics import best_heuristic
 class SolveOptions:
     """Search controls: optional time and node budgets, and the warm start.
 
-    A time limit is a finite number of seconds above 0, a node limit at least 1.
+    A time limit is a finite number of seconds above 0, counted from the start
+    of the solve call, so the bound and the heuristics spend it too; they are
+    not interrupted, only the search is. A node limit is at least 1.
     ``solve_with_decomposition`` splits the time limit across its multi-vertex
     components but applies the node limit to each component's search separately.
     """
@@ -132,14 +134,17 @@ _UNDECIDED, _INCLUDED, _EXCLUDED = 0, 1, 2
 
 
 def _search(
-    g: Graph, c: Component | None, warm: SpanningTree | None, opts: SolveOptions
+    g: Graph,
+    c: Component | None,
+    warm: SpanningTree | None,
+    opts: SolveOptions,
+    deadline: float | None,
 ) -> tuple[float, int, list[int], int]:
     """Core branch and bound over edge ids; returns (lb, ub, tree_ids, nodes).
 
-    ``c`` is the component g is the graph of, or None for a whole graph.
+    ``c`` is the component g is the graph of, or None for a whole graph. The
+    search stops at the ``perf_counter`` time ``deadline``, if one is given.
     """
-    t0 = perf_counter()
-    deadline = t0 + opts.time_limit if opts.time_limit is not None else None
     n, m = g.n, g.m
     extra, countable = ({}, [True] * n) if c is None else (c.extra_degree, c.countable)
     edges = g.edges
@@ -345,10 +350,12 @@ def _solve(g, c, incumbents, opts, t0, floor=0) -> SolveReport:
     """Search from the best incumbent (the first on ties), certify the tree, report.
 
     ``floor`` is a lower bound known before the search, reported when a
-    search stopped before its root knows less.
+    search stopped before its root knows less. The time limit counts from
+    ``t0``, the start of the public call.
     """
     warm = min(incumbents, key=lambda t: t.branches, default=None)
-    lower, upper, ids, nodes = _search(g, c, warm, opts)
+    deadline = t0 + opts.time_limit if opts.time_limit is not None else None
+    lower, upper, ids, nodes = _search(g, c, warm, opts, deadline)
     tree = spanning_tree(g, [g.edges[ei] for ei in ids], c)
     lower = max(lower, float(floor))
     return SolveReport(lower, upper, tree, nodes, perf_counter() - t0)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mbv import (
     enumerate_spanning_trees,
     generate_random_connected,
     is_spanning_tree,
+    obligatory_branch_bound,
 )
 from mbv.errors import DisconnectedInputError, TooLargeError
 
@@ -68,16 +70,29 @@ def test_optimum_on_fixtures(p4, star, k24):
 
 def test_witness_is_lexicographically_smallest():
     # independent reference: scan all n-1 edge subsets directly
-    g = generate_random_connected(6, 9, seed=5)
-    best = None
-    for combo in itertools.combinations(g.edges, g.n - 1):
-        if is_spanning_tree(g, combo):
-            key = (branch_count(g.n, combo), tuple(sorted(combo)))
-            if best is None or key < best:
-                best = key
-    r = brute_force_optimum(g)
-    assert r.optimum == best[0]
-    assert tuple(sorted(r.witness.edges)) == best[1]
+    k6 = build_graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+    graphs = [
+        generate_random_connected(6, 9, seed=5),
+        generate_random_connected(8, 12, seed=2),
+        k6,  # dense: 6^4 = 1296 trees
+        generate_random_connected(7, 6, seed=3),  # a tree: itself only
+    ]
+    for g in graphs:
+        spanning = set()
+        best = None
+        for combo in itertools.combinations(g.edges, g.n - 1):
+            if is_spanning_tree(g, combo):
+                spanning.add(frozenset(combo))
+                key = (branch_count(g.n, combo), tuple(sorted(combo)))
+                if best is None or key < best:
+                    best = key
+        visited = []
+        assert enumerate_spanning_trees(g, visited.append) == len(visited)
+        assert set(visited) == spanning and len(visited) == len(spanning)
+        r = brute_force_optimum(g)
+        assert r.trees_enumerated == len(spanning)
+        assert r.optimum == best[0]
+        assert tuple(sorted(r.witness.edges)) == best[1]
 
 
 def test_guard_rejects_large_cycle_rank():
@@ -87,9 +102,9 @@ def test_guard_rejects_large_cycle_rank():
 
 
 def test_disconnected_rejected():
-    g = build_graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(DisconnectedInputError):
-        brute_force_optimum(g)
+    for g in (build_graph(4, [(0, 1), (2, 3)]), build_graph(0, ())):
+        with pytest.raises(DisconnectedInputError):
+            brute_force_optimum(g)
 
 
 def test_single_vertex():
@@ -98,3 +113,26 @@ def test_single_vertex():
     assert r.optimum == 0
     assert r.trees_enumerated == 1
     assert r.witness.edges == frozenset()
+
+
+def test_oracle_shares_no_scan_with_the_solver(monkeypatch, k24, petersen):
+    # the oracle checks the bound, the decomposition and the search, which all
+    # read the lowpoint kernel; it must answer with that kernel and the shared
+    # union-find broken
+    with_bridges = generate_random_connected(12, 15, seed=7)
+    assert obligatory_branch_bound(with_bridges).bridges
+    graphs = [(k24, 1), (petersen, 0), (with_bridges, brute_force_optimum(with_bridges).optimum)]
+    expected = [matrix_tree_count(g) for g, _ in graphs]
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the oracle used a scan it checks")
+
+    for name, module in list(sys.modules.items()):
+        for attr in ("_lowpoint", "UnionFind"):
+            if name.partition(".")[0] == "mbv" and hasattr(module, attr):
+                monkeypatch.setattr(module, attr, broken)
+    for (g, optimum), count in zip(graphs, expected):
+        assert enumerate_spanning_trees(g, lambda t: None) == count
+        r = brute_force_optimum(g)
+        assert (r.optimum, r.trees_enumerated) == (optimum, count)
+        assert r.witness.branches == optimum

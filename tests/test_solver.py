@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -299,6 +300,25 @@ def test_time_limit_returns_incumbent(k24):
     assert report.upper_bound >= 1
     assert is_spanning_tree(k24, report.tree.edges)
     assert report.lower_bound <= report.upper_bound
+
+
+def test_time_limit_counts_the_heuristics(monkeypatch):
+    # the limit runs from the solve call: heuristics that outlast it leave
+    # the search no time, so not even its root node runs
+    real = mbv.solver.best_heuristic
+
+    def slow(*args):
+        time.sleep(0.05)
+        return real(*args)
+
+    monkeypatch.setattr(mbv.solver, "best_heuristic", slow)
+    g = generate_random_connected(60, 80, 1)
+    obligatory = obligatory_branch_bound(g).value
+    for solve in (solve_plain, solve_with_decomposition):
+        report = solve(g, SolveOptions(time_limit=0.02))
+        assert report.nodes_explored == 0, solve.__name__
+        assert is_spanning_tree(g, report.tree.edges)
+        assert obligatory <= report.lower_bound <= report.upper_bound
 
 
 def test_solve_options_validates_limits():
