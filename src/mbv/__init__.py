@@ -8,7 +8,7 @@ verification.
 """
 from . import errors
 from .bench import Report, bench, bench_graph, summarize
-from .bound import LowerBoundResult, graph_fingerprint, obligatory_branch_bound
+from .bound import LowerBoundResult, obligatory_branch_bound
 from .decompose import (
     Component,
     Decomposition,
@@ -20,19 +20,15 @@ from .decompose import (
 from .graph import (
     Graph,
     SpanningTree,
-    UnionFind,
     branch_count,
     build_graph,
-    connected_components,
     is_spanning_tree,
     spanning_tree,
 )
 from .heuristics import (
-    HeuristicState,
     best_heuristic,
     multi_path_expanding,
     path_expanding,
-    start_restart_select,
 )
 from .io import (
     generate_random_connected,
@@ -55,7 +51,6 @@ __all__ = [
     "Component",
     "Decomposition",
     "Graph",
-    "HeuristicState",
     "LowerBoundResult",
     "OracleResult",
     "Original",
@@ -64,19 +59,16 @@ __all__ = [
     "SolveReport",
     "SpanningTree",
     "SplitCopy",
-    "UnionFind",
     "bench",
     "bench_graph",
     "best_heuristic",
     "branch_count",
     "brute_force_optimum",
     "build_graph",
-    "connected_components",
     "decompose",
     "enumerate_spanning_trees",
     "errors",
     "generate_random_connected",
-    "graph_fingerprint",
     "is_spanning_tree",
     "load_graph",
     "multi_path_expanding",
@@ -89,7 +81,6 @@ __all__ = [
     "solve_plain",
     "solve_with_decomposition",
     "spanning_tree",
-    "start_restart_select",
     "summarize",
     "write_dimacs",
     "write_instance",

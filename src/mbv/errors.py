@@ -29,10 +29,6 @@ class NotASpanningTreeError(MbvError):
     """An edge set is not a spanning tree of the graph it was checked against."""
 
 
-class NoEligibleVertexError(MbvError):
-    """No vertex satisfies the start-restart selection precondition."""
-
-
 class TooLargeError(MbvError):
     """The instance exceeds the brute-force enumeration guard."""
 

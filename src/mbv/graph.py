@@ -2,10 +2,10 @@
 
 Vertices are dense integers 0..n-1, edges are normalized tuples (u, v) with
 u < v. Graphs are immutable after construction; all functions here are pure.
-Every structure scan of the package (components, articulation points, split
-counts, bridges, two-edge-connected classes) comes from ``_lowpoint``, run on
-the input graph and on the live graph of each search node. Two scans do not
-come from it: the decomposition labels its split graph's components with a
+Every structure scan of the package (component count, articulation points,
+split counts, bridges, two-edge-connected classes) comes from ``_lowpoint``,
+run on the input graph and on the live graph of each search node. Two scans do
+not come from it: the decomposition labels its split graph's components with a
 union-find pass, and the oracle tests its trees with a union-find pass of its
 own, so it shares no scan with the code it checks.
 """
@@ -62,33 +62,6 @@ class SpanningTree:
     branches: int
 
 
-class UnionFind:
-    """Array union-find with path halving and union by size."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-
 def build_graph(n: int, edge_pairs) -> Graph:
     """Validate and normalize (n, pairs) into a Graph.
 
@@ -121,18 +94,17 @@ def build_graph(n: int, edge_pairs) -> Graph:
 class _Lowpoint(NamedTuple):
     """Everything one Tarjan lowpoint DFS over a simple graph reveals.
 
-    Roots are tried in vertex order and neighbors in adjacency order, so
-    components are numbered in order of their smallest vertex. ``entry`` is
-    the preorder index, ``end[v]`` one past the last preorder index in v's
-    subtree, ``parent`` is -1 for roots. ``pieces[v]`` is the number of parts
-    v's own component falls into once v is removed (0 for an isolated
-    vertex). ``classes`` lists the two-edge-connected classes with two or more
-    vertices (the components left once every bridge is deleted); every other
-    vertex is a class of its own.
+    Roots are tried in vertex order and neighbors in adjacency order.
+    ``count`` is the number of components, ``entry`` the preorder index,
+    ``end[v]`` one past the last preorder index in v's subtree, ``parent`` is
+    -1 for roots. ``pieces[v]`` is the number of parts v's own component
+    falls into once v is removed (0 for an isolated vertex). ``classes``
+    lists the two-edge-connected classes with two or more vertices (the
+    components left once every bridge is deleted); every other vertex is a
+    class of its own.
     """
 
     count: int
-    component_of: list[int]
     entry: list[int]
     end: list[int]
     low: list[int]
@@ -153,7 +125,6 @@ def _lowpoint(n: int, adj) -> _Lowpoint:
     end = [0] * n
     low = [0] * n
     parent = [-1] * n
-    component_of = [-1] * n
     pieces = [0] * n
     at = [0] * n  # position of each vertex in its component's pending list
     bridges: list[Edge] = []
@@ -165,7 +136,6 @@ def _lowpoint(n: int, adj) -> _Lowpoint:
             continue
         entry[r] = low[r] = timer
         timer += 1
-        component_of[r] = count
         count += 1
         pending = [r]  # discovered vertices whose class is still open
         path = [r]
@@ -178,7 +148,6 @@ def _lowpoint(n: int, adj) -> _Lowpoint:
                 if t < 0:
                     entry[w] = low[w] = timer
                     timer += 1
-                    component_of[w] = count - 1
                     parent[w] = v
                     pieces[w] = 1  # the side holding the parent
                     at[w] = len(pending)
@@ -207,13 +176,7 @@ def _lowpoint(n: int, adj) -> _Lowpoint:
                         del pending[i:]
         if len(pending) > 1:  # the root's class
             classes.append(pending)
-    return _Lowpoint(count, component_of, entry, end, low, parent, pieces, bridges, classes)
-
-
-def connected_components(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Label vertices with component ids 0..count-1, assigned in discovery order."""
-    scan = _lowpoint(g.n, g.adjacency)
-    return scan.count, tuple(scan.component_of)
+    return _Lowpoint(count, entry, end, low, parent, pieces, bridges, classes)
 
 
 def is_spanning_tree(g: Graph, tree_edges) -> bool:

@@ -17,15 +17,12 @@ the component's objective. ``lb=None`` reads as "no obligatory vertex", which
 always holds on a component.
 
 Restarts cost O(log m) amortized, not a scan of the tree: HeuristicState keeps
-the open tree vertices in one lazy-deletion heap keyed (tier, -unvisited
-count, id), exactly the order of the rule, so a restart pops stale entries
-until the top one is current. The key is one int,
-``base[v] - unvisited[v] * n`` with a per-vertex base ``tier * n**2 + v``, so
-it takes no set lookup or call. The multi-path builder keeps its outside
-vertices in a second heap of packed ints, ``unvisited * n + id``. With
-expansion steps O(degree) each, both builders run in O(m log m) time; each
-step updates the counts and makes its greedy choice in one pass over the new
-vertex's neighbors.
+the open tree vertices in one lazy-deletion heap ordered exactly by the rule,
+so ``restart()`` pops stale entries until the top one is current. The
+multi-path builder keeps its outside vertices in a second heap of packed ints,
+``unvisited * n + id``. With expansion steps O(degree) each, both builders run
+in O(m log m) time; each step updates the counts and makes its greedy choice in
+one pass over the new vertex's neighbors.
 
 Neither builder scans for connectivity up front; the lower bound already did.
 When no tree vertex can grow while the tree is short of n - 1 edges, the graph
@@ -37,7 +34,7 @@ from heapq import heappop, heappush
 
 from .bound import LowerBoundResult
 from .decompose import Component
-from .errors import DisconnectedInputError, NoEligibleVertexError
+from .errors import DisconnectedInputError
 from .graph import Graph, SpanningTree, spanning_tree
 
 
@@ -47,23 +44,28 @@ class HeuristicState:
     ``unvisited[v]`` is the number of neighbors of v not yet in the tree; it is
     updated whenever the tree grows so every greedy test stays O(1) per vertex
     looked at. A tree vertex is open while it still has unvisited neighbors.
+    ``start()`` picks the first vertex by one scan of all vertices and adds it
+    to the tree; ``restart()`` returns the open tree vertex the next path
+    grows from.
 
-    ``restarts`` is a heap of open vertices under ``restart_key``: tier 0 for
-    priority vertices, 1 for tree degree above two, 2 for the rest, then the
-    most unvisited neighbors, then the smallest id. ``base[v]`` is the fixed
-    part ``tier * n**2 + v`` of v's key; it drops by ``n**2`` once, when a
-    non-priority vertex's tree degree first goes above two. Entries are
+    Both rank v by one int, ``base[v] - unvisited[v] * n`` with the fixed
+    part ``base[v] = tier * n**2 + v``: tier 0 for priority vertices
+    (obligatory or split copies), 1 for tree degree above two, 2 for the rest.
+    Counts and ids are below n, so smaller keys are preferred in the order
+    (tier, -unvisited, id) and ``key % n`` is v. ``base[v]`` drops by ``n**2``
+    once, when a non-priority vertex's tree degree first goes above two.
+
+    ``restarts`` is a heap of open tree vertices under that key, with entries
     deleted lazily. Three invariants keep it exact: ``unvisited`` only falls,
     ``tree_degree`` only rises (so a tier can only drop from 2 to 1), and a
     closed vertex never reopens. So an open vertex is pushed when it enters
     the tree, again whenever its count falls, and again when its tier drops;
     an entry is current exactly when it equals the vertex's key now, and every
-    other entry is dropped when it reaches the top. The multi-path builder's
-    candidate heap packs its keys the same way, ``unvisited * n + id``.
+    other entry is dropped when it reaches the top.
     """
 
-    __slots__ = ("graph", "in_tree", "tree_degree", "unvisited", "tree_edges", "priority",
-                 "base", "restarts")
+    __slots__ = ("graph", "in_tree", "tree_degree", "unvisited", "tree_edges", "base",
+                 "restarts")
 
     def __init__(self, g: Graph, lb: LowerBoundResult | None, component: Component | None = None):
         n = g.n
@@ -73,78 +75,57 @@ class HeuristicState:
         self.tree_degree = tree_degree = [0] * n
         self.unvisited = [len(a) for a in g.adjacency]
         self.tree_edges: list[tuple[int, int]] = []
-        priority = set(lb.obligatory if lb is not None else ())
         self.base = base = list(range(2 * nn, 2 * nn + n))
         if component is not None:
             for v, d in component.extra_degree.items():
                 tree_degree[v] = d
                 if d > 2:
                     base[v] -= nn
-            priority.update(v for v, keep in enumerate(component.countable) if not keep)
-        for v in priority:
+            for v, keep in enumerate(component.countable):
+                if not keep:
+                    base[v] = v
+        for v in lb.obligatory if lb is not None else ():
             base[v] = v
-        self.priority = frozenset(priority)
         self.restarts: list[int] = []
 
-    def restart_key(self, v: int) -> int:
-        """Where v ranks under the start-restart rule; smaller is preferred.
+    def _stuck(self) -> DisconnectedInputError:
+        return DisconnectedInputError(
+            f"heuristics need a connected graph: growth stopped at "
+            f"{len(self.tree_edges)} of {self.graph.n - 1} tree edges"
+        )
 
-        The triple (tier, -unvisited[v], v) packed into one int, which keeps
-        heap comparisons cheap: counts and ids are below n, so the order is
-        lexicographic and ``key % n`` is v.
-        """
-        return self.base[v] - self.unvisited[v] * self.graph.n
+    def start(self) -> int:
+        """Add the best vertex with unvisited neighbors to the tree and return it."""
+        n, base, unvisited = self.graph.n, self.base, self.unvisited
+        best = min((base[v] - c * n for v, c in enumerate(unvisited) if c), default=None)
+        if best is None:
+            raise self._stuck()
+        v = best % n
+        self.in_tree[v] = True
+        for x in self.graph.adjacency[v]:  # no neighbor is in the tree yet
+            unvisited[x] -= 1
+        heappush(self.restarts, base[v] - unvisited[v] * n)
+        return v
 
-    def add_vertex(self, w: int) -> None:
-        n, base, unvisited, in_tree = self.graph.n, self.base, self.unvisited, self.in_tree
-        in_tree[w] = True
-        for x in self.graph.adjacency[w]:
-            c = unvisited[x] = unvisited[x] - 1
-            if c and in_tree[x]:
-                heappush(self.restarts, base[x] - c * n)
-        if unvisited[w]:
-            heappush(self.restarts, base[w] - unvisited[w] * n)
+    def restart(self) -> int:
+        """The best open tree vertex, once stale entries are dropped off the heap."""
+        n, base, unvisited, heap = self.graph.n, self.base, self.unvisited, self.restarts
+        while heap:
+            v = heap[0] % n
+            if heap[0] == base[v] - unvisited[v] * n:
+                return v
+            heappop(heap)
+        raise self._stuck()
 
     def add_edge(self, u: int, v: int) -> None:
         self.tree_edges.append((u, v) if u < v else (v, u))
-        n, base, tree_degree = self.graph.n, self.base, self.tree_degree
+        n, base, tree_degree, unvisited = self.graph.n, self.base, self.tree_degree, self.unvisited
         for x in (u, v):
             d = tree_degree[x] = tree_degree[x] + 1
             if d == 3 and base[x] >= n * n:  # tier 2 drops to 1
                 base[x] -= n * n
-                if self.unvisited[x] and self.in_tree[x]:
-                    heappush(self.restarts, self.restart_key(x))
-
-
-def start_restart_select(state: HeuristicState, restrict_to_tree: bool) -> int:
-    """Pick the vertex the next path should grow from.
-
-    With ``restrict_to_tree`` the pool is the open tree vertices, read off the
-    restart heap; otherwise (the initial start) one scan of all vertices picks
-    by the same key among those with unvisited neighbors.
-    """
-    n, base, unvisited = state.graph.n, state.base, state.unvisited
-    if restrict_to_tree:
-        heap = state.restarts
-        while heap and heap[0] != base[heap[0] % n] - unvisited[heap[0] % n] * n:
-            heappop(heap)
-        best = heap[0] if heap else None
-    else:
-        best = min((base[v] - c * n for v, c in enumerate(unvisited) if c), default=None)
-    if best is None:
-        raise NoEligibleVertexError("no vertex with unvisited neighbors")
-    return best % n
-
-
-def _grow_from(state: HeuristicState, restrict_to_tree: bool) -> int:
-    """start_restart_select while the tree is short: running dry means disconnected."""
-    try:
-        return start_restart_select(state, restrict_to_tree)
-    except NoEligibleVertexError:
-        raise DisconnectedInputError(
-            f"heuristics need a connected graph: growth stopped at "
-            f"{len(state.tree_edges)} of {state.graph.n - 1} tree edges"
-        ) from None
+                if unvisited[x] and self.in_tree[x]:
+                    heappush(self.restarts, base[x] - unvisited[x] * n)
 
 
 def path_expanding(
@@ -166,15 +147,14 @@ def path_expanding(
         return spanning_tree(g, (), component)
     adj, in_tree, unvisited, base = g.adjacency, st.in_tree, st.unvisited, st.base
     restarts, tree_degree = st.restarts, st.tree_degree
-    start = _grow_from(st, False)
-    st.add_vertex(start)
+    start = st.start()
     while len(st.tree_edges) < n - 1:
-        u = start if tree_degree[start] <= 1 and unvisited[start] else _grow_from(st, True)
+        u = start if tree_degree[start] <= 1 and unvisited[start] else st.restart()
         v, vc = -1, n
         for x in adj[u]:  # adjacency is sorted, so the first minimum has the smallest id
             if not in_tree[x] and unvisited[x] < vc:
                 v, vc = x, unvisited[x]
-        while v >= 0:  # add_vertex(v), picking v's own next step in the same pass
+        while v >= 0:  # v joins the tree; the same pass picks v's own next step
             in_tree[v] = True
             w, wc = -1, n
             for x in adj[v]:
@@ -212,10 +192,10 @@ def multi_path_expanding(
         return spanning_tree(g, (), component)
     adj, in_tree, unvisited, base = g.adjacency, st.in_tree, st.unvisited, st.base
     restarts, tree_degree = st.restarts, st.tree_degree
-    st.add_vertex(_grow_from(st, False))
+    st.start()
     cand, cand_nbrs, heap = [False] * n, [0] * n, []
     while len(st.tree_edges) < n - 1:
-        v = _grow_from(st, True)  # it has unvisited neighbors, so it is no candidate
+        v = st.restart()  # it has unvisited neighbors, so it is no candidate
         while True:
             if v >= 0:  # v joins the candidates
                 cand[v] = True
@@ -231,8 +211,8 @@ def multi_path_expanding(
                     break
             else:  # no outside vertex touches a candidate
                 break
-            # add_vertex(v), finding its smallest-id candidate neighbor u and
-            # re-keying its outside neighbors that touch a candidate, in one pass
+            # v joins the tree; the same pass finds its smallest-id candidate
+            # neighbor u and re-keys its outside neighbors that touch a candidate
             in_tree[v] = True
             u = -1
             for x in adj[v]:

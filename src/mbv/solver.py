@@ -424,7 +424,7 @@ def solve_with_decomposition(g: Graph, opts: SolveOptions = SolveOptions()) -> S
         if deadline is not None:
             m = comp.graph.m
             remaining_time = max(deadline - perf_counter(), 0.0)
-            share = remaining_time * m / remaining_edges
+            share = remaining_time * (m / remaining_edges)  # never above remaining_time
             remaining_edges -= m
             sub = replace(opts, time_limit=max(share, 1e-3))
         reports.append(solve_component(comp, sub, seed_tree=seed))

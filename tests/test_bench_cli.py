@@ -206,6 +206,16 @@ def test_cli_timeout_exit_code(tmp_path, capsys):
     assert "optimal=false" in out
 
 
+def test_cli_huge_time_limit(tmp_path, capsys):
+    # a limit near the float maximum must survive being split across components
+    cycle = tmp_path / "c6.graph"
+    cycle.write_text("6 6\n1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "solve", str(cycle), "--time-limit", "1e308")
+    assert code == 0 and "upper_bound=0 " in out and "optimal=true" in out
+    code, out, _ = run_cli(capsys, "bench", str(tmp_path), "--time-limit", "1e308")
+    assert code == 0 and "failed=0" in out
+
+
 def test_cli_usage_and_parse_errors(tmp_path, capsys):
     assert run_cli(capsys, "gen", "--n", "5")[0] == 1  # missing required options
     bad = tmp_path / "bad.graph"

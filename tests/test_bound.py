@@ -7,9 +7,9 @@ from mbv import (
     build_graph,
     enumerate_spanning_trees,
     generate_random_connected,
-    graph_fingerprint,
     obligatory_branch_bound,
 )
+from mbv.bound import graph_fingerprint
 from mbv.errors import DisconnectedInputError
 
 

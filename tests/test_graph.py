@@ -5,7 +5,6 @@ import pytest
 from mbv import (
     branch_count,
     build_graph,
-    connected_components,
     generate_random_connected,
     is_spanning_tree,
     obligatory_branch_bound,
@@ -47,13 +46,11 @@ def test_build_graph_rejects_out_of_range():
 
 
 def test_connected_components(p4, c5):
-    assert connected_components(p4)[0] == 1
-    assert connected_components(c5)[0] == 1
-    count, labels = connected_components(build_graph(5, [(0, 1), (2, 3)]))
-    assert count == 3
-    assert labels[0] == labels[1]
-    assert labels[2] == labels[3]
-    assert len({labels[0], labels[2], labels[4]}) == 3
+    assert _lowpoint(p4.n, p4.adjacency).count == 1
+    assert _lowpoint(c5.n, c5.adjacency).count == 1
+    g = build_graph(5, [(0, 1), (2, 3)])
+    assert _lowpoint(g.n, g.adjacency).count == 3
+    assert _lowpoint(0, ()).count == 0
 
 
 def _articulation(scan):
@@ -150,20 +147,12 @@ def _kernel_cases():
 
 def test_lowpoint_matches_deletion_recount():
     # cross-check the lowpoint scan against brute-force deletion recounts:
-    # component labels, split counts, bridges, classes
+    # component count, split counts, bridges, classes
     for g in _kernel_cases():
         n = g.n
         scan = _lowpoint(n, g.adjacency)
         base = _components_without_vertex(g, -1)
         assert scan.count == base
-        first_seen = {}
-        for v in range(n):
-            reach = _reachable(g, v, None)
-            label = scan.component_of[v]
-            assert {u for u in range(n) if scan.component_of[u] == label} == reach
-            first_seen.setdefault(scan.component_of[v], v)
-        # components are numbered in order of their smallest vertex
-        assert list(first_seen) == list(range(base))
         for v in range(n):
             assert scan.pieces[v] == _components_without_vertex(g, v) - base + 1
         bridges = {e for e in g.edges if _components_without_edge(g, e) > base}
@@ -237,8 +226,7 @@ def test_spanning_tree_implies_connected_and_sized():
         g = generate_random_connected(9, 12, seed)
         tree = spanning_tree(g, next_tree_edges(g))
         assert len(tree.edges) == g.n - 1
-        count, _ = connected_components(build_graph(g.n, tree.edges))
-        assert count == 1
+        assert _lowpoint(g.n, build_graph(g.n, tree.edges).adjacency).count == 1
 
 
 def next_tree_edges(g):

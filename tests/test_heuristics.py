@@ -1,13 +1,12 @@
 import random
 import time
 from collections import Counter
+from heapq import heappush
 
 import pytest
 
-import mbv.heuristics
 from mbv import (
     Component,
-    HeuristicState,
     Original,
     SplitCopy,
     best_heuristic,
@@ -21,46 +20,68 @@ from mbv import (
     obligatory_branch_bound,
     path_expanding,
     spanning_tree,
-    start_restart_select,
 )
-from mbv.errors import DisconnectedInputError, NoEligibleVertexError
+from mbv.errors import DisconnectedInputError
+from mbv.heuristics import HeuristicState
 
 
 def lb_of(g):
     return obligatory_branch_bound(g)
 
 
+def _join(state, v):
+    """Add v to the tree the way both builders do inline, pushing the keys it changes."""
+    n, base, unvisited = state.graph.n, state.base, state.unvisited
+    state.in_tree[v] = True
+    for x in state.graph.adjacency[v]:
+        unvisited[x] -= 1
+        if unvisited[x] and state.in_tree[x]:
+            heappush(state.restarts, base[x] - unvisited[x] * n)
+    if unvisited[v]:
+        heappush(state.restarts, base[v] - unvisited[v] * n)
+
+
+def _priority(lb, component):
+    """Obligatory vertices and split copies, from the bound and the component."""
+    split = {v for v, keep in enumerate(component.countable) if not keep} if component else set()
+    return set(lb.obligatory) | split
+
+
 def test_start_restart_prefers_obligatory(star):
     lb = lb_of(star)
     state = HeuristicState(star, lb)
-    assert start_restart_select(state, False) == 0
+    assert state.start() == 0
+    assert state.in_tree[0]
 
 
 def test_start_restart_tie_breaks_by_id(c5):
     lb = lb_of(c5)
     state = HeuristicState(c5, lb)
-    assert start_restart_select(state, False) == 0
+    assert state.start() == 0
 
 
 def test_start_restart_after_one_path(star):
     lb = lb_of(star)
     state = HeuristicState(star, lb)
-    state.add_vertex(0)
-    state.add_vertex(1)
+    assert state.start() == 0
+    _join(state, 1)
     state.add_edge(0, 1)
-    assert start_restart_select(state, True) == 0
+    assert state.restart() == 0
 
 
 def test_start_restart_no_candidates(p4):
-    lb = lb_of(p4)
-    state = HeuristicState(p4, lb)
-    for v in range(4):
-        state.add_vertex(v)
-    with pytest.raises(NoEligibleVertexError):
-        start_restart_select(state, True)
+    state = HeuristicState(p4, lb_of(p4))
+    assert state.start() == 1
+    for v in (0, 2, 3):
+        _join(state, v)
+    with pytest.raises(DisconnectedInputError, match="growth stopped at 0 of 3 tree edges"):
+        state.restart()
+    edgeless = HeuristicState(build_graph(2, []), None)
+    with pytest.raises(DisconnectedInputError, match="growth stopped at 0 of 1 tree edges"):
+        edgeless.start()
 
 
-def _scan_select(state, restrict_to_tree):
+def _scan_select(state, restrict_to_tree, priority):
     """The start-restart rule as one plain scan: the reference for the heaps."""
     unvisited = state.unvisited
     pool = [
@@ -68,39 +89,36 @@ def _scan_select(state, restrict_to_tree):
         if unvisited[v] > 0 and (state.in_tree[v] or not restrict_to_tree)
     ]
     for tier in (
-        [v for v in pool if v in state.priority],
+        [v for v in pool if v in priority],
         [v for v in pool if state.tree_degree[v] > 2],
         pool,
     ):
         if tier:
             return min(tier, key=lambda v: (-unvisited[v], v))
-    raise NoEligibleVertexError("no vertex with unvisited neighbors")
+    return None
 
 
 def test_heap_restart_matches_scan_rule(monkeypatch):
-    real = mbv.heuristics.start_restart_select
     seen = Counter()
+    priority = set()
 
-    def checked(state, restrict_to_tree):
-        try:
-            want = _scan_select(state, restrict_to_tree)
-        except NoEligibleVertexError:
-            want = None
-        try:
-            got = real(state, restrict_to_tree)
-        except NoEligibleVertexError:
-            got = None
-        assert got == want
-        if got is None:
-            raise NoEligibleVertexError("no vertex with unvisited neighbors")
-        if restrict_to_tree:
-            tier = "priority" if got in state.priority else (
-                "branch" if state.tree_degree[got] > 2 else "any"
-            )
-            seen[tier] += 1
-        return got
+    def checked(real, restrict_to_tree):
+        def method(state):
+            want = _scan_select(state, restrict_to_tree, priority)
+            got = real(state)
+            assert got == want
+            if restrict_to_tree:
+                tier = "priority" if got in priority else (
+                    "branch" if state.tree_degree[got] > 2 else "any"
+                )
+                seen[tier] += 1
+            else:
+                seen["start"] += 1
+            return got
+        return method
 
-    monkeypatch.setattr(mbv.heuristics, "start_restart_select", checked)
+    monkeypatch.setattr(HeuristicState, "start", checked(HeuristicState.start, False))
+    monkeypatch.setattr(HeuristicState, "restart", checked(HeuristicState.restart, True))
     rng = random.Random(29)
     for _ in range(80):
         n = rng.randrange(5, 150)
@@ -122,10 +140,13 @@ def test_heap_restart_matches_scan_rule(monkeypatch):
                 seen["extra degree"] += bool(comp.extra_degree)
         seen["obligatory"] += lb.value > 0
         for graph, graph_lb, comp in runs:
+            priority.clear()
+            priority.update(_priority(graph_lb, comp))
             for heuristic in (path_expanding, multi_path_expanding):
                 assert is_spanning_tree(graph, heuristic(graph, graph_lb, comp).edges)
-    # every tier answered restarts, and the components exercised their semantics
-    kinds = ("priority", "branch", "any", "split copy", "extra degree", "obligatory")
+    # starts were checked, every tier answered restarts, and the components
+    # exercised their semantics
+    kinds = ("start", "priority", "branch", "any", "split copy", "extra degree", "obligatory")
     assert all(seen[k] > 0 for k in kinds), seen
 
 
@@ -170,22 +191,25 @@ def test_restart_key_tracks_tier():
         )
         extra = {v: rng.randrange(1, 4) for v in rng.sample(range(n), n // 3)}
         comp = Component(g, provenance, extra, {e: e for e in g.edges})
-        state = HeuristicState(g, lb_of(g), comp)
+        lb = lb_of(g)
+        priority = _priority(lb, comp)
+        state = HeuristicState(g, lb, comp)
         edges = list(g.edges)
         rng.shuffle(edges)
         for u, v in edges[: rng.randrange(len(edges) + 1)]:
             for x in (u, v):
                 if not state.in_tree[x]:
-                    state.add_vertex(x)
+                    _join(state, x)
             state.add_edge(u, v)
             for w in range(n):
-                tier = 0 if w in state.priority else 1 if state.tree_degree[w] > 2 else 2
-                assert state.restart_key(w) == (tier * n - state.unvisited[w]) * n + w
+                tier = 0 if w in priority else 1 if state.tree_degree[w] > 2 else 2
+                key = state.base[w] - state.unvisited[w] * n
+                assert key == (tier * n - state.unvisited[w]) * n + w
         for w in range(n):
-            seen["priority above two"] += w in state.priority and state.tree_degree[w] > 2
-            seen["extra at least two"] += extra.get(w, 0) >= 2 and w not in state.priority
+            seen["priority above two"] += w in priority and state.tree_degree[w] > 2
+            seen["extra at least two"] += extra.get(w, 0) >= 2 and w not in priority
             seen["dropped to tier 1"] += (
-                w not in state.priority and extra.get(w, 0) <= 2 and state.tree_degree[w] > 2
+                w not in priority and extra.get(w, 0) <= 2 and state.tree_degree[w] > 2
             )
     assert all(seen[k] > 0 for k in (
         "priority above two", "extra at least two", "dropped to tier 1")), seen
@@ -257,7 +281,8 @@ def test_trees_valid_and_above_bound():
         g = generate_random_connected(n, m, rng.randrange(10**6))
         lb = lb_of(g)
         # obligatory vertices are never retired from the candidate pool
-        assert HeuristicState(g, lb).priority >= lb.obligatory
+        state = HeuristicState(g, lb)
+        assert all(state.base[v] == v for v in lb.obligatory)
         for heuristic in (path_expanding, multi_path_expanding):
             tree = heuristic(g, lb)
             assert is_spanning_tree(g, tree.edges)

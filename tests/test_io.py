@@ -4,7 +4,6 @@ import pytest
 
 from mbv import (
     build_graph,
-    connected_components,
     generate_random_connected,
     load_graph,
     parse_dimacs,
@@ -20,6 +19,7 @@ from mbv.errors import (
     LoopEdgeError,
     MalformedHeaderError,
 )
+from mbv.graph import _lowpoint
 
 
 def test_parse_simple_path(p4):
@@ -135,7 +135,7 @@ def test_generator_postconditions():
     g = generate_random_connected(5, 4, seed=1)
     assert g.n == 5
     assert g.m == 4
-    assert connected_components(g)[0] == 1
+    assert _lowpoint(g.n, g.adjacency).count == 1
     dense = generate_random_connected(7, 21, seed=9)
     assert dense.m == 21
 

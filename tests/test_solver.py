@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -187,7 +188,17 @@ def test_node_limit_bounds_each_component_search():
         assert solve_plain(g, opts).nodes_explored == limit
 
 
-def test_anytime_soundness_with_node_limit():
+def test_anytime_soundness_with_node_limit(monkeypatch):
+    fallback = mbv.solver._fallback_tree_ids
+    fallbacks = 0
+
+    def counted(g):
+        nonlocal fallbacks
+        fallbacks += 1
+        return fallback(g)
+
+    monkeypatch.setattr(mbv.solver, "_fallback_tree_ids", counted)
+    cold_stops = {solve_plain: 0, solve_with_decomposition: 0}
     rng = random.Random(83)
     for trial in range(25):
         n = rng.randrange(6, 11)
@@ -197,15 +208,21 @@ def test_anytime_soundness_with_node_limit():
         obligatory = obligatory_branch_bound(g).value
         # every stop point leaves the trail part-way; the answer must not care.
         # A time limit that passes before the root node stops earliest of all.
+        # A cold start that stops before its first leaf returns the fallback tree.
         stops = [SolveOptions(node_limit=limit) for limit in range(1, 51)]
-        for opts in stops + [SolveOptions(time_limit=1e-9)]:
+        stops.append(SolveOptions(time_limit=1e-9))
+        stops += [replace(opts, use_warm_start=False) for opts in stops]
+        for opts in stops:
             for solve in (solve_plain, solve_with_decomposition):
+                before = fallbacks
                 report = solve(g, opts)
+                cold_stops[solve] += fallbacks > before
                 assert obligatory <= report.lower_bound <= optimum <= report.upper_bound
                 assert is_spanning_tree(g, report.tree.edges)
                 assert report.tree.branches == report.upper_bound
                 if report.optimal:
                     assert report.upper_bound == optimum
+    assert all(cold_stops.values()), cold_stops
 
 
 def test_search_scans_per_node(monkeypatch):
@@ -319,6 +336,12 @@ def test_time_limit_counts_the_heuristics(monkeypatch):
         assert report.nodes_explored == 0, solve.__name__
         assert is_spanning_tree(g, report.tree.edges)
         assert obligatory <= report.lower_bound <= report.upper_bound
+
+
+def test_huge_time_limit_is_split_without_overflow(c5):
+    # the share of a limit near the float maximum must not overflow to inf
+    report = solve_with_decomposition(c5, SolveOptions(time_limit=1e308))
+    assert report.optimal and report.upper_bound == 0
 
 
 def test_solve_options_validates_limits():
