@@ -4,10 +4,12 @@ Vertices are dense integers 0..n-1, edges are normalized tuples (u, v) with
 u < v. Graphs are immutable after construction; all functions here are pure.
 Every structure scan of the package (component count, articulation points,
 split counts, bridges, two-edge-connected classes) comes from ``_lowpoint``,
-run on the input graph and on the live graph of each search node. Two scans do
-not come from it: the decomposition labels its split graph's components with a
-union-find pass, and the oracle tests its trees with a union-find pass of its
-own, so it shares no scan with the code it checks.
+run on the input graph and on the live graph of each search node. Its optional
+``within`` restricts it to a vertex subset, such as the one class of a live
+graph that a search node must rescan. Two scans do not come from it: the
+decomposition labels its split graph's components with a union-find pass, and
+the oracle tests its trees with a union-find pass of its own, so it shares no
+scan with the code it checks.
 """
 from __future__ import annotations
 
@@ -114,14 +116,29 @@ class _Lowpoint(NamedTuple):
     classes: list[list[int]]
 
 
-def _lowpoint(n: int, adj) -> _Lowpoint:
+def _lowpoint(n: int, adj, within=None) -> _Lowpoint:
     """The package's one lowpoint DFS, over the adjacency lists of a simple graph.
 
     Iterative so path graphs with n = 10^5 cannot overflow the call stack. A
     simple graph has exactly one edge back to the DFS parent, so skipping the
     parent vertex skips exactly the tree edge. Linear in n + m.
+
+    ``within``, a list of vertices, restricts the scan to the subgraph they
+    induce: roots are taken from it in its order, and every other vertex
+    starts with an entry of n, so it looks visited and no low reaches it. Then
+    ``count`` counts the subgraph's components, ``pieces[x]`` for x in
+    ``within`` counts only the parts inside ``within``, and ``bridges`` and
+    ``classes`` lie inside it; other vertices keep an entry of n and the
+    other lists' initial values. The DFS costs the degrees of ``within``, and
+    setting up the lists O(n).
     """
-    entry = [-1] * n
+    if within is None:
+        entry = [-1] * n
+        within = range(n)
+    else:
+        entry = [n] * n
+        for v in within:
+            entry[v] = -1
     end = [0] * n
     low = [0] * n
     parent = [-1] * n
@@ -131,7 +148,7 @@ def _lowpoint(n: int, adj) -> _Lowpoint:
     classes: list[list[int]] = []
     timer = 0
     count = 0
-    for r in range(n):
+    for r in within:
         if entry[r] >= 0:
             continue
         entry[r] = low[r] = timer

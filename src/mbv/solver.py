@@ -4,13 +4,19 @@ The search branches on one undecided edge at a time (exclude child explored
 first) and keeps the chosen edges acyclic. Each node propagates once: bridges
 of the live graph (every edge not excluded) go into the tree, and an inclusion
 drops the edges that would close a cycle with the chosen forest. One scan
-reaches the fixpoint because of two invariants:
+reaches the fixpoint, and an exclude child need scan only one class, because
+of three invariants:
 
 * the live graph stays connected: the root graph is, an exclude child drops
   an undecided edge of its parent's fixpoint, which is no bridge, and a
   dropped closer has an included path between its ends;
 * including a bridge drops no edge: a closer joining the bridge's two groups
-  would, with the included paths inside each group, be a live path around it.
+  would, with the included paths inside each group, be a live path around it;
+* an exclude child changes only the two-edge-connected class C of its edge
+  e in the parent's scan: C minus e stays connected, so for any vertex x
+  outside C the graph without x falls into the same parts with or without
+  e. Only vertices of C can change their split count, only C can gain
+  bridges, and only C can fall into sub-classes.
 
 So a node with no undecided edge left is a leaf whose live graph is its tree,
 and the node bound below is exactly that tree's branch count.
@@ -45,12 +51,15 @@ An open node holds its edge, its decision, the trail length at its parent and
 the parent's bound. Popping it undoes the trail back to that mark, which
 restores the parent's fixpoint, and then applies the decision.
 
-A node scans the live graph only when it has changed. An exclude child always
-rescans. An include child rescans only when its union drops a cycle closer;
-otherwise it keeps the split counts, bridge degrees and classes of its
-parent's scan, which its stack entry carries. Forcing the scan's bridges
-leaves the live graph as it was. The live graph is the only graph a node
-scans.
+A node scans the live graph only when it has changed, and both children's
+stack entries carry the split counts, bridge degrees and classes of their
+parent's scan (one shared tuple, never changed). An exclude child scans only
+the class C of its edge and splices the result into copies of the parent's
+lists: a vertex x of C splits into its parts inside C plus one part per
+parent bridge at x, since each leads out of C. An include child rescans the
+whole live graph only when its union drops a cycle closer; otherwise it keeps
+its parent's scan. Forcing the scan's bridges leaves the live graph as it
+was. The live graph is the only graph a node scans.
 """
 from __future__ import annotations
 
@@ -127,6 +136,33 @@ def _fallback_tree_ids(g: Graph) -> list[int]:
                 picked.append(ei)
                 stack.append(w)
     return picked
+
+
+def _live_scan(n: int, adj, parent=None, u: int = -1):
+    """Split counts, bridge degrees and classes of a connected live graph.
+
+    Returns ((pieces, bridge_deg, classes), bridges). With no ``parent`` this
+    is one full lowpoint scan. ``parent`` is the scan of the graph before one
+    non-bridge edge at ``u`` was dropped from ``adj``: only u's class C can
+    change, so only C is scanned, and the result is spliced into copies of the
+    parent's lists. ``bridges`` are then only the new ones, all inside C.
+    """
+    if parent is None:
+        live = _lowpoint(n, adj)
+        pieces, bridge_deg, classes = live.pieces, [0] * n, live.classes
+    else:
+        pieces, bridge_deg, classes = parent
+        cls = next(grp for grp in classes if u in grp)
+        live = _lowpoint(n, adj, cls)
+        pieces = pieces[:]
+        for x in cls:  # each parent bridge at x cuts off a part outside C
+            pieces[x] = live.pieces[x] + bridge_deg[x]
+        bridge_deg = bridge_deg[:]
+        classes = [grp for grp in classes if grp is not cls] + live.classes
+    for a, b in live.bridges:
+        bridge_deg[a] += 1
+        bridge_deg[b] += 1
+    return (pieces, bridge_deg, classes), live.bridges
 
 
 # search states of an edge
@@ -222,30 +258,26 @@ def _search(
                 adj[v].append(u)
             status[ei] = _UNDECIDED
 
-    def propagate():
+    def propagate(parent=None, u=-1):
         """Scan the live graph and include its undecided bridges.
 
-        Returns what the bound reads from the scan: split counts, bridge
-        degrees and two-edge-connected classes. No inclusion drops an edge, so
-        the scan still describes the live graph afterwards.
+        Returns the scan of ``_live_scan``; ``parent`` and ``u`` are passed
+        on. No inclusion drops an edge, so the scan still describes the live
+        graph afterwards.
         """
-        live = _lowpoint(n, adj)
-        bridge_deg = [0] * n
-        for e in live.bridges:
-            u, v = e
-            bridge_deg[u] += 1
-            bridge_deg[v] += 1
+        scan, bridges = _live_scan(n, adj, parent, u)
+        for e in bridges:
             ei = edge_id[e]
             if status[ei] == _UNDECIDED:
                 include(ei)
-        return live.pieces, bridge_deg, live.classes
+        return scan
 
     nodes = 0
     stopped = False
     # an entry is (edge, include it?, trail mark, inherited bound, parent's
-    # fixpoint scan for an include child); the root decides nothing. Node
-    # bounds and the objective are integers, so a node is pruned exactly when
-    # its bound reaches the incumbent.
+    # fixpoint scan); the root decides nothing. Node bounds and the objective
+    # are integers, so a node is pruned exactly when its bound reaches the
+    # incumbent.
     stack: list[tuple] = [(-1, False, 0, 0, None)]
     while stack:
         if opts.node_limit is not None and nodes >= opts.node_limit:
@@ -259,14 +291,15 @@ def _search(
             continue
         nodes += 1
         undo(mark)
-        if take:
+        if ei < 0:
+            scan = propagate()
+        elif take:
             # with no cycle closers the live graph is the parent's fixpoint
             if include(ei):
                 scan = propagate()
         else:
-            if ei >= 0:
-                exclude(ei)
-            scan = propagate()
+            exclude(ei)
+            scan = propagate(scan, edges[ei][0])
         # the scan saw the fixpoint: its bridges are all included, and its
         # pieces and classes describe the live graph the bound is taken on
         pieces, bridge_deg, classes = scan
@@ -336,7 +369,7 @@ def _search(
             continue
         mark = len(trail)
         stack.append((pick, True, mark, bound, scan))
-        stack.append((pick, False, mark, bound, None))
+        stack.append((pick, False, mark, bound, scan))
 
     if best_ids is None:  # stopped before any incumbent
         best_ids = _fallback_tree_ids(g)

@@ -21,6 +21,7 @@ from mbv import (
     solve_with_decomposition,
 )
 from mbv.graph import _count_branches
+from mbv.solver import _live_scan
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -88,3 +89,25 @@ def test_is_spanning_tree_matches_union_find(case):
 
     # n-1 edges span exactly when every one of them joins two groups
     assert is_spanning_tree(g, edges) == all(joins(u, v) for u, v in edges)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(connected_graphs())
+def test_class_rescan_spliced_into_the_scan_equals_a_full_scan(g):
+    # dropping a non-bridge edge e can change only e's class: rescanning that
+    # class and splicing it into g's scan must give the full scan of g - e
+    n = g.n
+    whole, bridges = _live_scan(n, g.adjacency)
+    kept = (list(whole[0]), list(whole[1]), [list(grp) for grp in whole[2]])
+    for u, v in g.edges:
+        if (u, v) in bridges:
+            continue
+        adj = [list(a) for a in g.adjacency]
+        adj[u].remove(v)
+        adj[v].remove(u)
+        (pieces, bridge_deg, classes), new = _live_scan(n, adj, whole, u)
+        full, every = _live_scan(n, adj)
+        assert pieces == full[0] and bridge_deg == full[1]
+        assert sorted(bridges + new) == sorted(every)
+        assert sorted(map(sorted, classes)) == sorted(map(sorted, full[2]))
+    assert whole == kept  # the parent's scan is shared, never changed

@@ -55,12 +55,12 @@ def _calls(monkeypatch, attr, home=mbv.graph) -> list[tuple]:
 
 @pytest.fixture
 def scans(monkeypatch):
-    """(n, adjacency) of every lowpoint scan, in call order."""
+    """The arguments of every lowpoint scan, in call order."""
     return _calls(monkeypatch, "_lowpoint")
 
 
 def _scans_of(seen, g) -> int:
-    return sum(1 for n, adj in seen if adj is g.adjacency)
+    return sum(1 for args in seen if args[1] is g.adjacency)
 
 
 @pytest.mark.parametrize("solve", [solve_with_decomposition, solve_plain])
