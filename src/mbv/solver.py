@@ -38,11 +38,15 @@ for every completion of the node:
 Branching picks the undecided edge at the most constrained endpoint (largest
 extra-plus-bridge-plus-chosen degree), then the highest remaining degree, then
 the smallest edge index, and explores the exclude child first. These are
-measured defaults, not load-bearing for correctness.
+measured defaults, not load-bearing for correctness. The pick compares one
+int per edge, tightness * (n + 1) + degree: a live degree is below n + 1 and
+tightness is at least -1 (a split copy never counts), so the int orders edges
+exactly like the pair, and a strict comparison keeps the smallest index.
 
 The search keeps one state and changes it in place: a status per edge
 (undecided, included, excluded), the live adjacency (every edge not
-excluded), included degrees, and the groups joined by included edges
+excluded) with its degrees, included degrees with the tightness they give,
+and the groups joined by included edges
 (explicit labels merged by size, so a union is undone by relabeling the
 smaller group). Every change is pushed on one trail: a branching decision, a
 forced bridge, a dropped cycle closer, each inclusion with its union.
@@ -60,6 +64,26 @@ parent bridge at x, since each leads out of C. An include child rescans the
 whole live graph only when its union drops a cycle closer; otherwise it keeps
 its parent's scan. Forcing the scan's bridges leaves the live graph as it
 was. The live graph is the only graph a node scans.
+
+The bound is carried the same way: next to the scan, both children's entries
+hold the parent's term-1 flag per vertex and term-2 value per class (in the
+order of the scan's classes), and each child corrects only the addends its
+decision can touch. Term 1 is a sum over vertices and term 2 a sum over
+classes, and a vertex's flag and a class's term read only the split counts,
+bridge degrees, live degrees and included degrees of those vertices, so this
+equals the full evaluation:
+
+* an exclude child changes only vertices of C (its split counts, the new
+  bridges and their inclusions all lie in C, and so do the dropped edge's
+  ends), so it re-evaluates the flags on C and swaps C's term for the terms of
+  C's sub-classes;
+* an include child that drops no closer keeps its parent's live graph and
+  scan, and only the included degree of the edge's ends u and v rises. The
+  edge was undecided, so it is no bridge, and u and v share one class K: the
+  child re-evaluates the flags at u and v, and K's term when one of them
+  changed;
+* the root, and an include child whose union dropped a closer, evaluate the
+  bound in full.
 """
 from __future__ import annotations
 
@@ -141,28 +165,31 @@ def _fallback_tree_ids(g: Graph) -> list[int]:
 def _live_scan(n: int, adj, parent=None, u: int = -1):
     """Split counts, bridge degrees and classes of a connected live graph.
 
-    Returns ((pieces, bridge_deg, classes), bridges). With no ``parent`` this
-    is one full lowpoint scan. ``parent`` is the scan of the graph before one
-    non-bridge edge at ``u`` was dropped from ``adj``: only u's class C can
-    change, so only C is scanned, and the result is spliced into copies of the
-    parent's lists. ``bridges`` are then only the new ones, all inside C.
+    Returns ((pieces, bridge_deg, classes), bridges, k). With no ``parent``
+    this is one full lowpoint scan, and k is -1. ``parent`` is the scan of the
+    graph before one non-bridge edge at ``u`` was dropped from ``adj``: only
+    u's class C can change, so only C is scanned, and the result is spliced
+    into copies of the parent's lists. k is C's index in the parent's classes,
+    C's sub-classes come last, and ``bridges`` are only the new ones, all
+    inside C.
     """
     if parent is None:
         live = _lowpoint(n, adj)
-        pieces, bridge_deg, classes = live.pieces, [0] * n, live.classes
+        pieces, bridge_deg, classes, k = live.pieces, [0] * n, live.classes, -1
     else:
         pieces, bridge_deg, classes = parent
-        cls = next(grp for grp in classes if u in grp)
+        k = next(i for i, grp in enumerate(classes) if u in grp)
+        cls = classes[k]
         live = _lowpoint(n, adj, cls)
         pieces = pieces[:]
         for x in cls:  # each parent bridge at x cuts off a part outside C
             pieces[x] = live.pieces[x] + bridge_deg[x]
         bridge_deg = bridge_deg[:]
-        classes = [grp for grp in classes if grp is not cls] + live.classes
+        classes = classes[:k] + classes[k + 1 :] + live.classes
     for a, b in live.bridges:
         bridge_deg[a] += 1
         bridge_deg[b] += 1
-    return (pieces, bridge_deg, classes), live.bridges
+    return (pieces, bridge_deg, classes), live.bridges, k
 
 
 # search states of an edge
@@ -202,7 +229,10 @@ def _search(
     # an excluded one
     status = [_UNDECIDED] * m
     adj = [list(a) for a in g.adjacency]  # live adjacency: the edges not excluded
+    live_deg = [len(a) for a in adj]
     inc_deg = [0] * n
+    # extra plus included degree, or -1 for a vertex that never counts
+    tight = [gamma[v] if countable[v] else -1 for v in range(n)]
     # groups joined by included edges: union by size with explicit labels, so
     # a find is one read and a union is undone by relabeling the smaller group
     group_of = list(range(n))
@@ -214,6 +244,8 @@ def _search(
         u, v = edges[ei]
         adj[u].remove(v)
         adj[v].remove(u)
+        live_deg[u] -= 1
+        live_deg[v] -= 1
         status[ei] = _EXCLUDED
         trail.append(~ei)
 
@@ -222,6 +254,8 @@ def _search(
         u, v = edges[ei]
         inc_deg[u] += 1
         inc_deg[v] += 1
+        tight[u] += countable[u]
+        tight[v] += countable[v]
         status[ei] = _INCLUDED
         trail.append(ei)
         a, b = group_of[u], group_of[v]
@@ -246,6 +280,8 @@ def _search(
                 u, v = edges[ei]
                 inc_deg[u] -= 1
                 inc_deg[v] -= 1
+                tight[u] -= countable[u]
+                tight[v] -= countable[v]
                 b = hung[ei]
                 small = members[b]
                 del members[group_of[b]][-len(small):]
@@ -256,29 +292,81 @@ def _search(
                 u, v = edges[ei]
                 adj[u].append(v)
                 adj[v].append(u)
+                live_deg[u] += 1
+                live_deg[v] += 1
             status[ei] = _UNDECIDED
 
     def propagate(parent=None, u=-1):
         """Scan the live graph and include its undecided bridges.
 
-        Returns the scan of ``_live_scan``; ``parent`` and ``u`` are passed
-        on. No inclusion drops an edge, so the scan still describes the live
-        graph afterwards.
+        Returns the scan and class index of ``_live_scan``; ``parent`` and
+        ``u`` are passed on. No inclusion drops an edge, so the scan still
+        describes the live graph afterwards.
         """
-        scan, bridges = _live_scan(n, adj, parent, u)
+        scan, bridges, k = _live_scan(n, adj, parent, u)
         for e in bridges:
             ei = edge_id[e]
             if status[ei] == _UNDECIDED:
                 include(ei)
-        return scan
+        return scan, k
+
+    def force(forced: list[bool], pieces: list[int], vertices) -> int:
+        """Re-evaluate term 1, branches forced by guaranteed degree, at ``vertices``.
+
+        Changes ``forced`` in place and returns the change in c1. Each bridge
+        at v cuts off a piece of its own and is already included, so bridge
+        degree + max(class pieces, chosen class degree) from the module
+        docstring is max(pieces, chosen degree) in the live graph.
+        """
+        change = 0
+        for v in vertices:
+            if countable[v]:
+                d = pieces[v] if pieces[v] > inc_deg[v] else inc_deg[v]
+                if (gamma[v] + d > 2) != forced[v]:
+                    forced[v] = not forced[v]
+                    change += 1 if forced[v] else -1
+        return change
+
+    def class_term(group: list[int], forced: list[bool], bridge_deg: list[int]) -> int:
+        """Term 2 of one two-edge-connected class: its degree accounting.
+
+        Reads the term-1 flags, since a forced branch absorbs any degree.
+        """
+        h = len(group)
+        free = 0
+        gains = []
+        for v in group:
+            d = live_deg[v] - bridge_deg[v]
+            if not countable[v] or forced[v]:
+                free += d - 1
+                continue
+            cap = 2 - gamma[v] - bridge_deg[v]
+            if d <= cap:
+                free += d - 1
+            else:
+                free += cap - 1
+                gains.append(d - cap)
+        need = h - 2 - free
+        term = 0
+        if need > 0:
+            gains.sort(reverse=True)
+            for gain in gains:
+                term += 1
+                need -= gain
+                if need <= 0:
+                    break
+        return term
 
     nodes = 0
     stopped = False
-    # an entry is (edge, include it?, trail mark, inherited bound, parent's
-    # fixpoint scan); the root decides nothing. Node bounds and the objective
-    # are integers, so a node is pruned exactly when its bound reaches the
-    # incumbent.
-    stack: list[tuple] = [(-1, False, 0, 0, None)]
+    width = n + 1  # the pick key's radix: above every live degree
+    # an entry is (edge, include it?, trail mark, parent's bound, parent's
+    # fixpoint scan, parent's term-1 flags, parent's class terms); the root
+    # decides nothing. The lists are shared by both children and never
+    # changed; a child that changes one copies it. Node bounds and the
+    # objective are integers, so a node is pruned exactly when its bound
+    # reaches the incumbent.
+    stack: list[tuple] = [(-1, False, 0, 0, None, None, None)]
     while stack:
         if opts.node_limit is not None and nodes >= opts.node_limit:
             stopped = True
@@ -286,90 +374,78 @@ def _search(
         if deadline is not None and perf_counter() > deadline:
             stopped = True
             break
-        ei, take, mark, inherited, scan = stack.pop()
-        if inherited >= best_val:
+        ei, take, mark, bound, scan, forced, terms = stack.pop()
+        if bound >= best_val:
             continue
         nodes += 1
         undo(mark)
-        if ei < 0:
-            scan = propagate()
+        # the node bound is term 1 (a flag per vertex) plus term 2 (a term per
+        # class, in the order of the scan's classes); a child corrects the
+        # addends its decision can change and keeps the rest
+        if ei < 0 or take and include(ei):
+            # the root, or an include child whose union dropped cycle closers:
+            # scan the live graph and evaluate the bound in full
+            scan, _ = propagate()
+            pieces, bridge_deg, classes = scan
+            forced = [False] * n
+            bound = force(forced, pieces, range(n))
+            # a lone vertex needs no class edges, and the scan lists none
+            terms = [class_term(grp, forced, bridge_deg) for grp in classes]
+            bound += sum(terms)
         elif take:
-            # with no cycle closers the live graph is the parent's fixpoint
-            if include(ei):
-                scan = propagate()
+            # no closer dropped: the live graph and its scan are the parent's,
+            # and only the included degree of u and v rose; the edge was no
+            # bridge, so both lie in one class K, whose term reads their flags
+            u, v = edges[ei]
+            pieces, bridge_deg, classes = scan
+            forced = forced[:]
+            change = force(forced, pieces, (u, v))
+            if change:
+                k = next(i for i, grp in enumerate(classes) if u in grp)
+                term = class_term(classes[k], forced, bridge_deg)
+                bound += change + term - terms[k]
+                terms = terms[:]
+                terms[k] = term
         else:
+            # only the class C of the dropped edge changed: its flags are
+            # re-evaluated, and its term gives way to its sub-classes' terms,
+            # which come last in the class list
             exclude(ei)
-            scan = propagate(scan, edges[ei][0])
-        # the scan saw the fixpoint: its bridges are all included, and its
-        # pieces and classes describe the live graph the bound is taken on
-        pieces, bridge_deg, classes = scan
-
-        # node lower bound, term 1: branches forced by guaranteed degree. Each
-        # bridge at v cuts off a piece of its own and is already included, so
-        # bridge degree + max(class pieces, chosen class degree) from the
-        # module docstring is max(pieces, chosen degree) in the live graph.
-        forced_branch = [False] * n
-        c1 = 0
-        for v in range(n):
-            if countable[v]:
-                d = pieces[v] if pieces[v] > inc_deg[v] else inc_deg[v]
-                if gamma[v] + d > 2:
-                    forced_branch[v] = True
-                    c1 += 1
-
-        # term 2: degree accounting inside each two-edge-connected class
-        live_deg = [len(a) for a in adj]
-        c2 = 0
-        for group in classes:  # a lone vertex needs no class edges
-            h = len(group)
-            free = 0
-            gains = []
-            for v in group:
-                d = live_deg[v] - bridge_deg[v]
-                if not countable[v] or forced_branch[v]:
-                    free += d - 1
-                    continue
-                cap = 2 - gamma[v] - bridge_deg[v]
-                if d <= cap:
-                    free += d - 1
-                else:
-                    free += cap - 1
-                    gains.append(d - cap)
-            need = h - 2 - free
-            if need > 0:
-                gains.sort(reverse=True)
-                for gain in gains:
-                    c2 += 1
-                    need -= gain
-                    if need <= 0:
-                        break
-
-        bound = c1 + c2
+            parent_classes = scan[2]
+            scan, k = propagate(scan, edges[ei][0])
+            pieces, bridge_deg, classes = scan
+            forced = forced[:]
+            bound += force(forced, pieces, parent_classes[k]) - terms[k]
+            subclasses = classes[len(parent_classes) - 1 :]
+            fresh = [class_term(grp, forced, bridge_deg) for grp in subclasses]
+            terms = terms[:k] + terms[k + 1 :] + fresh
+            bound += sum(fresh)
         if bound >= best_val:
             continue
 
         # branch on the undecided edge at the most constrained endpoint,
-        # then the densest; deciding tight vertices first moves the bound
-        tightness = [gamma[v] + inc_deg[v] if countable[v] else -1 for v in range(n)]
+        # then the densest; deciding tight vertices first moves the bound.
+        # The int key orders edges like (tightness, degree), and a strict >
+        # keeps the smallest edge index on ties.
         pick = -1
-        pick_score = (-2, -1)
+        pick_key = -width - 1
         for e in range(m):
             if status[e] != _UNDECIDED:
                 continue
             u, v = edges[e]
-            tu, tv = tightness[u], tightness[v]
+            tu, tv = tight[u], tight[v]
             du, dv = live_deg[u], live_deg[v]
-            score = (tu if tu >= tv else tv, du if du >= dv else dv)
-            if score > pick_score:
-                pick_score = score
+            key = (tu if tu >= tv else tv) * width + (du if du >= dv else dv)
+            if key > pick_key:
+                pick_key = key
                 pick = e
         if pick < 0:  # a leaf: the bound is its tree's branch count
             best_val = bound
             best_ids = [e for e in range(m) if status[e] == _INCLUDED]
             continue
         mark = len(trail)
-        stack.append((pick, True, mark, bound, scan))
-        stack.append((pick, False, mark, bound, scan))
+        stack.append((pick, True, mark, bound, scan, forced, terms))
+        stack.append((pick, False, mark, bound, scan, forced, terms))
 
     if best_ids is None:  # stopped before any incumbent
         best_ids = _fallback_tree_ids(g)

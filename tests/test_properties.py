@@ -97,7 +97,7 @@ def test_class_rescan_spliced_into_the_scan_equals_a_full_scan(g):
     # dropping a non-bridge edge e can change only e's class: rescanning that
     # class and splicing it into g's scan must give the full scan of g - e
     n = g.n
-    whole, bridges = _live_scan(n, g.adjacency)
+    whole, bridges, _ = _live_scan(n, g.adjacency)
     kept = (list(whole[0]), list(whole[1]), [list(grp) for grp in whole[2]])
     for u, v in g.edges:
         if (u, v) in bridges:
@@ -105,8 +105,9 @@ def test_class_rescan_spliced_into_the_scan_equals_a_full_scan(g):
         adj = [list(a) for a in g.adjacency]
         adj[u].remove(v)
         adj[v].remove(u)
-        (pieces, bridge_deg, classes), new = _live_scan(n, adj, whole, u)
-        full, every = _live_scan(n, adj)
+        (pieces, bridge_deg, classes), new, k = _live_scan(n, adj, whole, u)
+        full, every, _ = _live_scan(n, adj)
+        assert u in whole[2][k]
         assert pieces == full[0] and bridge_deg == full[1]
         assert sorted(bridges + new) == sorted(every)
         assert sorted(map(sorted, classes)) == sorted(map(sorted, full[2]))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -225,6 +226,36 @@ def test_anytime_soundness_with_node_limit(monkeypatch):
     assert all(cold_stops.values()), cold_stops
 
 
+def test_budgeted_answers_are_pinned():
+    # a search stopped by its node limit reports the smallest bound among its
+    # open nodes, and a search run to proof explores a node count set by every
+    # node's bound, so these answers expose the node bounds, not only the
+    # optima. They were recorded with the bound evaluated in full at every
+    # node; a child that corrects its parent's bound must land on the same
+    # numbers.
+    limited = []
+    cases = [(60, 66, seed) for seed in range(2000, 2004)]
+    cases += [(100, 130, seed) for seed in (3000, 3001)]
+    for n, m, seed in cases:
+        g = generate_random_connected(n, m, seed)
+        for solve in (solve_plain, solve_with_decomposition):
+            for limit in range(1, 41):
+                r = solve(g, SolveOptions(node_limit=limit))
+                limited.append((r.lower_bound, r.upper_bound, r.nodes_explored))
+    digest = hashlib.sha256(repr(limited).encode()).hexdigest()
+    assert digest == "3ff5e79e664d44973448f0985b8698d496df10d68f38250abdc46bd57bfad276"
+    proved = []
+    for n, m, seed in cases[:4]:
+        g = generate_random_connected(n, m, seed)
+        for solve in (solve_plain, solve_with_decomposition):
+            r = solve(g)
+            proved.append((r.lower_bound, r.upper_bound, r.nodes_explored))
+    assert proved == [
+        (11.0, 11, 549), (11.0, 11, 159), (12.0, 12, 507), (12.0, 12, 423),
+        (8.0, 8, 1615), (8.0, 8, 1565), (9.0, 9, 2283), (9.0, 9, 410),
+    ]
+
+
 def test_search_scans_per_node(monkeypatch):
     # a node rescans the live graph only when it changed, an exclude child
     # rescans only the class of the edge it dropped, and the live graph is the
@@ -280,12 +311,13 @@ def test_class_rescan_finds_bridges_inside_the_class(two_triangles):
     # dropping (0, 1) leaves its triangle a path: both its other edges become
     # bridges, 2 splits into three parts, and only {3, 4, 5} stays a class
     g = two_triangles
-    whole, bridges = mbv.solver._live_scan(g.n, g.adjacency)
+    whole, bridges, _ = mbv.solver._live_scan(g.n, g.adjacency)
     assert bridges == [(2, 3)]
     adj = [list(a) for a in g.adjacency]
     adj[0].remove(1)
     adj[1].remove(0)
-    (pieces, bridge_deg, classes), new = mbv.solver._live_scan(g.n, adj, whole, 0)
+    (pieces, bridge_deg, classes), new, k = mbv.solver._live_scan(g.n, adj, whole, 0)
+    assert 0 in whole[2][k]
     assert sorted(new) == [(0, 2), (1, 2)]
     assert pieces == [1, 1, 3, 2, 1, 1]
     assert bridge_deg == [1, 1, 3, 1, 0, 0]
