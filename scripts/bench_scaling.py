@@ -1,4 +1,4 @@
-"""Time the bound, the decomposition, both heuristics and the node-limited enhanced solve at growing n.
+"""Time the bound, the decomposition, both heuristics and both node-limited solves at growing n.
 
 Usage (from the repository root):
 
@@ -7,12 +7,12 @@ Usage (from the repository root):
 
 Each call imports ``mbv`` from ``--src`` (default: this checkout's ``src``),
 times ``obligatory_branch_bound``, ``decompose``, ``path_expanding`` and
-``multi_path_expanding`` (the last three given that bound) and
-``solve_with_decomposition(node_limit=1)`` on
+``multi_path_expanding`` (the last three given that bound),
+``solve_with_decomposition(node_limit=1)`` and ``solve_plain(node_limit=1)`` on
 ``generate_random_connected(n, 1.2 n, SEED)`` for every n in ``SIZES``, keeps
 the minimum of ``REPEAT`` runs, and counts the components and the
 single-vertex ones. The timings go under ``runs[label]`` in BENCH_scaling.json
-at the repository root; the other keys there are kept. The solve times the
+at the repository root; the other keys there are kept. Each solve times its
 whole pipeline. The record carries the interpreter and the core count.
 """
 from __future__ import annotations
@@ -61,6 +61,7 @@ def measure() -> dict:
             ("path_expanding_s", lambda: mbv.path_expanding(g, lb)),
             ("multi_path_expanding_s", lambda: mbv.multi_path_expanding(g, lb)),
             ("solve_node_limit_1_s", lambda: mbv.solve_with_decomposition(g, opts)),
+            ("solve_plain_node_limit_1_s", lambda: mbv.solve_plain(g, opts)),
         )
         for key, fn in cases:
             row[key] = min_time(fn)

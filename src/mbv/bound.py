@@ -12,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import DisconnectedInputError
-from .graph import Edge, Graph, _lowpoint
+from .graph import Edge, Graph, _Lowpoint, _lowpoint
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,15 @@ def obligatory_branch_bound(g: Graph) -> LowerBoundResult:
     counts, the bridges and the pieces around each obligatory vertex, so the
     decomposition never scans g again.
     """
+    return _bound_and_scan(g)[0]
+
+
+def _bound_and_scan(g: Graph) -> tuple[LowerBoundResult, _Lowpoint]:
+    """``obligatory_branch_bound`` and the lowpoint scan of g it was read from.
+
+    The plain search's root takes the scan in place of scanning its live
+    graph, a copy of g's adjacency in the same order.
+    """
     n = g.n
     if n == 0:
         raise DisconnectedInputError(
@@ -78,7 +87,7 @@ def obligatory_branch_bound(g: Graph) -> LowerBoundResult:
             # only a non-root has neighbors outside every split-child subtree
             pieces[u] = base + j + 1 if j >= 0 and entry[u] < cut[j][1] else 1
 
-    return LowerBoundResult(
+    lb = LowerBoundResult(
         obligatory=frozenset(split_counts),
         split_counts=split_counts,
         value=len(split_counts),
@@ -86,3 +95,4 @@ def obligatory_branch_bound(g: Graph) -> LowerBoundResult:
         bridges=frozenset(s.bridges),
         piece_of=piece_of,
     )
+    return lb, s

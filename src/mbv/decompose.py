@@ -26,7 +26,7 @@ set.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .bound import LowerBoundResult, graph_fingerprint
@@ -82,10 +82,13 @@ class Component:
     provenance: tuple[Provenance, ...]
     extra_degree: Mapping[int, int]
     edge_origin: Mapping[Edge, Edge]
+    countable: tuple[bool, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def countable(self) -> tuple[bool, ...]:
-        return tuple(isinstance(p, Original) for p in self.provenance)
+    def __post_init__(self):
+        # kept, not derived per read: every certification, heuristic and
+        # search of the component reads it
+        countable = tuple([isinstance(p, Original) for p in self.provenance])
+        object.__setattr__(self, "countable", countable)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Vertices are dense integers 0..n-1, edges are normalized tuples (u, v) with
 u < v. Graphs are immutable after construction; all functions here are pure.
 Every structure scan of the package (component count, articulation points,
 split counts, bridges, two-edge-connected classes) comes from ``_lowpoint``,
-run on the input graph and on the live graph of each search node. Its optional
+run on the input graph and on the live graph of a search node that changed (a
+plain search's root takes the input graph's scan). Its optional
 ``within`` restricts it to a vertex subset, such as the one class of a live
 graph that a search node must rescan. Two scans do not come from it: the
 decomposition labels its split graph's components with a union-find pass, and

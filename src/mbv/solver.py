@@ -2,10 +2,12 @@
 
 The search branches on one undecided edge at a time (exclude child explored
 first) and keeps the chosen edges acyclic. Each node propagates once: bridges
-of the live graph (every edge not excluded) go into the tree, and an inclusion
-drops the edges that would close a cycle with the chosen forest. One scan
-reaches the fixpoint, and an exclude child need scan only one class, because
-of three invariants:
+of the live graph (every edge not excluded) go into the tree, and a branching
+inclusion drops the edges that would close a cycle with the chosen forest:
+the live edges between its ends' groups, found among the smaller group's live
+neighbors. One scan reaches the fixpoint, a forced bridge needs no such
+search, and an exclude child need scan only one class, because of three
+invariants:
 
 * the live graph stays connected: the root graph is, an exclude child drops
   an undecided edge of its parent's fixpoint, which is no bridge, and a
@@ -55,15 +57,18 @@ An open node holds its edge, its decision, the trail length at its parent and
 the parent's bound. Popping it undoes the trail back to that mark, which
 restores the parent's fixpoint, and then applies the decision.
 
-A node scans the live graph only when it has changed, and both children's
-stack entries carry the split counts, bridge degrees and classes of their
-parent's scan (one shared tuple, never changed). An exclude child scans only
-the class C of its edge and splices the result into copies of the parent's
-lists: a vertex x of C splits into its parts inside C plus one part per
-parent bridge at x, since each leads out of C. An include child rescans the
-whole live graph only when its union drops a cycle closer; otherwise it keeps
-its parent's scan. Forcing the scan's bridges leaves the live graph as it
-was. The live graph is the only graph a node scans.
+A node scans the live graph only when it has changed. The root's live graph
+is the input graph with its adjacency in the same order, so a plain solve's
+root takes the lowpoint scan the obligatory bound made of the input instead
+of scanning again; a component's root, which has no such scan, scans its
+graph. Both children's stack entries carry the split counts, bridge degrees
+and classes of their parent's scan (one shared tuple, never changed). An
+exclude child scans only the class C of its edge and splices the result into
+copies of the parent's lists: a vertex x of C splits into its parts inside C
+plus one part per parent bridge at x, since each leads out of C. An include
+child rescans the whole live graph only when its union drops a cycle closer;
+otherwise it keeps its parent's scan. Forcing the scan's bridges leaves the
+live graph as it was. The live graph is the only graph a node scans.
 
 The bound is carried the same way: next to the scan, both children's entries
 hold the parent's term-1 flag per vertex and term-2 value per class (in the
@@ -91,7 +96,7 @@ import math
 from dataclasses import dataclass, replace
 from time import perf_counter
 
-from .bound import obligatory_branch_bound
+from .bound import _bound_and_scan, obligatory_branch_bound
 from .decompose import Component, decompose, recombine
 from .graph import Graph, SpanningTree, _count_branches, _lowpoint, spanning_tree
 from .heuristics import best_heuristic
@@ -162,11 +167,12 @@ def _fallback_tree_ids(g: Graph) -> list[int]:
     return picked
 
 
-def _live_scan(n: int, adj, parent=None, u: int = -1):
+def _live_scan(n: int, adj, parent=None, u: int = -1, live=None):
     """Split counts, bridge degrees and classes of a connected live graph.
 
     Returns ((pieces, bridge_deg, classes), bridges, k). With no ``parent``
-    this is one full lowpoint scan, and k is -1. ``parent`` is the scan of the
+    this is one full lowpoint scan, and k is -1; ``live`` is that scan when
+    the caller already has one of ``adj``. ``parent`` is the scan of the
     graph before one non-bridge edge at ``u`` was dropped from ``adj``: only
     u's class C can change, so only C is scanned, and the result is spliced
     into copies of the parent's lists. k is C's index in the parent's classes,
@@ -174,7 +180,8 @@ def _live_scan(n: int, adj, parent=None, u: int = -1):
     inside C.
     """
     if parent is None:
-        live = _lowpoint(n, adj)
+        if live is None:
+            live = _lowpoint(n, adj)
         pieces, bridge_deg, classes, k = live.pieces, [0] * n, live.classes, -1
     else:
         pieces, bridge_deg, classes = parent
@@ -202,21 +209,20 @@ def _search(
     warm: SpanningTree | None,
     opts: SolveOptions,
     deadline: float | None,
+    scans: list | None = None,
 ) -> tuple[float, int, list[int], int]:
     """Core branch and bound over edge ids; returns (lb, ub, tree_ids, nodes).
 
     ``c`` is the component g is the graph of, or None for a whole graph. The
     search stops at the ``perf_counter`` time ``deadline``, if one is given.
+    ``scans`` may hold a lowpoint scan of g's adjacency, which the root pops
+    and takes in place of its own full scan; it then holds the only reference.
     """
     n, m = g.n, g.m
     extra, countable = ({}, [True] * n) if c is None else (c.extra_degree, c.countable)
     edges = g.edges
     edge_id = {e: ei for ei, e in enumerate(edges)}
     gamma = [extra.get(v, 0) for v in range(n)]
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for ei, (u, v) in enumerate(edges):
-        incident[u].append((v, ei))
-        incident[v].append((u, ei))
 
     best_ids: list[int] | None = None
     best_val = math.inf
@@ -249,8 +255,8 @@ def _search(
         status[ei] = _EXCLUDED
         trail.append(~ei)
 
-    def include(ei: int) -> bool:
-        """Include ei and drop the cycle closers it makes; True if any dropped."""
+    def include(ei: int) -> None:
+        """Include ei and merge the groups of its ends."""
         u, v = edges[ei]
         inc_deg[u] += 1
         inc_deg[v] += 1
@@ -263,15 +269,29 @@ def _search(
             a, b = b, a
         hung[ei] = b
         small = members[b]
-        closers = [
-            e for x in small for w, e in incident[x] if status[e] == _UNDECIDED and group_of[w] == a
-        ]
         for x in small:
             group_of[x] = a
         members[a] += small
-        for e in closers:
-            exclude(e)
-        return bool(closers)
+
+    def closers(ei: int) -> list[int]:
+        """The live edges other than undecided ei that join its ends' groups.
+
+        Including ei closes each into a cycle. Live edges between two groups
+        are all undecided, so the smaller group's live neighbors in the other
+        group give them all.
+        """
+        u, v = edges[ei]
+        a, b = group_of[u], group_of[v]
+        if len(members[a]) < len(members[b]):
+            a, b = b, a
+        found = []
+        for x in members[b]:
+            for w in adj[x]:
+                if group_of[w] == a:
+                    e = edge_id[(x, w) if x < w else (w, x)]
+                    if e != ei:
+                        found.append(e)
+        return found
 
     def undo(mark: int) -> None:
         while len(trail) > mark:
@@ -296,14 +316,15 @@ def _search(
                 live_deg[v] += 1
             status[ei] = _UNDECIDED
 
-    def propagate(parent=None, u=-1):
+    def propagate(parent=None, u=-1, live=None):
         """Scan the live graph and include its undecided bridges.
 
-        Returns the scan and class index of ``_live_scan``; ``parent`` and
-        ``u`` are passed on. No inclusion drops an edge, so the scan still
-        describes the live graph afterwards.
+        Returns the scan and class index of ``_live_scan``; ``parent``, ``u``
+        and ``live`` are passed on. Including a bridge closes no cycle, so no
+        closer is looked for and the scan still describes the live graph
+        afterwards.
         """
-        scan, bridges, k = _live_scan(n, adj, parent, u)
+        scan, bridges, k = _live_scan(n, adj, parent, u, live)
         for e in bridges:
             ei = edge_id[e]
             if status[ei] == _UNDECIDED:
@@ -379,13 +400,18 @@ def _search(
             continue
         nodes += 1
         undo(mark)
+        if take:  # unlike a forced bridge, a branching inclusion may close cycles
+            dropped = closers(ei)
+            include(ei)
+            for e in dropped:
+                exclude(e)
         # the node bound is term 1 (a flag per vertex) plus term 2 (a term per
         # class, in the order of the scan's classes); a child corrects the
         # addends its decision can change and keeps the rest
-        if ei < 0 or take and include(ei):
+        if ei < 0 or take and dropped:
             # the root, or an include child whose union dropped cycle closers:
             # scan the live graph and evaluate the bound in full
-            scan, _ = propagate()
+            scan, _ = propagate(live=scans.pop() if scans else None)
             pieces, bridge_deg, classes = scan
             forced = [False] * n
             bound = force(forced, pieces, range(n))
@@ -455,16 +481,16 @@ def _search(
     return lower, int(best_val), best_ids, nodes
 
 
-def _solve(g, c, incumbents, opts, t0, floor=0) -> SolveReport:
+def _solve(g, c, incumbents, opts, t0, floor=0, scans=None) -> SolveReport:
     """Search from the best incumbent (the first on ties), certify the tree, report.
 
     ``floor`` is a lower bound known before the search, reported when a
     search stopped before its root knows less. The time limit counts from
-    ``t0``, the start of the public call.
+    ``t0``, the start of the public call. ``scans`` goes to ``_search``.
     """
     warm = min(incumbents, key=lambda t: t.branches, default=None)
     deadline = t0 + opts.time_limit if opts.time_limit is not None else None
-    lower, upper, ids, nodes = _search(g, c, warm, opts, deadline)
+    lower, upper, ids, nodes = _search(g, c, warm, opts, deadline, scans)
     tree = spanning_tree(g, [g.edges[ei] for ei in ids], c)
     lower = max(lower, float(floor))
     return SolveReport(lower, upper, tree, nodes, perf_counter() - t0)
@@ -473,11 +499,15 @@ def _solve(g, c, incumbents, opts, t0, floor=0) -> SolveReport:
 def solve_plain(g: Graph, opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Exact solve on the whole graph; anytime-sound when limits cut it short."""
     t0 = perf_counter()
-    lb0 = obligatory_branch_bound(g)  # also rejects disconnected input
+    lb0, live = _bound_and_scan(g)  # also rejects disconnected input
     if g.n == 1:
         return SolveReport(0.0, 0, spanning_tree(g, ()), 0, perf_counter() - t0)
     warm = [best_heuristic(g, lb0)] if opts.use_warm_start else []
-    return _solve(g, None, warm, opts, t0, lb0.value)
+    # the search's live graph starts as g in g's order, so its root takes the
+    # bound's scan; once popped there, its lists go when the root is done
+    scans = [live]
+    del live
+    return _solve(g, None, warm, opts, t0, lb0.value, scans)
 
 
 def solve_component(

@@ -270,3 +270,12 @@ def test_spanning_tree_certifier_rejects(c5):
         spanning_tree(c5, c5.edges)  # too many edges
     with pytest.raises(NotASpanningTreeError):
         spanning_tree(c5, [(0, 1), (1, 2), (2, 3), (1, 3)])  # not a subset / cycle
+    # a spanning tree of K5 with a non-edge, and edges with an endpoint
+    # outside [0, 5), fail the subset check before the span check
+    for edges in (
+        [(0, 1), (0, 2), (2, 3), (3, 4)],
+        [(0, 1), (1, 2), (2, 3), (3, 5)],
+        [(-1, 0), (0, 1), (1, 2), (2, 3)],
+    ):
+        with pytest.raises(NotASpanningTreeError, match="subset"):
+            spanning_tree(c5, edges)

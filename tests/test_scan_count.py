@@ -1,8 +1,9 @@
 """Guard: the lowpoint scan runs on an input graph once per solve or report.
 
 ``obligatory_branch_bound`` scans the input and hands ``decompose`` what it
-reads there; the heuristics prove nothing up front, and a component, which has
-no obligatory vertex, is never scanned for a bound. Every ``mbv`` module that
+reads there, and the plain search's root takes that scan as its own; the
+heuristics prove nothing up front, and a component, which has no obligatory
+vertex, is never scanned for a bound. Every ``mbv`` module that
 imports ``_lowpoint`` gets a counting wrapper, and only calls on the input
 graph's own adjacency are counted (the live graphs the search scans are
 lists of their own). Tree certifications are counted the same way, by graph,
@@ -69,6 +70,15 @@ def test_one_input_scan_per_solve(scans, solve):
         scans.clear()
         solve(g, OPTS)
         assert _scans_of(scans, g) == 1
+
+
+def test_one_full_scan_per_plain_root(scans):
+    # the search's root takes the bound's scan of the input instead of
+    # scanning its live graph, a copy of the input in the same order
+    for g in GRAPHS:
+        scans.clear()
+        solve_plain(g, SolveOptions(node_limit=1))
+        assert sum(1 for args in scans if len(args) < 3 or args[2] is None) == 1
 
 
 def test_no_scan_of_a_component_graph(scans):

@@ -256,20 +256,43 @@ def test_budgeted_answers_are_pinned():
     ]
 
 
+def test_inclusions_that_drop_several_closers():
+    # on these denser graphs an included edge often closes two or more cycles
+    # at once, which the sparse pinned cases above almost never do; dropping
+    # only the first closer of each inclusion changes both answers. Recorded
+    # when the closers were looked up in a per-vertex edge table.
+    proved = []
+    for n, m, seed in ((20, 32, 904), (30, 45, 500)):
+        g = generate_random_connected(n, m, seed)
+        for solve in (solve_plain, solve_with_decomposition):
+            r = solve(g)
+            proved.append((r.lower_bound, r.upper_bound, r.nodes_explored))
+    assert proved == [(2.0, 2, 2457), (2.0, 2, 3035), (1.0, 1, 360), (1.0, 1, 360)]
+
+
 def test_search_scans_per_node(monkeypatch):
     # a node rescans the live graph only when it changed, an exclude child
     # rescans only the class of the edge it dropped, and the live graph is the
     # only graph a node scans: a full scan covers the searched graph's n
     # vertices, and a restricted one lies in a class of an earlier scan. The
     # live graph stays connected, which the search relies on without checking.
-    # Scanned vertices per node, over the searched graph's n (summed across
-    # the components of an enhanced solve), read 0.51-0.58 when every node
-    # scanned the whole live graph; they read 0.18-0.35 plain and 0.30-0.50
-    # enhanced with class rescans.
+    # A plain search's root takes the bound's scan of the input, which is
+    # not counted here, but its classes are seen. Scanned vertices per node,
+    # over the searched graph's n (summed across the components of an
+    # enhanced solve), read 0.51-0.58 when every node scanned the whole live
+    # graph; they read 0.30-0.50 enhanced with class rescans, and 0.177-0.353
+    # plain once the root also took the bound's scan (0.179-0.354 when the
+    # root scanned).
     searches = []  # [vertices of the searched graph, scanned share, nodes]
     seen_classes = {}  # id -> every class an earlier scan returned
     lowpoint = mbv.solver._lowpoint
     search = mbv.solver._search
+    bound_and_scan = mbv.solver._bound_and_scan
+
+    def taking(g):
+        lb, scan = bound_and_scan(g)
+        seen_classes.update((id(grp), grp) for grp in scan.classes)
+        return lb, scan
 
     def counting(n, adj, within=None):
         size = searches[-1][0]
@@ -294,6 +317,7 @@ def test_search_scans_per_node(monkeypatch):
 
     monkeypatch.setattr(mbv.solver, "_lowpoint", counting)
     monkeypatch.setattr(mbv.solver, "_search", recording)
+    monkeypatch.setattr(mbv.solver, "_bound_and_scan", taking)
     cases = [(60, 66, seed, None) for seed in range(2000, 2005)]
     cases += [(100, 130, seed, 1000) for seed in range(3000, 3003)]
     for n, m, seed, limit in cases:
@@ -305,6 +329,33 @@ def test_search_scans_per_node(monkeypatch):
             assert report.nodes_explored == sum(nodes for _, _, nodes in searches) > 0
             scanned = sum(share for _, share, _ in searches)
             assert scanned <= most * report.nodes_explored, case
+
+
+def test_plain_root_frees_the_bound_scan(monkeypatch):
+    # the root takes the bound's scan of the input and is its last holder, so
+    # the scan's DFS lists are freed before the next node scans
+    freed = []
+    at_scan = []
+
+    class Tracked(list):
+        def __del__(self):
+            freed.append(self)
+
+    bound_and_scan = mbv.solver._bound_and_scan
+    lowpoint = mbv.solver._lowpoint
+
+    def tracking(g):
+        lb, scan = bound_and_scan(g)
+        return lb, scan._replace(entry=Tracked(scan.entry))
+
+    def counting(n, adj, within=None):
+        at_scan.append(len(freed))
+        return lowpoint(n, adj, within)
+
+    monkeypatch.setattr(mbv.solver, "_bound_and_scan", tracking)
+    monkeypatch.setattr(mbv.solver, "_lowpoint", counting)
+    solve_plain(generate_random_connected(60, 66, 2000), SolveOptions(node_limit=3))
+    assert at_scan and all(at_scan)
 
 
 def test_class_rescan_finds_bridges_inside_the_class(two_triangles):
