@@ -1,4 +1,4 @@
-"""Simple undirected graphs, the one lowpoint DFS and the one branch count.
+"""Simple undirected graphs, the one lowpoint DFS and the tree certificate.
 
 Vertices are dense integers 0..n-1, edges are normalized tuples (u, v) with
 u < v. Graphs are immutable after construction; all functions here are pure.
@@ -10,12 +10,15 @@ plain search's root takes the input graph's scan). Its optional
 graph that a search node must rescan. Two scans do not come from it: the
 decomposition labels its split graph's components with a union-find pass, and
 the oracle tests its trees with a union-find pass of its own, so it shares no
-scan with the code it checks.
+scan with the code it checks. Every other tree test is the one union-find
+pass ``_tree_degrees``, which ``is_spanning_tree`` and ``spanning_tree``
+share; the latter also reads the tree degrees off that pass to count
+branches.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import (
@@ -197,19 +200,26 @@ def _lowpoint(n: int, adj, within=None) -> _Lowpoint:
     return _Lowpoint(count, entry, end, low, parent, pieces, bridges, classes)
 
 
-def is_spanning_tree(g: Graph, tree_edges) -> bool:
-    """True iff tree_edges has exactly n-1 edges and connects all n vertices.
+def _tree_degrees(g: Graph, tree_edges, deg: list[int]) -> bool:
+    """True iff tree_edges has exactly n-1 edges and connects g's n vertices.
 
-    One pass of an inlined union-find with path halving: an n-th edge is one
-    too many, an edge whose ends already share a root closes a cycle, and n-1
+    The one union-find pass behind every tree test but the oracle's, with
+    path halving, over the edges in the order given: an n-th edge is one too
+    many, an edge whose ends already share a root closes a cycle, and n-1
     edges without a cycle span. An endpoint outside [0, n) returns False.
+    Each edge read adds one to both ends' entries of ``deg``, so a caller
+    that seeds ``deg`` with extra degrees gets the tree degrees of a tree it
+    accepts.
     """
     n = g.n
     parent = list(range(n))
+    last = n - 1
     joined = 0
     for u, v in tree_edges:
-        if joined == n - 1 or not (0 <= u < n and 0 <= v < n):
+        if joined == last or not (0 <= u < n and 0 <= v < n):
             return False
+        deg[u] += 1
+        deg[v] += 1
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:
@@ -218,15 +228,26 @@ def is_spanning_tree(g: Graph, tree_edges) -> bool:
             return False
         parent[u] = v
         joined += 1
-    return joined == n - 1
+    return joined == last
+
+
+def is_spanning_tree(g: Graph, tree_edges) -> bool:
+    """True iff tree_edges has exactly n-1 edges and connects all n vertices.
+
+    An edge repeated in either orientation closes a cycle, and an endpoint
+    outside [0, n) returns False.
+    """
+    return _tree_degrees(g, tree_edges, [0] * g.n)
 
 
 def _count_branches(n: int, tree_edges, extra_degree: Mapping[int, int], countable) -> int:
     """Countable vertices whose degree in tree_edges plus extra degree exceeds two.
 
-    The package's one branch count: a whole graph counts every vertex with no
-    extra degree; a decomposition component adds each vertex's deleted
-    bridges and skips its split copies.
+    The package's branch count for an edge set that is not certified: a
+    whole graph counts every vertex with no extra degree; a decomposition
+    component adds each vertex's deleted bridges and skips its split copies.
+    ``spanning_tree`` counts the same from the degrees its union-find pass
+    collects.
     """
     deg = [0] * n
     for v, d in extra_degree.items():
@@ -243,20 +264,31 @@ def branch_count(n: int, tree_edges) -> int:
 
 
 def spanning_tree(g: Graph, tree_edges, component: Component | None = None) -> SpanningTree:
-    """Certify an edge set as a spanning tree of g and compute its branch count.
+    """Certify a list of edges as a spanning tree of g and compute its branch count.
 
-    With the decomposition component g is the graph of, branches are counted
-    by the component's objective.
+    ``tree_edges`` is a sized collection (list, tuple or set) of g's edges,
+    each in either orientation and none repeated. Every edge must be in g,
+    and then one union-find pass checks the size and acyclicity and counts
+    the tree degrees, seeded with the component's extra degrees. With the
+    decomposition component g is the graph of, branches are counted by the
+    component's objective.
     """
     # a normalized edge is kept as it is, so a tree of g's own edges shares them
     edges = frozenset(e if e[0] < e[1] else (e[1], e[0]) for e in tree_edges)
     if not edges.issubset(g.edges):
         raise NotASpanningTreeError("edge set is not a subset of the graph's edges")
-    if not is_spanning_tree(g, edges):
+    if len(edges) < len(tree_edges):
+        raise NotASpanningTreeError("edge list repeats an edge")
+    n = g.n
+    deg = [0] * n
+    if component is not None:
+        for v, d in component.extra_degree.items():
+            deg[v] = d
+    if not _tree_degrees(g, tree_edges, deg):
         raise NotASpanningTreeError(
-            f"edge set of size {len(edges)} does not span {g.n} vertices"
+            f"edge set of size {len(edges)} does not span {n} vertices"
         )
-    if component is None:
-        return SpanningTree(edges, branch_count(g.n, edges))
-    branches = _count_branches(g.n, edges, component.extra_degree, component.countable)
-    return SpanningTree(edges, branches)
+    if component is not None:
+        deg = list(compress(deg, component.countable))
+    # degrees are never negative, so the branches are what degrees 0-2 leave
+    return SpanningTree(edges, len(deg) - deg.count(0) - deg.count(1) - deg.count(2))

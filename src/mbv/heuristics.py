@@ -17,8 +17,9 @@ the component's objective. ``lb=None`` reads as "no obligatory vertex", which
 always holds on a component.
 
 Restarts cost O(log m) amortized, not a scan of the tree: HeuristicState keeps
-the open tree vertices in one lazy-deletion heap ordered exactly by the rule,
-so ``restart()`` pops stale entries until the top one is current. The
+the open tree vertices in one heap ordered by the rule, where each open
+vertex's newest entry may lag behind its key but never runs ahead of it, so
+``restart()`` re-keys or drops stale entries until the top one is current. The
 multi-path builder keeps its outside vertices in a second heap of packed ints,
 ``unvisited * n + id``. With expansion steps O(degree) each, both builders run
 in O(m log m) time; each step updates the counts and makes its greedy choice in
@@ -30,7 +31,7 @@ is disconnected and DisconnectedInputError is raised.
 """
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 
 from .bound import LowerBoundResult
 from .decompose import Component
@@ -55,13 +56,17 @@ class HeuristicState:
     (tier, -unvisited, id) and ``key % n`` is v. ``base[v]`` drops by ``n**2``
     once, when a non-priority vertex's tree degree first goes above two.
 
-    ``restarts`` is a heap of open tree vertices under that key, with entries
+    ``restarts`` is a heap of tree vertices under that key, re-keyed and
     deleted lazily. Three invariants keep it exact: ``unvisited`` only falls,
     ``tree_degree`` only rises (so a tier can only drop from 2 to 1), and a
-    closed vertex never reopens. So an open vertex is pushed when it enters
-    the tree, again whenever its count falls, and again when its tier drops;
-    an entry is current exactly when it equals the vertex's key now, and every
-    other entry is dropped when it reaches the top.
+    closed vertex never reopens. A vertex is pushed when it enters the tree
+    open and again when its tier drops, but not when its count falls: that
+    only raises its key, so the entry pushed last stays at or below the
+    vertex's key now. The top entry is therefore at or below the key of every
+    open vertex. ``restart()`` drops it when its vertex has closed, raises it
+    in place to its vertex's key when it lags behind, and returns its vertex
+    once it is current. An entry from before a tier drop lies above the key
+    and is dropped once its vertex closes.
     """
 
     __slots__ = ("graph", "in_tree", "tree_degree", "unvisited", "tree_edges", "base",
@@ -108,24 +113,20 @@ class HeuristicState:
         return v
 
     def restart(self) -> int:
-        """The best open tree vertex, once stale entries are dropped off the heap."""
+        """The best open tree vertex, once stale entries are re-keyed or dropped."""
         n, base, unvisited, heap = self.graph.n, self.base, self.unvisited, self.restarts
         while heap:
-            v = heap[0] % n
-            if heap[0] == base[v] - unvisited[v] * n:
+            k = heap[0]
+            v = k % n
+            c = unvisited[v]
+            if not c:
+                heappop(heap)
+                continue
+            key = base[v] - c * n
+            if k == key:
                 return v
-            heappop(heap)
+            heapreplace(heap, key)
         raise self._stuck()
-
-    def add_edge(self, u: int, v: int) -> None:
-        self.tree_edges.append((u, v) if u < v else (v, u))
-        n, base, tree_degree, unvisited = self.graph.n, self.base, self.tree_degree, self.unvisited
-        for x in (u, v):
-            d = tree_degree[x] = tree_degree[x] + 1
-            if d == 3 and base[x] >= n * n:  # tier 2 drops to 1
-                base[x] -= n * n
-                if unvisited[x] and self.in_tree[x]:
-                    heappush(self.restarts, base[x] - unvisited[x] * n)
 
 
 def path_expanding(
@@ -146,9 +147,9 @@ def path_expanding(
     if n == 1:
         return spanning_tree(g, (), component)
     adj, in_tree, unvisited, base = g.adjacency, st.in_tree, st.unvisited, st.base
-    restarts, tree_degree = st.restarts, st.tree_degree
+    restarts, tree_degree, tree_edges, nn = st.restarts, st.tree_degree, st.tree_edges, n * n
     start = st.start()
-    while len(st.tree_edges) < n - 1:
+    while len(tree_edges) < n - 1:
         u = start if tree_degree[start] <= 1 and unvisited[start] else st.restart()
         v, vc = -1, n
         for x in adj[u]:  # adjacency is sorted, so the first minimum has the smallest id
@@ -159,16 +160,19 @@ def path_expanding(
             w, wc = -1, n
             for x in adj[v]:
                 c = unvisited[x] = unvisited[x] - 1
-                if in_tree[x]:
-                    if c:
-                        heappush(restarts, base[x] - c * n)
-                elif c < wc:
+                if c < wc and not in_tree[x]:
                     w, wc = x, c
             if unvisited[v]:
                 heappush(restarts, base[v] - unvisited[v] * n)
-            st.add_edge(u, v)
+            tree_edges.append((u, v) if u < v else (v, u))
+            for x in (u, v):
+                d = tree_degree[x] = tree_degree[x] + 1
+                if d == 3 and base[x] >= nn:  # tier 2 drops to 1
+                    base[x] -= nn
+                    if unvisited[x]:
+                        heappush(restarts, base[x] - unvisited[x] * n)
             u, v = v, w
-    return spanning_tree(g, st.tree_edges, component)
+    return spanning_tree(g, tree_edges, component)
 
 
 def multi_path_expanding(
@@ -191,10 +195,10 @@ def multi_path_expanding(
     if n == 1:
         return spanning_tree(g, (), component)
     adj, in_tree, unvisited, base = g.adjacency, st.in_tree, st.unvisited, st.base
-    restarts, tree_degree = st.restarts, st.tree_degree
+    restarts, tree_degree, tree_edges, nn = st.restarts, st.tree_degree, st.tree_edges, n * n
     st.start()
     cand, cand_nbrs, heap = [False] * n, [0] * n, []
-    while len(st.tree_edges) < n - 1:
+    while len(tree_edges) < n - 1:
         v = st.restart()  # it has unvisited neighbors, so it is no candidate
         while True:
             if v >= 0:  # v joins the candidates
@@ -218,24 +222,28 @@ def multi_path_expanding(
             for x in adj[v]:
                 c = unvisited[x] = unvisited[x] - 1
                 if in_tree[x]:
-                    if c:
-                        heappush(restarts, base[x] - c * n)
                     if u < 0 and cand[x]:
                         u = x
                 elif cand_nbrs[x]:
                     heappush(heap, c * n + x)
             if unvisited[v]:
                 heappush(restarts, base[v] - unvisited[v] * n)
-            st.add_edge(u, v)
+            tree_edges.append((u, v) if u < v else (v, u))
+            for x in (u, v):
+                d = tree_degree[x] = tree_degree[x] + 1
+                if d == 3 and base[x] >= nn:  # tier 2 drops to 1
+                    base[x] -= nn
+                    if unvisited[x]:
+                        heappush(restarts, base[x] - unvisited[x] * n)
             # a base below n**2 marks a priority vertex, which never retires
-            if tree_degree[u] == 2 and base[u] >= n * n:
+            if tree_degree[u] == 2 and base[u] >= nn:
                 cand[u] = False
                 for x in adj[u]:
                     if not in_tree[x]:
                         cand_nbrs[x] -= 1
-            if tree_degree[v] == 2 and base[v] >= n * n:
+            if tree_degree[v] == 2 and base[v] >= nn:
                 v = -1
-    return spanning_tree(g, st.tree_edges, component)
+    return spanning_tree(g, tree_edges, component)
 
 
 def best_heuristic(

@@ -482,8 +482,12 @@ def _search(
 
 
 def _solve(g, c, incumbents, opts, t0, floor=0, scans=None) -> SolveReport:
-    """Search from the best incumbent (the first on ties), certify the tree, report.
+    """Search from the best incumbent (the first on ties) and report its result.
 
+    A tree the search found is certified. The search replaces its incumbent
+    only on a strict improvement, so an upper bound equal to the warm tree's
+    count means the warm tree, already certified, still stands: the report
+    takes it with g's own edge tuples and is not certified again.
     ``floor`` is a lower bound known before the search, reported when a
     search stopped before its root knows less. The time limit counts from
     ``t0``, the start of the public call. ``scans`` goes to ``_search``.
@@ -491,7 +495,11 @@ def _solve(g, c, incumbents, opts, t0, floor=0, scans=None) -> SolveReport:
     warm = min(incumbents, key=lambda t: t.branches, default=None)
     deadline = t0 + opts.time_limit if opts.time_limit is not None else None
     lower, upper, ids, nodes = _search(g, c, warm, opts, deadline, scans)
-    tree = spanning_tree(g, [g.edges[ei] for ei in ids], c)
+    own = [g.edges[ei] for ei in ids]
+    if warm is not None and upper == warm.branches:
+        tree = SpanningTree(frozenset(own), upper)
+    else:
+        tree = spanning_tree(g, own, c)
     lower = max(lower, float(floor))
     return SolveReport(lower, upper, tree, nodes, perf_counter() - t0)
 

@@ -279,3 +279,7 @@ def test_spanning_tree_certifier_rejects(c5):
     ):
         with pytest.raises(NotASpanningTreeError, match="subset"):
             spanning_tree(c5, edges)
+    # a path of C5 with one edge listed again, flipped: the set is a tree,
+    # the list is not
+    with pytest.raises(NotASpanningTreeError, match="repeats"):
+        spanning_tree(c5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 0)])

@@ -5,6 +5,7 @@ from heapq import heappush
 
 import pytest
 
+import mbv.heuristics
 from mbv import (
     Component,
     Original,
@@ -30,15 +31,29 @@ def lb_of(g):
 
 
 def _join(state, v):
-    """Add v to the tree the way both builders do inline, pushing the keys it changes."""
+    """Add v to the tree the way both builders do inline.
+
+    Only v itself is pushed: a neighbor's count falls, which raises its key,
+    and ``restart()`` re-keys that neighbor's entry when it reaches the top.
+    """
     n, base, unvisited = state.graph.n, state.base, state.unvisited
     state.in_tree[v] = True
     for x in state.graph.adjacency[v]:
         unvisited[x] -= 1
-        if unvisited[x] and state.in_tree[x]:
-            heappush(state.restarts, base[x] - unvisited[x] * n)
     if unvisited[v]:
         heappush(state.restarts, base[v] - unvisited[v] * n)
+
+
+def _add_edge(state, u, v):
+    """Add tree edge (u, v) between tree vertices the way both builders do inline."""
+    n, base, unvisited = state.graph.n, state.base, state.unvisited
+    state.tree_edges.append((u, v) if u < v else (v, u))
+    for x in (u, v):
+        d = state.tree_degree[x] = state.tree_degree[x] + 1
+        if d == 3 and base[x] >= n * n:  # tier 2 drops to 1
+            base[x] -= n * n
+            if unvisited[x]:
+                heappush(state.restarts, base[x] - unvisited[x] * n)
 
 
 def _priority(lb, component):
@@ -65,7 +80,7 @@ def test_start_restart_after_one_path(star):
     state = HeuristicState(star, lb)
     assert state.start() == 0
     _join(state, 1)
-    state.add_edge(0, 1)
+    _add_edge(state, 0, 1)
     assert state.restart() == 0
 
 
@@ -152,7 +167,7 @@ def test_heap_restart_matches_scan_rule(monkeypatch):
 
 def test_heuristics_read_counts_linearly(monkeypatch):
     # an operation count, not a timing: the heap builders read the unvisited
-    # counts about 5.7 (path) and 5.4 (multi) times per vertex and edge, while
+    # counts about 3.0 (path) and 3.6 (multi) times per vertex and edge, while
     # a restart that scans the open tree vertices reads them 48 and 20 times
     # per vertex and edge on this graph, and more as n grows
     class CountingList(list):
@@ -175,6 +190,32 @@ def test_heuristics_read_counts_linearly(monkeypatch):
         CountingList.reads = 0
         assert is_spanning_tree(g, heuristic(g, lb).edges)
         assert g.n <= CountingList.reads <= 8 * (g.n + g.m), heuristic.__name__
+
+
+def test_restart_heap_pushes_at_most_one_entry_per_vertex(monkeypatch):
+    # an operation count: a vertex is pushed when it enters the tree and when
+    # its tier drops, never when its count falls, since restart() re-keys a
+    # lagging entry in place; pushing on every fall took 5,049 pushes here
+    heaps, pushes = [], Counter()
+    init = HeuristicState.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        heaps.append(self.restarts)
+
+    def counting_push(heap, item):
+        pushes[any(heap is h for h in heaps)] += 1
+        heappush(heap, item)
+
+    monkeypatch.setattr(HeuristicState, "__init__", recording_init)
+    monkeypatch.setattr(mbv.heuristics, "heappush", counting_push)
+    g = generate_random_connected(4000, 4800, 1)
+    lb = lb_of(g)
+    for heuristic in (path_expanding, multi_path_expanding):
+        heaps.clear()
+        pushes.clear()
+        assert is_spanning_tree(g, heuristic(g, lb).edges)
+        assert 0 < pushes[True] <= g.n, (heuristic.__name__, pushes)
 
 
 def test_restart_key_tracks_tier():
@@ -200,7 +241,7 @@ def test_restart_key_tracks_tier():
             for x in (u, v):
                 if not state.in_tree[x]:
                     _join(state, x)
-            state.add_edge(u, v)
+            _add_edge(state, u, v)
             for w in range(n):
                 tier = 0 if w in priority else 1 if state.tree_degree[w] > 2 else 2
                 key = state.base[w] - state.unvisited[w] * n

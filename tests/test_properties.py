@@ -7,7 +7,10 @@ derandomized, so every run checks the same graphs.
 import pytest
 
 from mbv import (
+    Component,
+    Original,
     SolveOptions,
+    SplitCopy,
     best_heuristic,
     brute_force_optimum,
     build_graph,
@@ -19,7 +22,9 @@ from mbv import (
     solve_component,
     solve_plain,
     solve_with_decomposition,
+    spanning_tree,
 )
+from mbv.errors import NotASpanningTreeError
 from mbv.graph import _count_branches
 from mbv.solver import _live_scan
 
@@ -89,6 +94,61 @@ def test_is_spanning_tree_matches_union_find(case):
 
     # n-1 edges span exactly when every one of them joins two groups
     assert is_spanning_tree(g, edges) == all(joins(u, v) for u, v in edges)
+
+
+@st.composite
+def near_tree_edge_lists(draw):
+    """A graph, a component of it, and n-2 to n pairs that are mostly its edges.
+
+    The list starts from a random spanning tree of g followed by g's other
+    edges; some entries are then replaced by repeats of others (in either
+    orientation) or by pairs that are no edge of g (one endpoint may be n),
+    and every entry may be flipped. The component marks some vertices as
+    split copies and gives some an extra degree.
+    """
+    g = draw(connected_graphs())
+    n = g.n
+    group = list(range(n))
+    tree, rest = [], []
+    for e in draw(st.permutations(g.edges)):
+        u, v = e
+        while group[u] != u:
+            u = group[u]
+        while group[v] != v:
+            v = group[v]
+        group[u] = v
+        (tree if u != v else rest).append(e)
+    size = max(draw(st.sampled_from((n - 2, n - 1, n - 1, n))), 0)
+    edges = (tree + rest)[:size]
+    non_edges = [(u, v) for v in range(n + 1) for u in range(v) if (u, v) not in g.edges]
+    while len(edges) < size:  # a tree has no edge to spare: repeat one
+        edges.append(draw(st.sampled_from(edges or non_edges)))
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2))) if edges else 0):
+        i = draw(st.integers(0, len(edges) - 1))
+        edges[i] = draw(st.sampled_from(edges if draw(st.booleans()) else non_edges))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
+    split = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    provenance = tuple(SplitCopy(v, 1) if s else Original(v) for v, s in enumerate(split))
+    extra = draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, 4), max_size=n))
+    return g, Component(g, provenance, extra, {e: e for e in g.edges}), edges
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(near_tree_edge_lists())
+def test_spanning_tree_certifies_exactly_the_spanning_trees(case):
+    g, comp, edges = case
+    normalized = {(u, v) if u < v else (v, u) for u, v in edges}
+    valid = normalized <= set(g.edges) and is_spanning_tree(g, edges)
+    for component, extra, countable in ((None, {}, [True] * g.n),
+                                        (comp, comp.extra_degree, comp.countable)):
+        if not valid:
+            with pytest.raises(NotASpanningTreeError):
+                spanning_tree(g, edges, component)
+            continue
+        tree = spanning_tree(g, edges, component)
+        assert tree.edges == normalized
+        assert tree.branches == _count_branches(g.n, edges, extra, countable)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

@@ -7,8 +7,9 @@ vertex, is never scanned for a bound. Every ``mbv`` module that
 imports ``_lowpoint`` gets a counting wrapper, and only calls on the input
 graph's own adjacency are counted (the live graphs the search scans are
 lists of their own). Tree certifications are counted the same way, by graph,
-and so are the component solves and graph builds that single-vertex
-components must never cost.
+at the one union-find pass that ``spanning_tree`` and ``is_spanning_tree``
+both go through, and so are the component solves and graph builds that
+single-vertex components must never cost.
 """
 import sys
 from collections import Counter
@@ -22,6 +23,7 @@ import mbv.io
 import mbv.solver
 from mbv import (
     SolveOptions,
+    best_heuristic,
     decompose,
     generate_random_connected,
     obligatory_branch_bound,
@@ -92,13 +94,14 @@ def test_no_scan_of_a_component_graph(scans):
 
 
 def test_certifications_per_multi_vertex_component(monkeypatch):
-    # each heuristic's tree, the seed, the final tree and recombine's check:
-    # every tree is scored once, by the objective of the graph it spans
-    certified = _calls(monkeypatch, "is_spanning_tree")
+    # each heuristic's tree, the seed, a tree the search found and
+    # recombine's check: every tree is scored once, by the objective of the
+    # graph it spans
+    certified = _calls(monkeypatch, "_tree_degrees")
     for g in GRAPHS:
         certified.clear()
         solve_with_decomposition(g, OPTS)
-        per_component = Counter(id(h) for h, edges in certified if h is not g and h.n > 1)
+        per_component = Counter(id(h) for h, *_ in certified if h is not g and h.n > 1)
         multi = [c for c in decompose(g, obligatory_branch_bound(g)).components if c.graph.n > 1]
         assert len(per_component) == len(multi)
         assert max(per_component.values()) <= 5
@@ -106,7 +109,7 @@ def test_certifications_per_multi_vertex_component(monkeypatch):
 
 def test_single_vertex_components_are_never_solved_or_certified(monkeypatch):
     solved = _calls(monkeypatch, "solve_component", mbv.solver)
-    certified = _calls(monkeypatch, "is_spanning_tree")
+    certified = _calls(monkeypatch, "_tree_degrees")
     for g in GRAPHS:
         d = decompose(g, obligatory_branch_bound(g))
         assert any(c.graph.n == 1 for c in d.components)
@@ -115,7 +118,30 @@ def test_single_vertex_components_are_never_solved_or_certified(monkeypatch):
         report = solve_with_decomposition(g, OPTS)
         assert report.nodes_explored >= 1
         assert [c for c, *_ in solved] == [c for c in d.components if c.graph.n > 1]
-        assert all(h.n > 1 for h, edges in certified)
+        assert all(h.n > 1 for h, *_ in certified)
+
+
+def test_an_unbeaten_warm_tree_is_not_certified_again(monkeypatch):
+    # the path tree and the multi-path tree; at one node the search does not
+    # beat the better of them, so the report takes it as it is
+    certified = _calls(monkeypatch, "_tree_degrees")
+    g = generate_random_connected(2000, 2400, 1)
+    report = solve_plain(g, SolveOptions(node_limit=1))
+    assert sum(1 for h, *_ in certified if h is g) == 2
+    assert report.tree.branches == report.upper_bound
+
+
+def test_a_tree_the_search_found_is_certified(monkeypatch):
+    # the search improves on both heuristic trees here (1 branch against 0),
+    # so its tree is certified after theirs
+    g = generate_random_connected(12, 16, 4)
+    assert best_heuristic(g, obligatory_branch_bound(g)).branches == 1
+    certified = _calls(monkeypatch, "_tree_degrees")
+    report = solve_plain(g)
+    assert report.upper_bound == 0
+    whole = [edges for h, edges, deg in certified if h is g]
+    assert len(whole) == 3
+    assert frozenset(whole[-1]) == report.tree.edges
 
 
 def test_one_graph_build_per_multi_vertex_component(monkeypatch):
