@@ -6,19 +6,23 @@ of the live graph (every edge not excluded) go into the tree, and a branching
 inclusion drops the edges that would close a cycle with the chosen forest:
 the live edges between its ends' groups, found among the smaller group's live
 neighbors. One scan reaches the fixpoint, a forced bridge needs no such
-search, and an exclude child need scan only one class, because of three
-invariants:
+search, and a node whose decision dropped edges need scan only one class,
+because of three invariants:
 
 * the live graph stays connected: the root graph is, an exclude child drops
   an undecided edge of its parent's fixpoint, which is no bridge, and a
   dropped closer has an included path between its ends;
 * including a bridge drops no edge: a closer joining the bridge's two groups
   would, with the included paths inside each group, be a live path around it;
-* an exclude child changes only the two-edge-connected class C of its edge
-  e in the parent's scan: C minus e stays connected, so for any vertex x
-  outside C the graph without x falls into the same parts with or without
-  e. Only vertices of C can change their split count, only C can gain
-  bridges, and only C can fall into sub-classes.
+* a child that drops edges changes only the two-edge-connected class K of
+  its edge e in the parent's scan. An exclude child drops e itself. An
+  include child drops the closers of e, and each lies on a cycle with e
+  through the included paths inside the two groups, so each lies in K. K
+  minus the dropped edges stays connected (e is no bridge of K, and a
+  closer's ends stay joined by that cycle's other edges), so for any vertex
+  x outside K the graph without x falls into the same parts as before. Only
+  vertices of K can change their split count, only K can gain bridges, and
+  only K can fall into sub-classes.
 
 So a node with no undecided edge left is a leaf whose live graph is its tree,
 and the node bound below is exactly that tree's branch count.
@@ -57,18 +61,21 @@ An open node holds its edge, its decision, the trail length at its parent and
 the parent's bound. Popping it undoes the trail back to that mark, which
 restores the parent's fixpoint, and then applies the decision.
 
-A node scans the live graph only when it has changed. The root's live graph
-is the input graph with its adjacency in the same order, so a plain solve's
-root takes the lowpoint scan the obligatory bound made of the input instead
-of scanning again; a component's root, which has no such scan, scans its
-graph. Both children's stack entries carry the split counts, bridge degrees
-and classes of their parent's scan (one shared tuple, never changed). An
-exclude child scans only the class C of its edge and splices the result into
-copies of the parent's lists: a vertex x of C splits into its parts inside C
-plus one part per parent bridge at x, since each leads out of C. An include
-child rescans the whole live graph only when its union drops a cycle closer;
-otherwise it keeps its parent's scan. Forcing the scan's bridges leaves the
-live graph as it was. The live graph is the only graph a node scans.
+A node scans the live graph only when it has changed. Both children's stack
+entries carry the split counts, bridge degrees and classes of their parent's
+scan (one shared tuple, never changed). A child whose decision dropped edges
+scans only their class K and splices the result into copies of the parent's
+lists: a vertex x of K splits into its parts inside K plus one part per
+parent bridge at x, since each leads out of K. An include child that drops
+no closer keeps its parent's scan. Forcing the scan's bridges leaves the live
+graph as it was. The live graph is the only graph a node scans.
+
+The root is a child of a constant pseudo-parent, whose scan has one class
+holding every vertex, no pieces and no bridges, and whose bound is 0; the
+root rescans that class, the whole live graph. The root's live graph is the
+input graph with its adjacency in the same order, so a plain solve's root
+takes the lowpoint scan the obligatory bound made of the input as that
+class's scan instead of scanning again.
 
 The bound is carried the same way: next to the scan, both children's entries
 hold the parent's term-1 flag per vertex and term-2 value per class (in the
@@ -78,17 +85,16 @@ classes, and a vertex's flag and a class's term read only the split counts,
 bridge degrees, live degrees and included degrees of those vertices, so this
 equals the full evaluation:
 
-* an exclude child changes only vertices of C (its split counts, the new
-  bridges and their inclusions all lie in C, and so do the dropped edge's
-  ends), so it re-evaluates the flags on C and swaps C's term for the terms of
-  C's sub-classes;
+* a child that drops edges changes only vertices of K (its split counts, the
+  new bridges and their inclusions all lie in K, and so do the ends of the
+  decided and dropped edges), so it re-evaluates the flags on K and swaps
+  K's term for the terms of K's sub-classes. The pseudo-parent's flags are
+  all unset and its one term is 0, so the root evaluates the bound in full;
 * an include child that drops no closer keeps its parent's live graph and
   scan, and only the included degree of the edge's ends u and v rises. The
   edge was undecided, so it is no bridge, and u and v share one class K: the
   child re-evaluates the flags at u and v, and K's term when one of them
-  changed;
-* the root, and an include child whose union dropped a closer, evaluate the
-  bound in full.
+  changed.
 """
 from __future__ import annotations
 
@@ -98,7 +104,7 @@ from time import perf_counter
 
 from .bound import _bound_and_scan, obligatory_branch_bound
 from .decompose import Component, decompose, recombine
-from .graph import Graph, SpanningTree, _count_branches, _lowpoint, spanning_tree
+from .graph import Graph, SpanningTree, _lowpoint, spanning_tree
 from .heuristics import best_heuristic
 
 
@@ -167,32 +173,27 @@ def _fallback_tree_ids(g: Graph) -> list[int]:
     return picked
 
 
-def _live_scan(n: int, adj, parent=None, u: int = -1, live=None):
-    """Split counts, bridge degrees and classes of a connected live graph.
+def _live_scan(n: int, adj, parent, u: int, live=None):
+    """Rescan one class of a connected live graph and splice it into ``parent``.
 
-    Returns ((pieces, bridge_deg, classes), bridges, k). With no ``parent``
-    this is one full lowpoint scan, and k is -1; ``live`` is that scan when
-    the caller already has one of ``adj``. ``parent`` is the scan of the
-    graph before one non-bridge edge at ``u`` was dropped from ``adj``: only
-    u's class C can change, so only C is scanned, and the result is spliced
-    into copies of the parent's lists. k is C's index in the parent's classes,
-    C's sub-classes come last, and ``bridges`` are only the new ones, all
-    inside C.
+    Returns ((pieces, bridge_deg, classes), bridges, k). ``parent`` is the
+    scan of the graph before edges inside u's class C were dropped from
+    ``adj``, leaving C connected: only C can change, so only C is scanned,
+    and the result is spliced into copies of the parent's lists. k is C's
+    index in the parent's classes, C's sub-classes come last, and ``bridges``
+    are only the new ones, all inside C. ``live`` is C's scan when the caller
+    already has one of ``adj``.
     """
-    if parent is None:
-        if live is None:
-            live = _lowpoint(n, adj)
-        pieces, bridge_deg, classes, k = live.pieces, [0] * n, live.classes, -1
-    else:
-        pieces, bridge_deg, classes = parent
-        k = next(i for i, grp in enumerate(classes) if u in grp)
-        cls = classes[k]
+    pieces, bridge_deg, classes = parent
+    k = next(i for i, grp in enumerate(classes) if u in grp)
+    cls = classes[k]
+    if live is None:
         live = _lowpoint(n, adj, cls)
-        pieces = pieces[:]
-        for x in cls:  # each parent bridge at x cuts off a part outside C
-            pieces[x] = live.pieces[x] + bridge_deg[x]
-        bridge_deg = bridge_deg[:]
-        classes = classes[:k] + classes[k + 1 :] + live.classes
+    pieces = pieces[:]
+    for x in cls:  # each parent bridge at x cuts off a part outside C
+        pieces[x] = live.pieces[x] + bridge_deg[x]
+    bridge_deg = bridge_deg[:]
+    classes = classes[:k] + classes[k + 1 :] + live.classes
     for a, b in live.bridges:
         bridge_deg[a] += 1
         bridge_deg[b] += 1
@@ -210,13 +211,14 @@ def _search(
     opts: SolveOptions,
     deadline: float | None,
     scans: list | None = None,
-) -> tuple[float, int, list[int], int]:
+) -> tuple[float, float, list[int] | None, int]:
     """Core branch and bound over edge ids; returns (lb, ub, tree_ids, nodes).
 
     ``c`` is the component g is the graph of, or None for a whole graph. The
-    search stops at the ``perf_counter`` time ``deadline``, if one is given.
+    search stops at the ``perf_counter`` time ``deadline``, if one is given;
+    one stopped before any incumbent returns no tree ids and an infinite ub.
     ``scans`` may hold a lowpoint scan of g's adjacency, which the root pops
-    and takes in place of its own full scan; it then holds the only reference.
+    and takes in place of its own scan; it then holds the only reference.
     """
     n, m = g.n, g.m
     extra, countable = ({}, [True] * n) if c is None else (c.extra_degree, c.countable)
@@ -316,21 +318,6 @@ def _search(
                 live_deg[v] += 1
             status[ei] = _UNDECIDED
 
-    def propagate(parent=None, u=-1, live=None):
-        """Scan the live graph and include its undecided bridges.
-
-        Returns the scan and class index of ``_live_scan``; ``parent``, ``u``
-        and ``live`` are passed on. Including a bridge closes no cycle, so no
-        closer is looked for and the scan still describes the live graph
-        afterwards.
-        """
-        scan, bridges, k = _live_scan(n, adj, parent, u, live)
-        for e in bridges:
-            ei = edge_id[e]
-            if status[ei] == _UNDECIDED:
-                include(ei)
-        return scan, k
-
     def force(forced: list[bool], pieces: list[int], vertices) -> int:
         """Re-evaluate term 1, branches forced by guaranteed degree, at ``vertices``.
 
@@ -382,12 +369,14 @@ def _search(
     stopped = False
     width = n + 1  # the pick key's radix: above every live degree
     # an entry is (edge, include it?, trail mark, parent's bound, parent's
-    # fixpoint scan, parent's term-1 flags, parent's class terms); the root
-    # decides nothing. The lists are shared by both children and never
-    # changed; a child that changes one copies it. Node bounds and the
-    # objective are integers, so a node is pruned exactly when its bound
-    # reaches the incumbent.
-    stack: list[tuple] = [(-1, False, 0, 0, None, None, None)]
+    # fixpoint scan, parent's term-1 flags, parent's class terms). The lists
+    # are shared by both children and never changed; a child that changes one
+    # copies it. Node bounds and the objective are integers, so a node is
+    # pruned exactly when its bound reaches the incumbent. The root decides
+    # nothing, and its parent is a constant pseudo-parent: one class holding
+    # every vertex, no pieces or bridges, no flags and a bound of 0
+    pseudo_scan = ([0] * n, [0] * n, [list(range(n))])
+    stack: list[tuple] = [(-1, False, 0, 0, pseudo_scan, [False] * n, [0])]
     while stack:
         if opts.node_limit is not None and nodes >= opts.node_limit:
             stopped = True
@@ -405,26 +394,20 @@ def _search(
             include(ei)
             for e in dropped:
                 exclude(e)
+        elif ei >= 0:
+            exclude(ei)
         # the node bound is term 1 (a flag per vertex) plus term 2 (a term per
         # class, in the order of the scan's classes); a child corrects the
-        # addends its decision can change and keeps the rest
-        if ei < 0 or take and dropped:
-            # the root, or an include child whose union dropped cycle closers:
-            # scan the live graph and evaluate the bound in full
-            scan, _ = propagate(live=scans.pop() if scans else None)
-            pieces, bridge_deg, classes = scan
-            forced = [False] * n
-            bound = force(forced, pieces, range(n))
-            # a lone vertex needs no class edges, and the scan lists none
-            terms = [class_term(grp, forced, bridge_deg) for grp in classes]
-            bound += sum(terms)
-        elif take:
-            # no closer dropped: the live graph and its scan are the parent's,
-            # and only the included degree of u and v rose; the edge was no
-            # bridge, so both lie in one class K, whose term reads their flags
-            u, v = edges[ei]
-            pieces, bridge_deg, classes = scan
-            forced = forced[:]
+        # addends its decision can change and keeps the rest. Both ends of the
+        # edge lie in its class K (the root's -1 reads the last edge, and its
+        # pseudo-parent's one class holds every vertex)
+        u, v = edges[ei]
+        pieces, bridge_deg, classes = scan
+        forced = forced[:]
+        if take and not dropped:
+            # the live graph and its scan are the parent's, and only the
+            # included degree of u and v rose, so only their flags and K's
+            # term can change
             change = force(forced, pieces, (u, v))
             if change:
                 k = next(i for i, grp in enumerate(classes) if u in grp)
@@ -433,17 +416,19 @@ def _search(
                 terms = terms[:]
                 terms[k] = term
         else:
-            # only the class C of the dropped edge changed: its flags are
-            # re-evaluated, and its term gives way to its sub-classes' terms,
-            # which come last in the class list
-            exclude(ei)
-            parent_classes = scan[2]
-            scan, k = propagate(scan, edges[ei][0])
+            # the dropped edges all lie in K, and only K changed: it is
+            # rescanned, its undecided bridges are included (closing no
+            # cycle), its flags are re-evaluated, and its term gives way to
+            # its sub-classes' terms, which come last in the class list. A
+            # plain search's root takes the bound's scan of the input
+            scan, bridges, k = _live_scan(n, adj, scan, u, scans.pop() if scans else None)
+            for bridge in bridges:
+                e = edge_id[bridge]
+                if status[e] == _UNDECIDED:
+                    include(e)
+            bound += force(forced, scan[0], classes[k]) - terms[k]  # the parent's K
             pieces, bridge_deg, classes = scan
-            forced = forced[:]
-            bound += force(forced, pieces, parent_classes[k]) - terms[k]
-            subclasses = classes[len(parent_classes) - 1 :]
-            fresh = [class_term(grp, forced, bridge_deg) for grp in subclasses]
+            fresh = [class_term(grp, forced, bridge_deg) for grp in classes[len(terms) - 1 :]]
             terms = terms[:k] + terms[k + 1 :] + fresh
             bound += sum(fresh)
         if bound >= best_val:
@@ -473,12 +458,9 @@ def _search(
         stack.append((pick, True, mark, bound, scan, forced, terms))
         stack.append((pick, False, mark, bound, scan, forced, terms))
 
-    if best_ids is None:  # stopped before any incumbent
-        best_ids = _fallback_tree_ids(g)
-        best_val = _count_branches(n, [edges[ei] for ei in best_ids], extra, countable)
     # a finished search pruned every open node against the incumbent
     lower = float(min([best_val] + [entry[3] for entry in stack])) if stopped else float(best_val)
-    return lower, int(best_val), best_ids, nodes
+    return lower, best_val, best_ids, nodes
 
 
 def _solve(g, c, incumbents, opts, t0, floor=0, scans=None) -> SolveReport:
@@ -487,7 +469,10 @@ def _solve(g, c, incumbents, opts, t0, floor=0, scans=None) -> SolveReport:
     A tree the search found is certified. The search replaces its incumbent
     only on a strict improvement, so an upper bound equal to the warm tree's
     count means the warm tree, already certified, still stands: the report
-    takes it with g's own edge tuples and is not certified again.
+    takes it with g's own edge tuples and is not certified again. A search
+    that stopped before any incumbent reports a DFS tree of g, certified
+    like a found one; the open node whose subtree holds it has a bound no
+    larger than its count, so the search's lower bound stands.
     ``floor`` is a lower bound known before the search, reported when a
     search stopped before its root knows less. The time limit counts from
     ``t0``, the start of the public call. ``scans`` goes to ``_search``.
@@ -495,13 +480,13 @@ def _solve(g, c, incumbents, opts, t0, floor=0, scans=None) -> SolveReport:
     warm = min(incumbents, key=lambda t: t.branches, default=None)
     deadline = t0 + opts.time_limit if opts.time_limit is not None else None
     lower, upper, ids, nodes = _search(g, c, warm, opts, deadline, scans)
-    own = [g.edges[ei] for ei in ids]
+    own = [g.edges[ei] for ei in (_fallback_tree_ids(g) if ids is None else ids)]
     if warm is not None and upper == warm.branches:
-        tree = SpanningTree(frozenset(own), upper)
+        tree = SpanningTree(frozenset(own), warm.branches)
     else:
         tree = spanning_tree(g, own, c)
     lower = max(lower, float(floor))
-    return SolveReport(lower, upper, tree, nodes, perf_counter() - t0)
+    return SolveReport(lower, tree.branches, tree, nodes, perf_counter() - t0)
 
 
 def solve_plain(g: Graph, opts: SolveOptions = SolveOptions()) -> SolveReport:

@@ -25,7 +25,7 @@ from mbv import (
     spanning_tree,
 )
 from mbv.errors import NotASpanningTreeError
-from mbv.graph import _count_branches
+from mbv.graph import _count_branches, _lowpoint
 from mbv.solver import _live_scan
 
 pytest.importorskip("hypothesis")
@@ -151,24 +151,68 @@ def test_spanning_tree_certifies_exactly_the_spanning_trees(case):
         assert tree.branches == _count_branches(g.n, edges, extra, countable)
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(connected_graphs())
-def test_class_rescan_spliced_into_the_scan_equals_a_full_scan(g):
-    # dropping a non-bridge edge e can change only e's class: rescanning that
-    # class and splicing it into g's scan must give the full scan of g - e
-    n = g.n
-    whole, bridges, _ = _live_scan(n, g.adjacency)
-    kept = (list(whole[0]), list(whole[1]), [list(grp) for grp in whole[2]])
-    for u, v in g.edges:
-        if (u, v) in bridges:
-            continue
-        adj = [list(a) for a in g.adjacency]
+@st.composite
+def bridged_graphs(draw):
+    """Two connected graphs joined by one edge, so that a cycle of each is a class."""
+    a, b = draw(connected_graphs()), draw(connected_graphs())
+    u, v = draw(st.integers(0, a.n - 1)), draw(st.integers(0, b.n - 1))
+    edges = list(a.edges) + [(x + a.n, y + a.n) for x, y in b.edges] + [(u, a.n + v)]
+    return build_graph(a.n + b.n, edges)
+
+
+def _full_scan(n, adj):
+    """One unrestricted lowpoint scan as ((pieces, bridge degrees, classes), bridges)."""
+    live = _lowpoint(n, adj)
+    bridge_deg = [0] * n
+    for a, b in live.bridges:
+        bridge_deg[a] += 1
+        bridge_deg[b] += 1
+    return (live.pieces, bridge_deg, live.classes), live.bridges
+
+
+def _assert_splice_is_a_full_scan(n, adj, parent, parent_bridges, u, live=None):
+    (pieces, bridge_deg, classes), new, k = _live_scan(n, adj, parent, u, live)
+    full, every = _full_scan(n, adj)
+    assert u in parent[2][k]
+    assert pieces == full[0] and bridge_deg == full[1]
+    assert sorted(parent_bridges + new) == sorted(every)
+    assert sorted(map(sorted, classes)) == sorted(map(sorted, full[2]))
+
+
+def _without(g, dropped):
+    adj = [list(a) for a in g.adjacency]
+    for u, v in dropped:
         adj[u].remove(v)
         adj[v].remove(u)
-        (pieces, bridge_deg, classes), new, k = _live_scan(n, adj, whole, u)
-        full, every, _ = _live_scan(n, adj)
-        assert u in whole[2][k]
-        assert pieces == full[0] and bridge_deg == full[1]
-        assert sorted(bridges + new) == sorted(every)
-        assert sorted(map(sorted, classes)) == sorted(map(sorted, full[2]))
+    return adj
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(bridged_graphs(), st.data())
+def test_class_rescan_spliced_into_the_scan_equals_a_full_scan(g, data):
+    # dropping edges inside one class C that leave it connected can change
+    # only C: rescanning C and splicing it into g's scan must give the full
+    # scan of what is left. That holds for one non-bridge edge (an exclude
+    # child), for edges off a spanning tree of C (an include child's cycle
+    # closers, which its included paths keep joined), and for the root: its
+    # pseudo-parent, one class of every vertex with no pieces or bridges,
+    # spliced with a scan of that class, its own or one given as ``live``
+    n = g.n
+    whole, bridges = _full_scan(n, g.adjacency)
+    kept = (list(whole[0]), list(whole[1]), [list(grp) for grp in whole[2]])
+    pseudo = ([0] * n, [0] * n, [list(range(n))])
+    u = data.draw(st.integers(0, n - 1))
+    _assert_splice_is_a_full_scan(n, g.adjacency, pseudo, [], u)
+    _assert_splice_is_a_full_scan(n, g.adjacency, pseudo, [], u, _lowpoint(n, g.adjacency))
+    for u, v in g.edges:
+        if (u, v) not in bridges:
+            _assert_splice_is_a_full_scan(n, _without(g, [(u, v)]), whole, bridges, u)
+    parent = _lowpoint(n, g.adjacency).parent  # a DFS tree spans each class
+    for grp in whole[2]:
+        inside = set(grp)
+        off_tree = [(u, v) for u, v in g.edges
+                    if u in inside and v in inside and parent[u] != v and parent[v] != u]
+        dropped = data.draw(st.sets(st.sampled_from(off_tree), min_size=1))
+        u = data.draw(st.sampled_from(grp))
+        _assert_splice_is_a_full_scan(n, _without(g, dropped), whole, bridges, u)
     assert whole == kept  # the parent's scan is shared, never changed

@@ -83,6 +83,18 @@ def test_one_full_scan_per_plain_root(scans):
         assert sum(1 for args in scans if len(args) < 3 or args[2] is None) == 1
 
 
+@pytest.mark.parametrize("solve", [solve_with_decomposition, solve_plain])
+def test_only_the_input_is_scanned_unrestricted(scans, solve):
+    # a search root scans its pseudo-parent's one class, and a child the
+    # class its decision dropped edges from, so every search scan is
+    # restricted and the one unrestricted scan is the bound's, of the input
+    for g in GRAPHS:
+        scans.clear()
+        solve(g, OPTS)
+        unrestricted = [args for args in scans if len(args) < 3 or args[2] is None]
+        assert len(unrestricted) == 1 and unrestricted[0][1] is g.adjacency
+
+
 def test_no_scan_of_a_component_graph(scans):
     for g in GRAPHS:
         d = decompose(g, obligatory_branch_bound(g))

@@ -271,19 +271,17 @@ def test_inclusions_that_drop_several_closers():
 
 
 def test_search_scans_per_node(monkeypatch):
-    # a node rescans the live graph only when it changed, an exclude child
-    # rescans only the class of the edge it dropped, and the live graph is the
-    # only graph a node scans: a full scan covers the searched graph's n
-    # vertices, and a restricted one lies in a class of an earlier scan. The
-    # live graph stays connected, which the search relies on without checking.
-    # A plain search's root takes the bound's scan of the input, which is
-    # not counted here, but its classes are seen. Scanned vertices per node,
-    # over the searched graph's n (summed across the components of an
-    # enhanced solve), read 0.51-0.58 when every node scanned the whole live
-    # graph; they read 0.30-0.50 enhanced with class rescans, and 0.177-0.353
-    # plain once the root also took the bound's scan (0.179-0.354 when the
-    # root scanned).
-    searches = []  # [vertices of the searched graph, scanned share, nodes]
+    # a node rescans the live graph only when it changed, and then only the
+    # class its decision dropped edges from; the live graph is the only graph
+    # a node scans. A search's first scan is its root's, of the one class of
+    # its pseudo-parent: the searched graph's whole vertex list. Every later
+    # scan lies in a class of an earlier scan. The live graph stays
+    # connected, which the search relies on without checking. A plain
+    # search's root takes the bound's scan of the input, which is not
+    # counted here, but its classes are seen. Scanned vertices per node, over
+    # the searched graph's n (summed across the components of an enhanced
+    # solve), read 0.150-0.336 plain and 0.300-0.486 enhanced.
+    searches = []  # [vertices of the searched graph, scanned share, scans, nodes]
     seen_classes = {}  # id -> every class an earlier scan returned
     lowpoint = mbv.solver._lowpoint
     search = mbv.solver._search
@@ -294,23 +292,20 @@ def test_search_scans_per_node(monkeypatch):
         seen_classes.update((id(grp), grp) for grp in scan.classes)
         return lb, scan
 
-    def counting(n, adj, within=None):
+    def counting(n, adj, within):
         size = searches[-1][0]
-        if within is None:
-            assert n == size
-            scanned = n
-            scan = lowpoint(n, adj)
-        else:
-            assert seen_classes.get(id(within)) is within
-            scanned = len(within)
-            scan = lowpoint(n, adj, within)
-        searches[-1][1] += scanned / size
+        assert n == size
+        if seen_classes.get(id(within)) is not within:
+            assert searches[-1][2] == 0 and within == list(range(n))
+        searches[-1][1] += len(within) / size
+        searches[-1][2] += 1
+        scan = lowpoint(n, adj, within)
         assert scan.count == 1
         seen_classes.update((id(grp), grp) for grp in scan.classes)
         return scan
 
     def recording(g, *args):
-        searches.append([g.n, 0.0])
+        searches.append([g.n, 0.0, 0])
         out = search(g, *args)
         searches[-1].append(out[3])
         return out
@@ -326,8 +321,8 @@ def test_search_scans_per_node(monkeypatch):
             searches.clear()
             report = solve(g, SolveOptions(node_limit=limit))
             case = (n, m, seed, solve.__name__)
-            assert report.nodes_explored == sum(nodes for _, _, nodes in searches) > 0
-            scanned = sum(share for _, share, _ in searches)
+            assert report.nodes_explored == sum(nodes for *_, nodes in searches) > 0
+            scanned = sum(share for _, share, *_ in searches)
             assert scanned <= most * report.nodes_explored, case
 
 
@@ -362,8 +357,9 @@ def test_class_rescan_finds_bridges_inside_the_class(two_triangles):
     # dropping (0, 1) leaves its triangle a path: both its other edges become
     # bridges, 2 splits into three parts, and only {3, 4, 5} stays a class
     g = two_triangles
-    whole, bridges, _ = mbv.solver._live_scan(g.n, g.adjacency)
-    assert bridges == [(2, 3)]
+    live = mbv.solver._lowpoint(g.n, g.adjacency)
+    assert live.bridges == [(2, 3)]
+    whole = (live.pieces, [0, 0, 1, 1, 0, 0], live.classes)
     adj = [list(a) for a in g.adjacency]
     adj[0].remove(1)
     adj[1].remove(0)
