@@ -5,13 +5,14 @@ edges removed), both constructive heuristics, and both exact algorithms under
 equal time limits. Results serialize as one line-oriented key=value record per
 instance and, optionally, one JSON document per run; both are deterministic
 apart from the elapsed_* fields.
+
+The process pool, logging and json are imported where they are used: every
+mbv command imports this module through the package, and only the bench
+runner needs them.
 """
 from __future__ import annotations
 
 import dataclasses
-import json
-import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -23,8 +24,6 @@ from .graph import Graph
 from .heuristics import multi_path_expanding, path_expanding
 from .io import load_graph
 from .solver import SolveOptions, solve_plain, solve_with_decomposition
-
-log = logging.getLogger("mbv.bench")
 
 
 @dataclass
@@ -95,6 +94,10 @@ def bench_graph(name: str, g: Graph, time_limit: float | None = None) -> Report:
 
 
 def _bench_path(path: str, time_limit: float | None) -> Report:
+    import logging
+
+    log = logging.getLogger("mbv.bench")
+    log.info("benchmarking %s", path)
     name = Path(path).stem
     try:
         g = load_graph(path)
@@ -108,15 +111,12 @@ def bench(paths, time_limit: float | None = None, jobs: int = 1) -> list[Report]
     """Benchmark every instance file; per-instance errors are recorded, not raised."""
     ordered = sorted(str(p) for p in paths)
     if jobs > 1 and len(ordered) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         # a forked pool starts every worker up front, so never ask for idle ones
         with ProcessPoolExecutor(max_workers=min(jobs, len(ordered))) as pool:
-            reports = list(pool.map(_bench_path, ordered, [time_limit] * len(ordered)))
-    else:
-        reports = []
-        for p in ordered:
-            log.info("benchmarking %s", p)
-            reports.append(_bench_path(p, time_limit))
-    return reports
+            return list(pool.map(_bench_path, ordered, [time_limit] * len(ordered)))
+    return [_bench_path(p, time_limit) for p in ordered]
 
 
 def collect_instances(directory: str) -> list[str]:
@@ -176,6 +176,8 @@ def summarize(reports: list[Report]) -> dict:
 
 
 def to_json(reports: list[Report]) -> str:
+    import json
+
     doc = {
         "reports": [dataclasses.asdict(r) for r in reports],
         "summary": summarize(reports),

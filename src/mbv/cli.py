@@ -6,12 +6,12 @@ oracle. All machine-readable output is line-oriented key=value records with
 success (optimal for solve), 1 on usage or parse errors, 2 when a solve hits
 its limits and returns an incumbent without proving optimality.
 
-Set MBV_LOG=debug|info|warning to control log verbosity on stderr.
+Only bench logs: set MBV_LOG=debug|info|warning to control its verbosity on
+stderr. The other subcommands never import logging.
 """
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import os
 import sys
@@ -49,6 +49,8 @@ def _time_limit(text: str) -> float:
 
 
 def _configure_logging() -> None:
+    import logging
+
     level_name = os.environ.get("MBV_LOG", "warning").lower()
     level = {
         "debug": logging.DEBUG,
@@ -173,6 +175,7 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     if args.jobs < 1:
         raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    _configure_logging()
     paths = collect_instances(args.directory)
     reports = bench(paths, time_limit=args.time_limit, jobs=args.jobs)
     sys.stdout.write(render_table(reports))
@@ -250,7 +253,6 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,6 +1,11 @@
-import importlib
+import concurrent.futures
 import json
+import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,9 +109,8 @@ class _SerialPool:
 
 
 def test_bench_pool_never_exceeds_instance_count(tmp_path, monkeypatch):
-    # the package's ``bench`` attribute is the function, not the module
-    bench_module = importlib.import_module("mbv.bench")
-    monkeypatch.setattr(bench_module, "ProcessPoolExecutor", _SerialPool)
+    # bench imports the pool class where it starts one, so patch it at its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     _SerialPool.sizes = []
     d = make_dir(tmp_path, count=3, n=8, m=9)
     reports = bench(collect_instances(str(d)), jobs=64)
@@ -114,6 +118,17 @@ def test_bench_pool_never_exceeds_instance_count(tmp_path, monkeypatch):
     assert [r.instance for r in reports] == ["inst_0", "inst_1", "inst_2"]
     bench(collect_instances(str(d)), jobs=2)
     assert _SerialPool.sizes == [3, 2]
+
+
+def test_bench_logs_each_instance_with_or_without_a_pool(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    d = make_dir(tmp_path, count=2, n=8, m=9)
+    for jobs in (1, 2):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="mbv.bench"):
+            bench(collect_instances(str(d)), jobs=jobs)
+        logged = [r.getMessage() for r in caplog.records]
+        assert logged == [f"benchmarking {d / name}" for name in ("inst_0.graph", "inst_1.graph")]
 
 
 def test_bench_empty_dir(tmp_path):
@@ -284,3 +299,53 @@ def test_cli_bench_empty_dir(tmp_path, capsys):
     d.mkdir()
     code, out, _ = run_cli(capsys, "bench", str(d), "--records", "-")
     assert code == 0
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_python(code, *argv, **env):
+    """Run ``code`` in a new interpreter that imports mbv from this checkout."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)],
+        env=dict(os.environ, PYTHONPATH=str(SRC), **env),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+_STARTUP_PROBE = """
+import sys
+HEAVY = ("concurrent.futures", "multiprocessing", "logging", "json")
+before = set(sys.modules)
+def loaded(stage):
+    print(stage, *[m for m in HEAVY if m in sys.modules and m not in before], file=sys.stderr)
+import mbv
+loaded("import")
+from mbv.cli import main
+for command in ("solve", "stats"):
+    main([command, sys.argv[1]])
+    loaded(command)
+"""
+
+
+def test_cli_commands_start_without_the_bench_runners_modules(tmp_path):
+    # the process pool, logging and json serve only ``mbv bench``; every
+    # other command would pay for importing them at start-up
+    inst = tmp_path / "g.graph"
+    inst.write_text(write_instance(generate_random_connected(12, 15, seed=1)), encoding="utf-8")
+    proc = _fresh_python(_STARTUP_PROBE, inst)
+    assert proc.stderr.splitlines() == ["import", "solve", "stats"]
+
+
+def test_cli_bench_logs_each_instance_from_pool_workers(tmp_path):
+    d = make_dir(tmp_path, count=2, n=8, m=9)
+    proc = _fresh_python(
+        "import sys; from mbv.cli import main; sys.exit(main(sys.argv[1:]))",
+        "bench", d, "--jobs", "2", MBV_LOG="info",
+    )
+    assert proc.returncode == 0
+    assert sorted(proc.stderr.splitlines()) == [
+        f"mbv.bench: benchmarking {d / name}" for name in ("inst_0.graph", "inst_1.graph")
+    ]

@@ -33,18 +33,25 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
 @st.composite
-def connected_graphs(draw):
+def connected_graphs(draw, extra=6):
     n = draw(st.integers(1, 10))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     if n > 2:
         pairs = [(u, v) for v in range(n) for u in range(v)]
-        edges |= draw(st.sets(st.sampled_from(pairs), max_size=6))
+        edges |= draw(st.sets(st.sampled_from(pairs), max_size=extra))
     return build_graph(n, edges)
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(connected_graphs())
-def test_solvers_meet_the_oracle_and_trees_carry_their_own_count(g):
+@st.composite
+def bridged_graphs(draw, extra=6):
+    """Two connected graphs joined by one edge, so that a cycle of each is a class."""
+    a, b = draw(connected_graphs(extra)), draw(connected_graphs(extra))
+    u, v = draw(st.integers(0, a.n - 1)), draw(st.integers(0, b.n - 1))
+    edges = list(a.edges) + [(x + a.n, y + a.n) for x, y in b.edges] + [(u, a.n + v)]
+    return build_graph(a.n + b.n, edges)
+
+
+def _assert_solvers_meet_the_oracle_and_trees_carry_their_own_count(g):
     optimum = brute_force_optimum(g).optimum
     plain, enhanced = solve_plain(g), solve_with_decomposition(g)
     assert plain.optimal and enhanced.optimal
@@ -67,6 +74,22 @@ def test_solvers_meet_the_oracle_and_trees_carry_their_own_count(g):
                 c.graph.n, tree.edges, c.extra_degree, c.countable
             )
     assert total == optimum
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(connected_graphs())
+def test_solvers_meet_the_oracle_and_trees_carry_their_own_count(g):
+    _assert_solvers_meet_the_oracle_and_trees_carry_their_own_count(g)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(bridged_graphs(extra=5))
+def test_solvers_meet_the_oracle_on_graphs_of_two_classes(g):
+    # almost every draw above has one class or none; these join two, so the
+    # search's live graph holds several and the class rescan and the
+    # per-class bound are checked against the oracle. Five extra edges per
+    # half, not six, keep the oracle's tree enumeration to about a second
+    _assert_solvers_meet_the_oracle_and_trees_carry_their_own_count(g)
 
 
 @st.composite
@@ -149,15 +172,6 @@ def test_spanning_tree_certifies_exactly_the_spanning_trees(case):
         tree = spanning_tree(g, edges, component)
         assert tree.edges == normalized
         assert tree.branches == _count_branches(g.n, edges, extra, countable)
-
-
-@st.composite
-def bridged_graphs(draw):
-    """Two connected graphs joined by one edge, so that a cycle of each is a class."""
-    a, b = draw(connected_graphs()), draw(connected_graphs())
-    u, v = draw(st.integers(0, a.n - 1)), draw(st.integers(0, b.n - 1))
-    edges = list(a.edges) + [(x + a.n, y + a.n) for x, y in b.edges] + [(u, a.n + v)]
-    return build_graph(a.n + b.n, edges)
 
 
 def _full_scan(n, adj):
