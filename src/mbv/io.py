@@ -118,7 +118,7 @@ def write_dimacs(g: Graph) -> str:
 def load_graph(path: str) -> Graph:
     """Read a graph file, sniffing the format from its first meaningful line."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # skips a byte-order mark
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise MalformedHeaderError(f"{path}: not UTF-8 text (byte {exc.start})") from None

@@ -77,24 +77,28 @@ input graph with its adjacency in the same order, so a plain solve's root
 takes the lowpoint scan the obligatory bound made of the input as that
 class's scan instead of scanning again.
 
-The bound is carried the same way: next to the scan, both children's entries
-hold the parent's term-1 flag per vertex and term-2 value per class (in the
-order of the scan's classes), and each child corrects only the addends its
-decision can touch. Term 1 is a sum over vertices and term 2 a sum over
-classes, and a vertex's flag and a class's term read only the split counts,
-bridge degrees, live degrees and included degrees of those vertices, so this
-equals the full evaluation:
+The bound is carried the same way. It sums one addend per class of the
+scan, the class's term 1 (its forced branches) plus its term 2, and the
+term-1 flags of the vertices in no class. Such a vertex has only bridges
+left, all included, so its flag is final: its extra plus live degree
+exceeds two. Next to the scan, both children's entries hold the parent's
+addend per class (in the order of the scan's classes), and each child
+corrects only the addends its decision can touch. A class's addend reads
+only the split counts, bridge degrees, live degrees and included degrees of
+its vertices, so this equals the full evaluation:
 
 * a child that drops edges changes only vertices of K (its split counts, the
   new bridges and their inclusions all lie in K, and so do the ends of the
-  decided and dropped edges), so it re-evaluates the flags on K and swaps
-  K's term for the terms of K's sub-classes. The pseudo-parent's flags are
-  all unset and its one term is 0, so the root evaluates the bound in full;
+  decided and dropped edges), so it swaps K's addend for the addends of K's
+  sub-classes and adds the flags of K's vertices left in no class. The
+  pseudo-parent's one addend is 0, so the root evaluates the bound in full;
 * an include child that drops no closer keeps its parent's live graph and
   scan, and only the included degree of the edge's ends u and v rises. The
-  edge was undecided, so it is no bridge, and u and v share one class K: the
-  child re-evaluates the flags at u and v, and K's term when one of them
-  changed.
+  edge was undecided, so it is no bridge, and u and v share one class K.
+  K's addend changes only when the flag of u or v turns on: the split count
+  is unchanged, so that happens exactly when its extra plus included degree
+  reaches 3 and its included degree exceeds its split count. Only then does
+  the child re-evaluate K's addend.
 """
 from __future__ import annotations
 
@@ -153,22 +157,18 @@ class SolveReport:
         return 100.0 * (upper - self.lower_bound) / upper if upper > 0 else 0.0
 
 
-def _fallback_tree_ids(g: Graph) -> list[int]:
-    """Deterministic DFS spanning tree by edge ids, for reports with no incumbent."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for ei, (u, v) in enumerate(g.edges):
-        adj[u].append((v, ei))
-        adj[v].append((u, ei))
+def _fallback_tree(g: Graph) -> list[tuple[int, int]]:
+    """Deterministic DFS spanning tree of g, for reports with no incumbent."""
     seen = [False] * g.n
     seen[0] = True
-    picked: list[int] = []
+    picked = []
     stack = [0]
     while stack:
         v = stack.pop()
-        for w, ei in adj[v]:
+        for w in g.adjacency[v]:
             if not seen[w]:
                 seen[w] = True
-                picked.append(ei)
+                picked.append((v, w) if v < w else (w, v))
                 stack.append(w)
     return picked
 
@@ -318,65 +318,54 @@ def _search(
                 live_deg[v] += 1
             status[ei] = _UNDECIDED
 
-    def force(forced: list[bool], pieces: list[int], vertices) -> int:
-        """Re-evaluate term 1, branches forced by guaranteed degree, at ``vertices``.
+    def class_term(group: list[int], pieces: list[int], bridge_deg: list[int]) -> int:
+        """One two-edge-connected class's addend of the node bound: c1 + c2.
 
-        Changes ``forced`` in place and returns the change in c1. Each bridge
-        at v cuts off a piece of its own and is already included, so bridge
-        degree + max(class pieces, chosen class degree) from the module
-        docstring is max(pieces, chosen degree) in the live graph.
-        """
-        change = 0
-        for v in vertices:
-            if countable[v]:
-                d = pieces[v] if pieces[v] > inc_deg[v] else inc_deg[v]
-                if (gamma[v] + d > 2) != forced[v]:
-                    forced[v] = not forced[v]
-                    change += 1 if forced[v] else -1
-        return change
-
-    def class_term(group: list[int], forced: list[bool], bridge_deg: list[int]) -> int:
-        """Term 2 of one two-edge-connected class: its degree accounting.
-
-        Reads the term-1 flags, since a forced branch absorbs any degree.
+        c1 counts the class's forced branches. Each bridge at v cuts off a
+        piece of its own and is already included, so bridge degree + max(class
+        pieces, chosen class degree) from the module docstring is max(pieces,
+        chosen degree) in the live graph. c2 is the class's degree accounting,
+        in which a forced branch absorbs any degree.
         """
         h = len(group)
+        c1 = 0
         free = 0
         gains = []
         for v in group:
             d = live_deg[v] - bridge_deg[v]
-            if not countable[v] or forced[v]:
-                free += d - 1
-                continue
-            cap = 2 - gamma[v] - bridge_deg[v]
-            if d <= cap:
-                free += d - 1
-            else:
-                free += cap - 1
-                gains.append(d - cap)
+            if countable[v]:
+                if gamma[v] + (pieces[v] if pieces[v] > inc_deg[v] else inc_deg[v]) > 2:
+                    c1 += 1
+                else:
+                    cap = 2 - gamma[v] - bridge_deg[v]
+                    if d > cap:
+                        free += cap - 1
+                        gains.append(d - cap)
+                        continue
+            free += d - 1
         need = h - 2 - free
-        term = 0
+        c2 = 0
         if need > 0:
             gains.sort(reverse=True)
             for gain in gains:
-                term += 1
+                c2 += 1
                 need -= gain
                 if need <= 0:
                     break
-        return term
+        return c1 + c2
 
     nodes = 0
     stopped = False
     width = n + 1  # the pick key's radix: above every live degree
     # an entry is (edge, include it?, trail mark, parent's bound, parent's
-    # fixpoint scan, parent's term-1 flags, parent's class terms). The lists
-    # are shared by both children and never changed; a child that changes one
-    # copies it. Node bounds and the objective are integers, so a node is
-    # pruned exactly when its bound reaches the incumbent. The root decides
-    # nothing, and its parent is a constant pseudo-parent: one class holding
-    # every vertex, no pieces or bridges, no flags and a bound of 0
+    # fixpoint scan, parent's class terms). The lists are shared by both
+    # children and never changed; a child that changes one copies it. Node
+    # bounds and the objective are integers, so a node is pruned exactly when
+    # its bound reaches the incumbent. The root decides nothing, and its parent
+    # is a constant pseudo-parent: one class holding every vertex, no pieces
+    # or bridges, and a bound of 0
     pseudo_scan = ([0] * n, [0] * n, [list(range(n))])
-    stack: list[tuple] = [(-1, False, 0, 0, pseudo_scan, [False] * n, [0])]
+    stack: list[tuple] = [(-1, False, 0, 0, pseudo_scan, [0])]
     while stack:
         if opts.node_limit is not None and nodes >= opts.node_limit:
             stopped = True
@@ -384,7 +373,7 @@ def _search(
         if deadline is not None and perf_counter() > deadline:
             stopped = True
             break
-        ei, take, mark, bound, scan, forced, terms = stack.pop()
+        ei, take, mark, bound, scan, terms = stack.pop()
         if bound >= best_val:
             continue
         nodes += 1
@@ -396,41 +385,45 @@ def _search(
                 exclude(e)
         elif ei >= 0:
             exclude(ei)
-        # the node bound is term 1 (a flag per vertex) plus term 2 (a term per
-        # class, in the order of the scan's classes); a child corrects the
-        # addends its decision can change and keeps the rest. Both ends of the
-        # edge lie in its class K (the root's -1 reads the last edge, and its
-        # pseudo-parent's one class holds every vertex)
+        # the node bound is a term per class, in the order of the scan's
+        # classes, plus the final flags of the vertices in no class; a child
+        # corrects the terms its decision can change and keeps the rest. Both
+        # ends of the edge lie in its class K (the root's -1 reads the last
+        # edge, and its pseudo-parent's one class holds every vertex)
         u, v = edges[ei]
         pieces, bridge_deg, classes = scan
-        forced = forced[:]
         if take and not dropped:
             # the live graph and its scan are the parent's, and only the
-            # included degree of u and v rose, so only their flags and K's
-            # term can change
-            change = force(forced, pieces, (u, v))
-            if change:
+            # included degree of u and v rose, so K's term changes only when
+            # the flag of u or v turns on
+            if (tight[u] == 3 and inc_deg[u] > pieces[u]) or (
+                tight[v] == 3 and inc_deg[v] > pieces[v]
+            ):
                 k = next(i for i, grp in enumerate(classes) if u in grp)
-                term = class_term(classes[k], forced, bridge_deg)
-                bound += change + term - terms[k]
+                term = class_term(classes[k], pieces, bridge_deg)
+                bound += term - terms[k]
                 terms = terms[:]
                 terms[k] = term
         else:
             # the dropped edges all lie in K, and only K changed: it is
             # rescanned, its undecided bridges are included (closing no
-            # cycle), its flags are re-evaluated, and its term gives way to
-            # its sub-classes' terms, which come last in the class list. A
-            # plain search's root takes the bound's scan of the input
+            # cycle), and its term gives way to its sub-classes' terms, which
+            # come last in the class list. A vertex of K left in no class has
+            # only included bridges, so its flag is final and counted once
+            # here. A plain search's root takes the bound's scan of the input
             scan, bridges, k = _live_scan(n, adj, scan, u, scans.pop() if scans else None)
             for bridge in bridges:
                 e = edge_id[bridge]
                 if status[e] == _UNDECIDED:
                     include(e)
-            bound += force(forced, scan[0], classes[k]) - terms[k]  # the parent's K
+            group = classes[k]  # the parent's K
             pieces, bridge_deg, classes = scan
-            fresh = [class_term(grp, forced, bridge_deg) for grp in classes[len(terms) - 1 :]]
+            fresh = [class_term(grp, pieces, bridge_deg) for grp in classes[len(terms) - 1 :]]
+            bound += sum(fresh) - terms[k]
             terms = terms[:k] + terms[k + 1 :] + fresh
-            bound += sum(fresh)
+            for x in group:
+                if live_deg[x] == bridge_deg[x] and countable[x] and gamma[x] + live_deg[x] > 2:
+                    bound += 1
         if bound >= best_val:
             continue
 
@@ -455,8 +448,8 @@ def _search(
             best_ids = [e for e in range(m) if status[e] == _INCLUDED]
             continue
         mark = len(trail)
-        stack.append((pick, True, mark, bound, scan, forced, terms))
-        stack.append((pick, False, mark, bound, scan, forced, terms))
+        stack.append((pick, True, mark, bound, scan, terms))
+        stack.append((pick, False, mark, bound, scan, terms))
 
     # a finished search pruned every open node against the incumbent
     lower = float(min([best_val] + [entry[3] for entry in stack])) if stopped else float(best_val)
@@ -480,7 +473,7 @@ def _solve(g, c, incumbents, opts, t0, floor=0, scans=None) -> SolveReport:
     warm = min(incumbents, key=lambda t: t.branches, default=None)
     deadline = t0 + opts.time_limit if opts.time_limit is not None else None
     lower, upper, ids, nodes = _search(g, c, warm, opts, deadline, scans)
-    own = [g.edges[ei] for ei in (_fallback_tree_ids(g) if ids is None else ids)]
+    own = _fallback_tree(g) if ids is None else [g.edges[ei] for ei in ids]
     if warm is not None and upper == warm.branches:
         tree = SpanningTree(frozenset(own), warm.branches)
     else:

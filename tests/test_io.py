@@ -131,6 +131,23 @@ def test_load_graph_rejects_non_utf8(tmp_path):
         load_graph(str(bad))
 
 
+def test_load_graph_skips_a_byte_order_mark(tmp_path):
+    # editors on some systems start UTF-8 files with a mark; it is no header
+    # text, and a marked dimacs file is still sniffed as dimacs
+    g = generate_random_connected(6, 8, 3)
+    for name, text in (("simple.graph", write_instance(g)), ("inst.col", write_dimacs(g))):
+        plain = tmp_path / name
+        plain.write_text(text, encoding="utf-8")
+        marked = tmp_path / f"marked-{name}"
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_graph(str(marked)) == load_graph(str(plain)) == g
+    utf16 = tmp_path / "utf16.graph"
+    utf16.write_bytes(b"\xff\xfe3 2\n1 2\n2 3\n")
+    with pytest.raises(MalformedHeaderError, match="not UTF-8 text"):
+        load_graph(str(utf16))
+
+
 def test_generator_postconditions():
     g = generate_random_connected(5, 4, seed=1)
     assert g.n == 5

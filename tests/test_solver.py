@@ -190,7 +190,7 @@ def test_node_limit_bounds_each_component_search():
 
 
 def test_anytime_soundness_with_node_limit(monkeypatch):
-    fallback = mbv.solver._fallback_tree_ids
+    fallback = mbv.solver._fallback_tree
     fallbacks = 0
 
     def counted(g):
@@ -198,7 +198,7 @@ def test_anytime_soundness_with_node_limit(monkeypatch):
         fallbacks += 1
         return fallback(g)
 
-    monkeypatch.setattr(mbv.solver, "_fallback_tree_ids", counted)
+    monkeypatch.setattr(mbv.solver, "_fallback_tree", counted)
     cold_stops = {solve_plain: 0, solve_with_decomposition: 0}
     rng = random.Random(83)
     for trial in range(25):
@@ -254,6 +254,24 @@ def test_budgeted_answers_are_pinned():
         (11.0, 11, 549), (11.0, 11, 159), (12.0, 12, 507), (12.0, 12, 423),
         (8.0, 8, 1615), (8.0, 8, 1565), (9.0, 9, 2283), (9.0, 9, 410),
     ]
+
+
+def test_cold_budgeted_answers_are_pinned():
+    # a cold start stopped before its first leaf reports the fallback tree,
+    # and one stopped later the search's own best tree, so these answers pin
+    # the bounds of cold searches and the trees they report on every path
+    limited = []
+    cases = [(60, 66, seed) for seed in range(2000, 2004)]
+    cases += [(100, 130, seed) for seed in (3000, 3001)]
+    for n, m, seed in cases:
+        g = generate_random_connected(n, m, seed)
+        for solve in (solve_plain, solve_with_decomposition):
+            for limit in range(1, 41):
+                r = solve(g, SolveOptions(node_limit=limit, use_warm_start=False))
+                limited.append((r.lower_bound, r.upper_bound, r.nodes_explored,
+                                sorted(r.tree.edges)))
+    digest = hashlib.sha256(repr(limited).encode()).hexdigest()
+    assert digest == "22e0273ee2ed29c272399a12dcb429d8adf95cd14b4802e7aedbb2d0d943c8b0"
 
 
 def test_inclusions_that_drop_several_closers():
