@@ -26,7 +26,7 @@ set.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .bound import LowerBoundResult, graph_fingerprint
@@ -75,20 +75,18 @@ class Component:
 
     Every single-vertex component of a decomposition shares one graph, the
     empty edge map and an extra-degree map, none of them ever changed; the
-    enhanced solve gives it the empty tree unsolved.
+    enhanced solve gives it the empty tree, never reading ``countable``.
     """
 
     graph: Graph
     provenance: tuple[Provenance, ...]
     extra_degree: Mapping[int, int]
     edge_origin: Mapping[Edge, Edge]
-    countable: tuple[bool, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        # kept, not derived per read: every certification, heuristic and
-        # search of the component reads it
-        countable = tuple([isinstance(p, Original) for p in self.provenance])
-        object.__setattr__(self, "countable", countable)
+    @property
+    def countable(self) -> tuple[bool, ...]:
+        """Per local vertex, whether it counts: originals do, split copies never."""
+        return tuple([isinstance(p, Original) for p in self.provenance])
 
 
 @dataclass(frozen=True)
@@ -215,10 +213,5 @@ def recombine(d: Decomposition, component_trees) -> SpanningTree:
             continue
         if not is_spanning_tree(comp.graph, te):
             raise NotASpanningTreeError(f"component {k}: edge set is not a spanning tree")
-        origin = comp.edge_origin
-        for u, v in te:
-            e = origin.get((u, v) if u < v else (v, u))
-            if e is None:
-                raise NotASpanningTreeError(f"component {k}: ({u}, {v}) is not an edge")
-            edges.add(e)
+        edges.update(comp.edge_origin[(u, v) if u < v else (v, u)] for u, v in te)
     return spanning_tree(d.source, edges)

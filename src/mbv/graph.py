@@ -10,10 +10,10 @@ plain search's root takes the input graph's scan). Its optional
 graph that a search node must rescan. Two scans do not come from it: the
 decomposition labels its split graph's components with a union-find pass, and
 the oracle tests its trees with a union-find pass of its own, so it shares no
-scan with the code it checks. Every other tree test is the one union-find
-pass ``_tree_degrees``, which ``is_spanning_tree`` and ``spanning_tree``
-share; the latter also reads the tree degrees off that pass to count
-branches.
+scan with the code it checks. Every other tree test is ``spanning_tree``'s
+rule, which ``is_spanning_tree`` answers as a yes or no: g's edges, none
+repeated, then one union-find pass ``_tree_degrees`` that also collects the
+tree degrees the branch count is read off.
 """
 from __future__ import annotations
 
@@ -72,22 +72,26 @@ def build_graph(n: int, edge_pairs) -> Graph:
     """Validate and normalize (n, pairs) into a Graph.
 
     Rejects a negative n, loops, duplicate edges (either orientation) and
-    endpoints outside [0, n).
+    endpoints outside [0, n), a bad pair's error holding its ``pair_index``.
     """
     if n < 0:
         raise IndexOutOfRangeError(f"negative vertex count {n}")
     seen: set[Edge] = set()
     edges: list[Edge] = []
-    for u, v in edge_pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise IndexOutOfRangeError(f"edge ({u}, {v}) outside vertex range [0, {n})")
-        if u == v:
-            raise LoopEdgeError(f"loop edge at vertex {u}")
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise DuplicateEdgeError(f"duplicate edge {e}")
-        seen.add(e)
-        edges.append(e)
+    try:
+        for u, v in edge_pairs:
+            if not (0 <= u < n and 0 <= v < n):
+                raise IndexOutOfRangeError(f"edge ({u}, {v}) outside vertex range [0, {n})")
+            if u == v:
+                raise LoopEdgeError(f"loop edge at vertex {u}")
+            e = (u, v) if u < v else (v, u)
+            if e in seen:
+                raise DuplicateEdgeError(f"duplicate edge {e}")
+            seen.add(e)
+            edges.append(e)
+    except (IndexOutOfRangeError, LoopEdgeError, DuplicateEdgeError) as exc:
+        exc.pair_index = len(edges)  # its 0-based position: every earlier pair was kept
+        raise
     edges.sort()  # linear time on input that is already nearly in order
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
@@ -201,23 +205,16 @@ def _lowpoint(n: int, adj, within=None) -> _Lowpoint:
 
 
 def _tree_degrees(g: Graph, tree_edges, deg: list[int]) -> bool:
-    """True iff tree_edges has exactly n-1 edges and connects g's n vertices.
+    """True iff tree_edges, a sized collection of distinct edges of g, span it.
 
-    The one union-find pass behind every tree test but the oracle's, with
-    path halving, over the edges in the order given: an n-th edge is one too
-    many, an edge whose ends already share a root closes a cycle, and n-1
-    edges without a cycle span. An endpoint outside [0, n) returns False.
-    Each edge read adds one to both ends' entries of ``deg``, so a caller
-    that seeds ``deg`` with extra degrees gets the tree degrees of a tree it
-    accepts.
+    ``spanning_tree``'s union-find pass, with path halving, in the order
+    given: an edge whose ends share a root closes a cycle (n distinct edges
+    hold one), and n-1 edges without a cycle span. Each edge read adds one to
+    both ends' entries of ``deg``, so a caller that seeds ``deg`` with extra
+    degrees gets the tree degrees of a tree it accepts.
     """
-    n = g.n
-    parent = list(range(n))
-    last = n - 1
-    joined = 0
+    parent = list(range(g.n))
     for u, v in tree_edges:
-        if joined == last or not (0 <= u < n and 0 <= v < n):
-            return False
         deg[u] += 1
         deg[v] += 1
         while parent[u] != u:
@@ -227,17 +224,16 @@ def _tree_degrees(g: Graph, tree_edges, deg: list[int]) -> bool:
         if u == v:
             return False
         parent[u] = v
-        joined += 1
-    return joined == last
+    return len(tree_edges) == g.n - 1
 
 
 def is_spanning_tree(g: Graph, tree_edges) -> bool:
-    """True iff tree_edges has exactly n-1 edges and connects all n vertices.
-
-    An edge repeated in either orientation closes a cycle, and an endpoint
-    outside [0, n) returns False.
-    """
-    return _tree_degrees(g, tree_edges, [0] * g.n)
+    """Whether ``spanning_tree`` certifies tree_edges, the sized collection it takes."""
+    try:
+        spanning_tree(g, tree_edges)
+    except NotASpanningTreeError:
+        return False
+    return True
 
 
 def _count_branches(n: int, tree_edges, extra_degree: Mapping[int, int], countable) -> int:

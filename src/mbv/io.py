@@ -16,7 +16,10 @@ import random
 
 from .errors import (
     BadEdgeLineError,
+    DuplicateEdgeError,
+    IndexOutOfRangeError,
     InfeasibleEdgeCountError,
+    LoopEdgeError,
     MalformedHeaderError,
 )
 from .graph import Graph, build_graph
@@ -30,6 +33,16 @@ def _data_lines(text: str, comment: str) -> list[str]:
             continue
         out.append(line)
     return out
+
+
+def _build(n: int, pairs, edge_lines) -> Graph:
+    """``build_graph``; a bad pair's error quotes its line, ``edge_lines()[i]``."""
+    try:
+        return build_graph(n, pairs)
+    except (IndexOutOfRangeError, LoopEdgeError, DuplicateEdgeError) as exc:
+        why = {IndexOutOfRangeError: f"vertex ids must lie in 1..{n}",
+               LoopEdgeError: "loop edge", DuplicateEdgeError: "repeated edge"}[type(exc)]
+        raise type(exc)(f"edge line {edge_lines()[exc.pair_index]!r}: {why}") from None
 
 
 def parse_instance(text: str) -> Graph:
@@ -59,7 +72,7 @@ def parse_instance(text: str) -> Graph:
         except ValueError:
             raise BadEdgeLineError(f"non-integer edge line {line!r}") from None
         pairs.append((u - 1, v - 1))
-    return build_graph(n, pairs)
+    return _build(n, pairs, lambda: body)
 
 
 def write_instance(g: Graph) -> str:
@@ -105,7 +118,8 @@ def parse_dimacs(text: str) -> Graph:
         raise MalformedHeaderError("missing 'p edge n m' line")
     if len(pairs) != m:
         raise BadEdgeLineError(f"problem line promises {m} edges, found {len(pairs)}")
-    return build_graph(n, pairs)
+    # past the comments, every line but the one 'p' line is an edge line
+    return _build(n, pairs, lambda: [line for line in _data_lines(text, "c") if line[0] == "e"])
 
 
 def write_dimacs(g: Graph) -> str:

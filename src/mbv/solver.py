@@ -456,20 +456,26 @@ def _search(
     return lower, best_val, best_ids, nodes
 
 
-def _solve(g, c, incumbents, opts, t0, floor=0, scans=None) -> SolveReport:
-    """Search from the best incumbent (the first on ties) and report its result.
+def _solve(g, c, lb, opts, t0, seed=None, scans=None) -> SolveReport:
+    """Solve g under c's objective (None: the plain one) and report the result.
 
-    A tree the search found is certified. The search replaces its incumbent
-    only on a strict improvement, so an upper bound equal to the warm tree's
-    count means the warm tree, already certified, still stands: the report
-    takes it with g's own edge tuples and is not certified again. A search
-    that stopped before any incumbent reports a DFS tree of g, certified
-    like a found one; the open node whose subtree holds it has a bound no
-    larger than its count, so the search's lower bound stands.
-    ``floor`` is a lower bound known before the search, reported when a
-    search stopped before its root knows less. The time limit counts from
-    ``t0``, the start of the public call. ``scans`` goes to ``_search``.
+    A one-vertex graph's only tree, the empty one, is scored, not searched.
+    Else the search starts from the best incumbent (the first on ties): the
+    heuristics' tree under the warm start, then the certified ``seed``. Its
+    upper bound equals the warm tree's count only if the warm tree, already
+    certified, still stands; any other tree is certified, a DFS tree of g when
+    the search stopped before any incumbent (the open node whose subtree
+    holds it bounds below its count). ``lb``, g's obligatory bound or None,
+    guides the heuristics and is reported if the search knows less. The time
+    limit counts from ``t0``, the start of the public call. ``scans`` goes to
+    ``_search``.
     """
+    if g.n == 1:
+        tree = spanning_tree(g, (), c)
+        return SolveReport(float(tree.branches), tree.branches, tree, 0, perf_counter() - t0)
+    incumbents = [best_heuristic(g, lb, c)] if opts.use_warm_start else []
+    if seed is not None:
+        incumbents.append(spanning_tree(g, seed, c))
     warm = min(incumbents, key=lambda t: t.branches, default=None)
     deadline = t0 + opts.time_limit if opts.time_limit is not None else None
     lower, upper, ids, nodes = _search(g, c, warm, opts, deadline, scans)
@@ -478,22 +484,18 @@ def _solve(g, c, incumbents, opts, t0, floor=0, scans=None) -> SolveReport:
         tree = SpanningTree(frozenset(own), warm.branches)
     else:
         tree = spanning_tree(g, own, c)
-    lower = max(lower, float(floor))
+    if lb is not None:
+        lower = max(lower, float(lb.value))
     return SolveReport(lower, tree.branches, tree, nodes, perf_counter() - t0)
 
 
 def solve_plain(g: Graph, opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Exact solve on the whole graph; anytime-sound when limits cut it short."""
     t0 = perf_counter()
-    lb0, live = _bound_and_scan(g)  # also rejects disconnected input
-    if g.n == 1:
-        return SolveReport(0.0, 0, spanning_tree(g, ()), 0, perf_counter() - t0)
-    warm = [best_heuristic(g, lb0)] if opts.use_warm_start else []
-    # the search's live graph starts as g in g's order, so its root takes the
-    # bound's scan; once popped there, its lists go when the root is done
-    scans = [live]
-    del live
-    return _solve(g, None, warm, opts, t0, lb0.value, scans)
+    # the search's live graph starts as g in g's order, so its root pops the
+    # bound's scan from this one-slot list, whose lists go when it is done
+    lb, *scans = _bound_and_scan(g)  # also rejects disconnected input
+    return _solve(g, None, lb, opts, t0, scans=scans)
 
 
 def solve_component(
@@ -502,20 +504,13 @@ def solve_component(
     """Exact solve of one decomposition component under component semantics.
 
     Split copies never count toward the objective; original vertices carry
-    their extra degree. Single-vertex components are answered immediately.
-    ``seed_tree`` is an optional extra incumbent (local edges); the enhanced
-    pipeline passes the projection of a whole-graph heuristic tree, which is
-    sometimes better than the component's own heuristics. A component has no
-    obligatory vertex, so its heuristics get no bound.
+    their extra degree. ``seed_tree`` is an optional extra incumbent (local
+    edges); the enhanced pipeline passes the projection of a whole-graph
+    heuristic tree, which is sometimes better than the component's own
+    heuristics. A component has no obligatory vertex, so its heuristics get
+    no bound.
     """
-    t0 = perf_counter()
-    g = c.graph
-    if g.n == 1:
-        return SolveReport(0.0, 0, spanning_tree(g, ()), 0, perf_counter() - t0)
-    incumbents = [best_heuristic(g, None, c)] if opts.use_warm_start else []
-    if seed_tree is not None:
-        incumbents.append(spanning_tree(g, seed_tree, c))
-    return _solve(g, c, incumbents, opts, t0)
+    return _solve(c.graph, c, None, opts, perf_counter(), seed_tree)
 
 
 def solve_with_decomposition(g: Graph, opts: SolveOptions = SolveOptions()) -> SolveReport:

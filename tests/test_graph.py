@@ -212,6 +212,8 @@ def test_is_spanning_tree_edge_cases(p4):
     assert not is_spanning_tree(p3, [(0, -1), (1, 2)])
     assert not is_spanning_tree(p3, [(0, 9)])
     assert not is_spanning_tree(p3, [(3, 1), (1, 2)])
+    # pairs that connect every vertex but are not all edges of g: (0, 2) is none
+    assert not is_spanning_tree(p4, [(0, 2), (2, 1), (1, 3)])
 
 
 def test_spanning_tree_keeps_normalized_tuples(p4):

@@ -59,6 +59,26 @@ def test_parse_simple_errors():
         parse_instance("2 2\n1 2\n2 1\n")
 
 
+@pytest.mark.parametrize(
+    "parse, text, error, message",
+    [
+        (parse_instance, "3 2\n1 2\n2 4\n", IndexOutOfRangeError,
+         "edge line '2 4': vertex ids must lie in 1..3"),
+        (parse_instance, "1 1\n1 1\n", LoopEdgeError, "edge line '1 1': "),
+        (parse_instance, "2 2\n1 2\n2 1\n", DuplicateEdgeError, "edge line '2 1': "),
+        (parse_dimacs, "p edge 2 1\ne 0 1\n", IndexOutOfRangeError,
+         "edge line 'e 0 1': vertex ids must lie in 1..2"),
+    ],
+    ids=["range", "loop", "duplicate", "dimacs-range"],
+)
+def test_vertex_errors_quote_the_edge_line(parse, text, error, message):
+    # instance files number vertices from 1, so an error names the line as
+    # written, not the 0-based pair it became
+    with pytest.raises(error) as caught:
+        parse(text)
+    assert str(caught.value).startswith(message)
+
+
 def test_parse_dimacs_path():
     g = parse_dimacs("p edge 3 2\ne 1 2\ne 2 3\n")
     assert g.n == 3

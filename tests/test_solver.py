@@ -68,6 +68,19 @@ def test_single_split_copy_component():
     report = solve_component(comp)
     assert report.optimal
     assert report.upper_bound == 0
+    # a one-vertex component is scored by its objective like any other: a lone
+    # original with three or more deleted bridges is a branch in its only tree.
+    # decompose never builds one (the vertex would be obligatory and split),
+    # but a hand-built component can hold one
+    cases = [(Original(0), {0: d} if d else {}, int(d > 2)) for d in range(5)]
+    cases.append((SplitCopy(0, 1), {}, 0))
+    for origin, extra, branches in cases:
+        comp = Component(comp.graph, (origin,), extra, {})
+        report = solve_component(comp)
+        assert spanning_tree(comp.graph, (), comp).branches == branches
+        assert report.lower_bound == report.upper_bound == branches
+        assert report.optimal
+        assert report.nodes_explored == 0
 
 
 def _triangle_component(extra):
