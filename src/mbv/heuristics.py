@@ -100,12 +100,15 @@ class HeuristicState:
         )
 
     def start(self) -> int:
-        """Add the best vertex with unvisited neighbors to the tree and return it."""
+        """Add the best vertex with unvisited neighbors to the tree and return it.
+
+        A one-vertex graph has no such vertex, and its one vertex is added.
+        """
         n, base, unvisited = self.graph.n, self.base, self.unvisited
         best = min((base[v] - c * n for v, c in enumerate(unvisited) if c), default=None)
-        if best is None:
+        if best is None and n > 1:
             raise self._stuck()
-        v = best % n
+        v = 0 if best is None else best % n
         self.in_tree[v] = True
         for x in self.graph.adjacency[v]:  # no neighbor is in the tree yet
             unvisited[x] -= 1
@@ -144,8 +147,6 @@ def path_expanding(
     """
     st = HeuristicState(g, lb, component)
     n = g.n
-    if n == 1:
-        return spanning_tree(g, (), component)
     adj, in_tree, unvisited, base = g.adjacency, st.in_tree, st.unvisited, st.base
     restarts, tree_degree, tree_edges, nn = st.restarts, st.tree_degree, st.tree_edges, n * n
     start = st.start()
@@ -192,8 +193,6 @@ def multi_path_expanding(
     """
     st = HeuristicState(g, lb, component)
     n = g.n
-    if n == 1:
-        return spanning_tree(g, (), component)
     adj, in_tree, unvisited, base = g.adjacency, st.in_tree, st.unvisited, st.base
     restarts, tree_degree, tree_edges, nn = st.restarts, st.tree_degree, st.tree_edges, n * n
     st.start()

@@ -64,11 +64,12 @@ restores the parent's fixpoint, and then applies the decision.
 A node scans the live graph only when it has changed. Both children's stack
 entries carry the split counts, bridge degrees and classes of their parent's
 scan (one shared tuple, never changed). A child whose decision dropped edges
-scans only their class K and splices the result into copies of the parent's
-lists: a vertex x of K splits into its parts inside K plus one part per
-parent bridge at x, since each leads out of K. An include child that drops
-no closer keeps its parent's scan. Forcing the scan's bridges leaves the live
-graph as it was. The live graph is the only graph a node scans.
+scans only their class K, unless the estimate below prunes it first, and
+splices the result into copies of the parent's lists: a vertex x of K splits
+into its parts inside K plus one part per parent bridge at x, since each
+leads out of K. An include child that drops no closer keeps its parent's
+scan. Forcing the scan's bridges leaves the live graph as it was. The live
+graph is the only graph a node scans.
 
 The root is a child of a constant pseudo-parent, whose scan has one class
 holding every vertex, no pieces and no bridges, and whose bound is 0; the
@@ -85,25 +86,46 @@ exceeds two. Next to the scan, both children's entries hold the parent's
 addend per class (in the order of the scan's classes), and each child
 corrects only the addends its decision can touch. A class's addend reads
 only the split counts, bridge degrees, live degrees and included degrees of
-its vertices, so this equals the full evaluation:
+its vertices. A node takes one of three rules:
 
-* a child that drops edges changes only vertices of K (its split counts, the
-  new bridges and their inclusions all lie in K, and so do the ends of the
-  decided and dropped edges), so it swaps K's addend for the addends of K's
-  sub-classes and adds the flags of K's vertices left in no class. The
-  pseudo-parent's one addend is 0, so the root evaluates the bound in full;
 * an include child that drops no closer keeps its parent's live graph and
   scan, and only the included degree of the edge's ends u and v rises. The
   edge was undecided, so it is no bridge, and u and v share one class K.
   K's addend changes only when the flag of u or v turns on: the split count
   is unchanged, so that happens exactly when its extra plus included degree
   reaches 3 and its included degree exceeds its split count. Only then does
-  the child re-evaluate K's addend.
+  the child re-evaluate K's addend, and the bound equals the full evaluation;
+* a child below the root that drops edges first re-evaluates K's addend on
+  its parent's scan with its own live and included degrees, and is pruned
+  without a scan when the parent's bound with that addend in place of K's
+  reaches the incumbent;
+* else the child rescans K. It changes only vertices of K (its split
+  counts, the new bridges and their inclusions all lie in K, and so do the
+  ends of the decided and dropped edges), so it swaps K's addend for the
+  addends of K's sub-classes and adds the flags of K's vertices left in no
+  class, which equals the full evaluation. The pseudo-parent's one addend is
+  0, so the root evaluates the bound in full.
+
+The estimate E of the second rule bounds every completion: K is still
+connected and every edge leaving it is a bridge of the parent, so a
+completion restricted to K spans K, and the parent's split counts and
+bridge degrees never overstate the child's. E also never exceeds the full
+evaluation F of the third rule, so it prunes only children that F would
+prune, and node counts are those of a search that always rescans:
+
+* dropping edges only raises split counts, and forcing bridges only raises
+  included degrees, so every flag in E is also a flag in F;
+* a vertex newly flagged in F adds 1 to its class's forced branches (c1)
+  and takes at most 1 from its degree accounting (c2);
+* splitting K at new bridges keeps the summed leftover excess (the need)
+  the same, and covering each part's need with its own gains takes at
+  least as many gains as covering the sum at once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from time import perf_counter
 
 from .bound import _bound_and_scan, obligatory_branch_bound
@@ -173,19 +195,17 @@ def _fallback_tree(g: Graph) -> list[tuple[int, int]]:
     return picked
 
 
-def _live_scan(n: int, adj, parent, u: int, live=None):
+def _live_scan(n: int, adj, parent, k: int, live=None):
     """Rescan one class of a connected live graph and splice it into ``parent``.
 
-    Returns ((pieces, bridge_deg, classes), bridges, k). ``parent`` is the
-    scan of the graph before edges inside u's class C were dropped from
+    Returns ((pieces, bridge_deg, classes), bridges). ``parent`` is the scan
+    of the graph before edges inside its k-th class C were dropped from
     ``adj``, leaving C connected: only C can change, so only C is scanned,
-    and the result is spliced into copies of the parent's lists. k is C's
-    index in the parent's classes, C's sub-classes come last, and ``bridges``
-    are only the new ones, all inside C. ``live`` is C's scan when the caller
-    already has one of ``adj``.
+    and the result is spliced into copies of the parent's lists. C's
+    sub-classes come last, and ``bridges`` are only the new ones, all inside
+    C. ``live`` is C's scan when the caller already has one of ``adj``.
     """
     pieces, bridge_deg, classes = parent
-    k = next(i for i, grp in enumerate(classes) if u in grp)
     cls = classes[k]
     if live is None:
         live = _lowpoint(n, adj, cls)
@@ -197,7 +217,45 @@ def _live_scan(n: int, adj, parent, u: int, live=None):
     for a, b in live.bridges:
         bridge_deg[a] += 1
         bridge_deg[b] += 1
-    return (pieces, bridge_deg, classes), live.bridges, k
+    return (pieces, bridge_deg, classes), live.bridges
+
+
+def _class_term(gamma, countable, live_deg, inc_deg, group, pieces, bridge_deg) -> int:
+    """One two-edge-connected class's addend of the node bound: c1 + c2.
+
+    c1 counts the class's forced branches. Each bridge at v cuts off a piece
+    of its own and is already included, so bridge degree + max(class pieces,
+    chosen class degree) from the module docstring is max(pieces, chosen
+    degree) in the live graph. c2 is the class's degree accounting, in which
+    a forced branch absorbs any degree. The search binds the first four
+    arguments, its per-vertex state, once.
+    """
+    h = len(group)
+    c1 = 0
+    free = 0
+    gains = []
+    for v in group:
+        d = live_deg[v] - bridge_deg[v]
+        if countable[v]:
+            if gamma[v] + (pieces[v] if pieces[v] > inc_deg[v] else inc_deg[v]) > 2:
+                c1 += 1
+            else:
+                cap = 2 - gamma[v] - bridge_deg[v]
+                if d > cap:
+                    free += cap - 1
+                    gains.append(d - cap)
+                    continue
+        free += d - 1
+    need = h - 2 - free
+    c2 = 0
+    if need > 0:
+        gains.sort(reverse=True)
+        for gain in gains:
+            c2 += 1
+            need -= gain
+            if need <= 0:
+                break
+    return c1 + c2
 
 
 # search states of an edge
@@ -318,41 +376,7 @@ def _search(
                 live_deg[v] += 1
             status[ei] = _UNDECIDED
 
-    def class_term(group: list[int], pieces: list[int], bridge_deg: list[int]) -> int:
-        """One two-edge-connected class's addend of the node bound: c1 + c2.
-
-        c1 counts the class's forced branches. Each bridge at v cuts off a
-        piece of its own and is already included, so bridge degree + max(class
-        pieces, chosen class degree) from the module docstring is max(pieces,
-        chosen degree) in the live graph. c2 is the class's degree accounting,
-        in which a forced branch absorbs any degree.
-        """
-        h = len(group)
-        c1 = 0
-        free = 0
-        gains = []
-        for v in group:
-            d = live_deg[v] - bridge_deg[v]
-            if countable[v]:
-                if gamma[v] + (pieces[v] if pieces[v] > inc_deg[v] else inc_deg[v]) > 2:
-                    c1 += 1
-                else:
-                    cap = 2 - gamma[v] - bridge_deg[v]
-                    if d > cap:
-                        free += cap - 1
-                        gains.append(d - cap)
-                        continue
-            free += d - 1
-        need = h - 2 - free
-        c2 = 0
-        if need > 0:
-            gains.sort(reverse=True)
-            for gain in gains:
-                c2 += 1
-                need -= gain
-                if need <= 0:
-                    break
-        return c1 + c2
+    class_term = partial(_class_term, gamma, countable, live_deg, inc_deg)
 
     nodes = 0
     stopped = False
@@ -405,18 +429,24 @@ def _search(
                 terms = terms[:]
                 terms[k] = term
         else:
-            # the dropped edges all lie in K, and only K changed: it is
-            # rescanned, its undecided bridges are included (closing no
-            # cycle), and its term gives way to its sub-classes' terms, which
-            # come last in the class list. A vertex of K left in no class has
-            # only included bridges, so its flag is final and counted once
-            # here. A plain search's root takes the bound's scan of the input
-            scan, bridges, k = _live_scan(n, adj, scan, u, scans.pop() if scans else None)
+            # the dropped edges all lie in K, and only K changed. Below the
+            # root, K's term on the parent's scan with the child's degrees
+            # never exceeds the full evaluation, so a child it prunes skips
+            # the rescan. Else K is rescanned, its undecided bridges are
+            # included (closing no cycle), and its term gives way to its
+            # sub-classes' terms, which come last in the class list. A vertex
+            # of K left in no class has only included bridges, so its flag is
+            # final and counted once here. A plain search's root takes the
+            # bound's scan of the input
+            k = next(i for i, grp in enumerate(classes) if u in grp)
+            group = classes[k]
+            if ei >= 0 and bound - terms[k] + class_term(group, pieces, bridge_deg) >= best_val:
+                continue
+            scan, bridges = _live_scan(n, adj, scan, k, scans.pop() if scans else None)
             for bridge in bridges:
                 e = edge_id[bridge]
                 if status[e] == _UNDECIDED:
                     include(e)
-            group = classes[k]  # the parent's K
             pieces, bridge_deg, classes = scan
             fresh = [class_term(grp, pieces, bridge_deg) for grp in classes[len(terms) - 1 :]]
             bound += sum(fresh) - terms[k]

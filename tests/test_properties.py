@@ -26,10 +26,10 @@ from mbv import (
 )
 from mbv.errors import NotASpanningTreeError
 from mbv.graph import _count_branches, _lowpoint
-from mbv.solver import _live_scan
+from mbv.solver import _class_term, _live_scan
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 
 @st.composite
@@ -185,9 +185,9 @@ def _full_scan(n, adj):
 
 
 def _assert_splice_is_a_full_scan(n, adj, parent, parent_bridges, u, live=None):
-    (pieces, bridge_deg, classes), new, k = _live_scan(n, adj, parent, u, live)
+    k = next(i for i, grp in enumerate(parent[2]) if u in grp)
+    (pieces, bridge_deg, classes), new = _live_scan(n, adj, parent, k, live)
     full, every = _full_scan(n, adj)
-    assert u in parent[2][k]
     assert pieces == full[0] and bridge_deg == full[1]
     assert sorted(parent_bridges + new) == sorted(every)
     assert sorted(map(sorted, classes)) == sorted(map(sorted, full[2]))
@@ -230,3 +230,94 @@ def test_class_rescan_spliced_into_the_scan_equals_a_full_scan(g, data):
         u = data.draw(st.sampled_from(grp))
         _assert_splice_is_a_full_scan(n, _without(g, dropped), whole, bridges, u)
     assert whole == kept  # the parent's scan is shared, never changed
+
+
+def _node_bound(n, adj, inc_deg, gamma, countable):
+    """A search node's bound evaluated in full from one unrestricted scan."""
+    (pieces, bridge_deg, classes), _ = _full_scan(n, adj)
+    live_deg = [len(a) for a in adj]
+    terms = [_class_term(gamma, countable, live_deg, inc_deg, grp, pieces, bridge_deg)
+             for grp in classes]
+    in_class = {x for grp in classes for x in grp}
+    return sum(terms) + sum(1 for x in range(n) if x not in in_class
+                            and countable[x] and gamma[x] + live_deg[x] > 2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(bridged_graphs(extra=8), st.data())
+def test_class_term_before_the_rescan_never_exceeds_the_full_bound(g, data):
+    # a search child that drops edges inside class K of its parent's fixpoint
+    # is first bounded by the parent's bound with K's term re-evaluated on
+    # the parent's scan but the child's degrees, and pruned on that. Node
+    # counts stay the same only if this never exceeds the child's full bound
+    n = g.n
+    gamma = data.draw(st.lists(st.sampled_from((0, 0, 1, 1, 2)), min_size=n, max_size=n))
+    countable = data.draw(st.lists(st.sampled_from((True, True, True, False)),
+                                   min_size=n, max_size=n))
+    adj = [list(a) for a in g.adjacency]
+    inc_deg = [0] * n
+    included = set()
+    group = list(range(n))
+
+    def find(x):
+        while group[x] != x:
+            x = group[x]
+        return x
+
+    def include(e):
+        u, v = e
+        included.add(e)
+        inc_deg[u] += 1
+        inc_deg[v] += 1
+        group[find(u)] = find(v)
+
+    def drop(e):
+        u, v = e
+        adj[u].remove(v)
+        adj[v].remove(u)
+
+    # the parent: a forest of included edges and some excluded edges that
+    # leave the live graph connected, then the fixpoint: every live edge
+    # that closes a cycle with the forest dropped, every bridge included
+    for e, take in data.draw(st.lists(st.tuples(st.sampled_from(g.edges), st.booleans()),
+                                      max_size=8)):
+        u, v = e
+        if e in included or v not in adj[u]:
+            continue
+        if take and find(u) != find(v):
+            include(e)
+        elif not take:
+            drop(e)
+            if _lowpoint(n, adj).count != 1:
+                adj[u].append(v)
+                adj[v].append(u)
+    for e in g.edges:
+        if e not in included and e[1] in adj[e[0]] and find(e[0]) == find(e[1]):
+            drop(e)
+    (pieces, bridge_deg, classes), bridges = _full_scan(n, adj)
+    for e in bridges:
+        if e not in included:
+            include(e)
+    undecided = [e for e in g.edges if e not in included and e[1] in adj[e[0]]]
+    assume(undecided)
+    parent = _node_bound(n, adj, inc_deg, gamma, countable)
+    u, v = e = data.draw(st.sampled_from(undecided))
+    k = next(i for i, grp in enumerate(classes) if u in grp)
+    assert v in classes[k]
+    term = _class_term(gamma, countable, [len(a) for a in adj], inc_deg, classes[k], pieces,
+                       bridge_deg)
+    # the child: exclude e, or include it and drop its closers
+    if data.draw(st.booleans()):
+        a, b = find(u), find(v)
+        for x, w in undecided:
+            if {find(x), find(w)} == {a, b} and (x, w) != e:
+                drop((x, w))
+        include(e)
+    else:
+        drop(e)
+    guess = parent - term + _class_term(gamma, countable, [len(a) for a in adj], inc_deg,
+                                        classes[k], pieces, bridge_deg)
+    for bridge in _full_scan(n, adj)[1]:
+        if bridge not in included:
+            include(bridge)
+    assert guess <= _node_bound(n, adj, inc_deg, gamma, countable)
