@@ -49,13 +49,14 @@ int per edge, tightness * (n + 1) + degree: a live degree is below n + 1 and
 tightness is at least -1 (a split copy never counts), so the int orders edges
 exactly like the pair, and a strict comparison keeps the smallest index.
 
-The search keeps one state and changes it in place: a status per edge
-(undecided, included, excluded), the live adjacency (every edge not
+The search state is one ``_Search`` value, changed in place: a status per
+edge (undecided, included, excluded), the live adjacency (every edge not
 excluded) with its degrees, included degrees with the tightness they give,
-and the groups joined by included edges
-(explicit labels merged by size, so a union is undone by relabeling the
-smaller group). Every change is pushed on one trail: a branching decision, a
-forced bridge, a dropped cycle closer, each inclusion with its union.
+and the groups joined by included edges (explicit labels merged by size, so
+a union is undone by relabeling the smaller group). Its ``include``,
+``exclude`` and ``undo`` are the only code that changes it, and its ``run``
+is the node loop. Every change is pushed on one trail: a branching decision,
+a forced bridge, a dropped cycle closer, each inclusion with its union.
 
 An open node holds its edge, its decision, the trail length at its parent and
 the parent's bound. Popping it undoes the trail back to that mark, which
@@ -125,7 +126,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from time import perf_counter
 
 from .bound import _bound_and_scan, obligatory_branch_bound
@@ -220,127 +220,79 @@ def _live_scan(n: int, adj, parent, k: int, live=None):
     return (pieces, bridge_deg, classes), live.bridges
 
 
-def _class_term(gamma, countable, live_deg, inc_deg, group, pieces, bridge_deg) -> int:
-    """One two-edge-connected class's addend of the node bound: c1 + c2.
-
-    c1 counts the class's forced branches. Each bridge at v cuts off a piece
-    of its own and is already included, so bridge degree + max(class pieces,
-    chosen class degree) from the module docstring is max(pieces, chosen
-    degree) in the live graph. c2 is the class's degree accounting, in which
-    a forced branch absorbs any degree. The search binds the first four
-    arguments, its per-vertex state, once.
-    """
-    h = len(group)
-    c1 = 0
-    free = 0
-    gains = []
-    for v in group:
-        d = live_deg[v] - bridge_deg[v]
-        if countable[v]:
-            if gamma[v] + (pieces[v] if pieces[v] > inc_deg[v] else inc_deg[v]) > 2:
-                c1 += 1
-            else:
-                cap = 2 - gamma[v] - bridge_deg[v]
-                if d > cap:
-                    free += cap - 1
-                    gains.append(d - cap)
-                    continue
-        free += d - 1
-    need = h - 2 - free
-    c2 = 0
-    if need > 0:
-        gains.sort(reverse=True)
-        for gain in gains:
-            c2 += 1
-            need -= gain
-            if need <= 0:
-                break
-    return c1 + c2
-
-
 # search states of an edge
 _UNDECIDED, _INCLUDED, _EXCLUDED = 0, 1, 2
 
 
-def _search(
-    g: Graph,
-    c: Component | None,
-    warm: SpanningTree | None,
-    opts: SolveOptions,
-    deadline: float | None,
-    scans: list | None = None,
-) -> tuple[float, float, list[int] | None, int]:
-    """Core branch and bound over edge ids; returns (lb, ub, tree_ids, nodes).
+class _Search:
+    """The one search state of g under c's objective (None: the plain one).
 
-    ``c`` is the component g is the graph of, or None for a whole graph. The
-    search stops at the ``perf_counter`` time ``deadline``, if one is given;
-    one stopped before any incumbent returns no tree ids and an infinite ub.
-    ``scans`` may hold a lowpoint scan of g's adjacency, which the root pops
-    and takes in place of its own scan; it then holds the only reference.
+    It is built with every edge undecided and changed in place only by
+    ``include``, ``exclude`` and ``undo``; ``run`` is the node loop over it.
+    Trail entries are ei for an included edge (and the union it made) and ~ei
+    for an excluded one.
     """
-    n, m = g.n, g.m
-    extra, countable = ({}, [True] * n) if c is None else (c.extra_degree, c.countable)
-    edges = g.edges
-    edge_id = {e: ei for ei, e in enumerate(edges)}
-    gamma = [extra.get(v, 0) for v in range(n)]
 
-    best_ids: list[int] | None = None
-    best_val = math.inf
-    if warm is not None:
-        best_ids = [edge_id[e] for e in warm.edges]
-        best_val = warm.branches
+    __slots__ = ("edges", "edge_id", "gamma", "countable", "status", "adj", "live_deg",
+                 "inc_deg", "tight", "group_of", "members", "hung", "trail")
 
-    # the one search state, changed in place and undone on backtrack; trail
-    # entries are ei for an included edge (and the union it made) and ~ei for
-    # an excluded one
-    status = [_UNDECIDED] * m
-    adj = [list(a) for a in g.adjacency]  # live adjacency: the edges not excluded
-    live_deg = [len(a) for a in adj]
-    inc_deg = [0] * n
-    # extra plus included degree, or -1 for a vertex that never counts
-    tight = [gamma[v] if countable[v] else -1 for v in range(n)]
-    # groups joined by included edges: union by size with explicit labels, so
-    # a find is one read and a union is undone by relabeling the smaller group
-    group_of = list(range(n))
-    members = [[v] for v in range(n)]
-    hung = [0] * m  # the group an included edge merged into a larger one
-    trail: list[int] = []
+    def __init__(self, g: Graph, c: Component | None):
+        n = g.n
+        extra, countable = ({}, [True] * n) if c is None else (c.extra_degree, c.countable)
+        self.edges = g.edges
+        self.edge_id = {e: ei for ei, e in enumerate(g.edges)}
+        self.gamma = gamma = [extra.get(v, 0) for v in range(n)]
+        self.countable = countable
+        self.status = [_UNDECIDED] * g.m
+        self.adj = [list(a) for a in g.adjacency]  # live adjacency: the edges not excluded
+        self.live_deg = [len(a) for a in self.adj]
+        self.inc_deg = [0] * n
+        # extra plus included degree, or -1 for a vertex that never counts
+        self.tight = [gamma[v] if countable[v] else -1 for v in range(n)]
+        # groups joined by included edges: union by size with explicit labels, so
+        # a find is one read and a union is undone by relabeling the smaller group
+        self.group_of = list(range(n))
+        self.members = [[v] for v in range(n)]
+        self.hung = [0] * g.m  # the group an included edge merged into a larger one
+        self.trail: list[int] = []
 
-    def exclude(ei: int) -> None:
-        u, v = edges[ei]
-        adj[u].remove(v)
-        adj[v].remove(u)
-        live_deg[u] -= 1
-        live_deg[v] -= 1
-        status[ei] = _EXCLUDED
-        trail.append(~ei)
+    def exclude(self, ei: int) -> None:
+        u, v = self.edges[ei]
+        self.adj[u].remove(v)
+        self.adj[v].remove(u)
+        self.live_deg[u] -= 1
+        self.live_deg[v] -= 1
+        self.status[ei] = _EXCLUDED
+        self.trail.append(~ei)
 
-    def include(ei: int) -> None:
+    def include(self, ei: int) -> None:
         """Include ei and merge the groups of its ends."""
-        u, v = edges[ei]
-        inc_deg[u] += 1
-        inc_deg[v] += 1
-        tight[u] += countable[u]
-        tight[v] += countable[v]
-        status[ei] = _INCLUDED
-        trail.append(ei)
+        u, v = self.edges[ei]
+        self.inc_deg[u] += 1
+        self.inc_deg[v] += 1
+        self.tight[u] += self.countable[u]
+        self.tight[v] += self.countable[v]
+        self.status[ei] = _INCLUDED
+        self.trail.append(ei)
+        group_of, members = self.group_of, self.members
         a, b = group_of[u], group_of[v]
         if len(members[a]) < len(members[b]):
             a, b = b, a
-        hung[ei] = b
+        self.hung[ei] = b
         small = members[b]
         for x in small:
             group_of[x] = a
         members[a] += small
 
-    def closers(ei: int) -> list[int]:
+    def closers(self, ei: int) -> list[int]:
         """The live edges other than undecided ei that join its ends' groups.
 
         Including ei closes each into a cycle. Live edges between two groups
         are all undecided, so the smaller group's live neighbors in the other
         group give them all.
         """
-        u, v = edges[ei]
+        u, v = self.edges[ei]
+        group_of, members, adj, edge_id = self.group_of, self.members, self.adj, self.edge_id
         a, b = group_of[u], group_of[v]
         if len(members[a]) < len(members[b]):
             a, b = b, a
@@ -353,137 +305,188 @@ def _search(
                         found.append(e)
         return found
 
-    def undo(mark: int) -> None:
+    def undo(self, mark: int) -> None:
+        """Undo the trail back to its first ``mark`` entries."""
+        trail, group_of, members = self.trail, self.group_of, self.members
         while len(trail) > mark:
             ei = trail.pop()
             if ei >= 0:
-                u, v = edges[ei]
-                inc_deg[u] -= 1
-                inc_deg[v] -= 1
-                tight[u] -= countable[u]
-                tight[v] -= countable[v]
-                b = hung[ei]
+                u, v = self.edges[ei]
+                self.inc_deg[u] -= 1
+                self.inc_deg[v] -= 1
+                self.tight[u] -= self.countable[u]
+                self.tight[v] -= self.countable[v]
+                b = self.hung[ei]
                 small = members[b]
                 del members[group_of[b]][-len(small):]
                 for x in small:
                     group_of[x] = b
             else:
                 ei = ~ei
-                u, v = edges[ei]
-                adj[u].append(v)
-                adj[v].append(u)
-                live_deg[u] += 1
-                live_deg[v] += 1
-            status[ei] = _UNDECIDED
+                u, v = self.edges[ei]
+                self.adj[u].append(v)
+                self.adj[v].append(u)
+                self.live_deg[u] += 1
+                self.live_deg[v] += 1
+            self.status[ei] = _UNDECIDED
 
-    class_term = partial(_class_term, gamma, countable, live_deg, inc_deg)
+    def term(self, group, pieces, bridge_deg) -> int:
+        """One two-edge-connected class's addend of the node bound: c1 + c2.
 
-    nodes = 0
-    stopped = False
-    width = n + 1  # the pick key's radix: above every live degree
-    # an entry is (edge, include it?, trail mark, parent's bound, parent's
-    # fixpoint scan, parent's class terms). The lists are shared by both
-    # children and never changed; a child that changes one copies it. Node
-    # bounds and the objective are integers, so a node is pruned exactly when
-    # its bound reaches the incumbent. The root decides nothing, and its parent
-    # is a constant pseudo-parent: one class holding every vertex, no pieces
-    # or bridges, and a bound of 0
-    pseudo_scan = ([0] * n, [0] * n, [list(range(n))])
-    stack: list[tuple] = [(-1, False, 0, 0, pseudo_scan, [0])]
-    while stack:
-        if opts.node_limit is not None and nodes >= opts.node_limit:
-            stopped = True
-            break
-        if deadline is not None and perf_counter() > deadline:
-            stopped = True
-            break
-        ei, take, mark, bound, scan, terms = stack.pop()
-        if bound >= best_val:
-            continue
-        nodes += 1
-        undo(mark)
-        if take:  # unlike a forced bridge, a branching inclusion may close cycles
-            dropped = closers(ei)
-            include(ei)
-            for e in dropped:
-                exclude(e)
-        elif ei >= 0:
-            exclude(ei)
-        # the node bound is a term per class, in the order of the scan's
-        # classes, plus the final flags of the vertices in no class; a child
-        # corrects the terms its decision can change and keeps the rest. Both
-        # ends of the edge lie in its class K (the root's -1 reads the last
-        # edge, and its pseudo-parent's one class holds every vertex)
-        u, v = edges[ei]
-        pieces, bridge_deg, classes = scan
-        if take and not dropped:
-            # the live graph and its scan are the parent's, and only the
-            # included degree of u and v rose, so K's term changes only when
-            # the flag of u or v turns on
-            if (tight[u] == 3 and inc_deg[u] > pieces[u]) or (
-                tight[v] == 3 and inc_deg[v] > pieces[v]
-            ):
-                k = next(i for i, grp in enumerate(classes) if u in grp)
-                term = class_term(classes[k], pieces, bridge_deg)
-                bound += term - terms[k]
-                terms = terms[:]
-                terms[k] = term
-        else:
-            # the dropped edges all lie in K, and only K changed. Below the
-            # root, K's term on the parent's scan with the child's degrees
-            # never exceeds the full evaluation, so a child it prunes skips
-            # the rescan. Else K is rescanned, its undecided bridges are
-            # included (closing no cycle), and its term gives way to its
-            # sub-classes' terms, which come last in the class list. A vertex
-            # of K left in no class has only included bridges, so its flag is
-            # final and counted once here. A plain search's root takes the
-            # bound's scan of the input
-            k = next(i for i, grp in enumerate(classes) if u in grp)
-            group = classes[k]
-            if ei >= 0 and bound - terms[k] + class_term(group, pieces, bridge_deg) >= best_val:
+        c1 counts the class's forced branches. Each bridge at v cuts off a piece
+        of its own and is already included, so bridge degree + max(class pieces,
+        chosen class degree) from the module docstring is max(pieces, chosen
+        degree) in the live graph. c2 is the class's degree accounting, in which
+        a forced branch absorbs any degree.
+        """
+        gamma, countable, live_deg, inc_deg = (
+            self.gamma, self.countable, self.live_deg, self.inc_deg)
+        h = len(group)
+        c1 = 0
+        free = 0
+        gains = []
+        for v in group:
+            d = live_deg[v] - bridge_deg[v]
+            if countable[v]:
+                if gamma[v] + (pieces[v] if pieces[v] > inc_deg[v] else inc_deg[v]) > 2:
+                    c1 += 1
+                else:
+                    cap = 2 - gamma[v] - bridge_deg[v]
+                    if d > cap:
+                        free += cap - 1
+                        gains.append(d - cap)
+                        continue
+            free += d - 1
+        need = h - 2 - free
+        c2 = 0
+        if need > 0:
+            gains.sort(reverse=True)
+            for gain in gains:
+                c2 += 1
+                need -= gain
+                if need <= 0:
+                    break
+        return c1 + c2
+
+    def run(self, best_val: float, best_ids: list[int] | None, deadline: float | None,
+            node_limit: int | None, scans: list | None = None):
+        """Branch and bound from the incumbent; returns (lb, ub, tree_ids, nodes).
+
+        ``best_val`` and ``best_ids`` are the incumbent's count and edge ids
+        (inf and None for none). The search stops at the ``perf_counter`` time
+        ``deadline`` or after ``node_limit`` nodes, if given; one stopped before
+        any incumbent returns no tree ids and an infinite ub. ``scans`` may hold
+        a lowpoint scan of g's adjacency, which the root pops and takes in place
+        of its own scan; it then holds the only reference.
+        """
+        edges, status, adj, live_deg, inc_deg, tight = (
+            self.edges, self.status, self.adj, self.live_deg, self.inc_deg, self.tight)
+        include, exclude, closers, undo, term = (
+            self.include, self.exclude, self.closers, self.undo, self.term)
+        n, m = len(adj), len(edges)
+        nodes = 0
+        width = n + 1  # the pick key's radix: above every live degree
+        # an entry is (edge, include it?, trail mark, parent's bound, parent's
+        # fixpoint scan, parent's class terms). The lists are shared by both
+        # children and never changed; a child that changes one copies it. Node
+        # bounds and the objective are integers, so a node is pruned exactly when
+        # its bound reaches the incumbent. The root decides nothing, and its parent
+        # is a constant pseudo-parent: one class holding every vertex, no pieces
+        # or bridges, and a bound of 0
+        pseudo_scan = ([0] * n, [0] * n, [list(range(n))])
+        stack: list[tuple] = [(-1, False, 0, 0, pseudo_scan, [0])]
+        while stack:
+            if node_limit is not None and nodes >= node_limit:
+                break
+            if deadline is not None and perf_counter() > deadline:
+                break
+            ei, take, mark, bound, scan, terms = stack.pop()
+            if bound >= best_val:
                 continue
-            scan, bridges = _live_scan(n, adj, scan, k, scans.pop() if scans else None)
-            for bridge in bridges:
-                e = edge_id[bridge]
-                if status[e] == _UNDECIDED:
-                    include(e)
+            nodes += 1
+            undo(mark)
+            if take:  # unlike a forced bridge, a branching inclusion may close cycles
+                dropped = closers(ei)
+                include(ei)
+                for e in dropped:
+                    exclude(e)
+            elif ei >= 0:
+                exclude(ei)
+            # the node bound is a term per class, in the order of the scan's
+            # classes, plus the final flags of the vertices in no class; a child
+            # corrects the terms its decision can change and keeps the rest. Both
+            # ends of the edge lie in its class K (the root's -1 reads the last
+            # edge, and its pseudo-parent's one class holds every vertex)
+            u, v = edges[ei]
             pieces, bridge_deg, classes = scan
-            fresh = [class_term(grp, pieces, bridge_deg) for grp in classes[len(terms) - 1 :]]
-            bound += sum(fresh) - terms[k]
-            terms = terms[:k] + terms[k + 1 :] + fresh
-            for x in group:
-                if live_deg[x] == bridge_deg[x] and countable[x] and gamma[x] + live_deg[x] > 2:
-                    bound += 1
-        if bound >= best_val:
-            continue
-
-        # branch on the undecided edge at the most constrained endpoint,
-        # then the densest; deciding tight vertices first moves the bound.
-        # The int key orders edges like (tightness, degree), and a strict >
-        # keeps the smallest edge index on ties.
-        pick = -1
-        pick_key = -width - 1
-        for e in range(m):
-            if status[e] != _UNDECIDED:
+            if take and not dropped:
+                # the live graph and its scan are the parent's, and only the
+                # included degree of u and v rose, so K's term changes only when
+                # the flag of u or v turns on
+                if (tight[u] == 3 and inc_deg[u] > pieces[u]) or (
+                    tight[v] == 3 and inc_deg[v] > pieces[v]
+                ):
+                    k = next(i for i, grp in enumerate(classes) if u in grp)
+                    t = term(classes[k], pieces, bridge_deg)
+                    bound += t - terms[k]
+                    terms = terms[:]
+                    terms[k] = t
+            else:
+                # the dropped edges all lie in K, and only K changed. Below the
+                # root, K's term on the parent's scan with the child's degrees
+                # never exceeds the full evaluation, so a child it prunes skips
+                # the rescan. Else K is rescanned, its undecided bridges are
+                # included (closing no cycle), and its term gives way to its
+                # sub-classes' terms, which come last in the class list. A vertex
+                # of K left in no class has only included bridges, so its flag,
+                # tightness above two, is final and counted once here. A plain
+                # search's root takes the bound's scan of the input
+                k = next(i for i, grp in enumerate(classes) if u in grp)
+                group = classes[k]
+                if ei >= 0 and bound - terms[k] + term(group, pieces, bridge_deg) >= best_val:
+                    continue
+                scan, bridges = _live_scan(n, adj, scan, k, scans.pop() if scans else None)
+                for bridge in bridges:
+                    e = self.edge_id[bridge]
+                    if status[e] == _UNDECIDED:
+                        include(e)
+                pieces, bridge_deg, classes = scan
+                fresh = [term(grp, pieces, bridge_deg) for grp in classes[len(terms) - 1 :]]
+                bound += sum(fresh) - terms[k]
+                terms = terms[:k] + terms[k + 1 :] + fresh
+                for x in group:
+                    if live_deg[x] == bridge_deg[x] and tight[x] > 2:
+                        bound += 1
+            if bound >= best_val:
                 continue
-            u, v = edges[e]
-            tu, tv = tight[u], tight[v]
-            du, dv = live_deg[u], live_deg[v]
-            key = (tu if tu >= tv else tv) * width + (du if du >= dv else dv)
-            if key > pick_key:
-                pick_key = key
-                pick = e
-        if pick < 0:  # a leaf: the bound is its tree's branch count
-            best_val = bound
-            best_ids = [e for e in range(m) if status[e] == _INCLUDED]
-            continue
-        mark = len(trail)
-        stack.append((pick, True, mark, bound, scan, terms))
-        stack.append((pick, False, mark, bound, scan, terms))
 
-    # a finished search pruned every open node against the incumbent
-    lower = float(min([best_val] + [entry[3] for entry in stack])) if stopped else float(best_val)
-    return lower, best_val, best_ids, nodes
+            # branch on the undecided edge at the most constrained endpoint,
+            # then the densest; deciding tight vertices first moves the bound.
+            # The int key orders edges like (tightness, degree), and a strict >
+            # keeps the smallest edge index on ties.
+            pick = -1
+            pick_key = -width - 1
+            for e in range(m):
+                if status[e] != _UNDECIDED:
+                    continue
+                u, v = edges[e]
+                tu, tv = tight[u], tight[v]
+                du, dv = live_deg[u], live_deg[v]
+                key = (tu if tu >= tv else tv) * width + (du if du >= dv else dv)
+                if key > pick_key:
+                    pick_key = key
+                    pick = e
+            if pick < 0:  # a leaf: the bound is its tree's branch count
+                best_val = bound
+                best_ids = [e for e in range(m) if status[e] == _INCLUDED]
+                continue
+            mark = len(self.trail)
+            stack.append((pick, True, mark, bound, scan, terms))
+            stack.append((pick, False, mark, bound, scan, terms))
+
+        # a stopped search's open nodes bound the trees it did not reach; a
+        # finished search leaves none open
+        return float(min([best_val] + [entry[3] for entry in stack])), best_val, best_ids, nodes
 
 
 def _solve(g, c, lb, opts, t0, seed=None, scans=None) -> SolveReport:
@@ -498,7 +501,7 @@ def _solve(g, c, lb, opts, t0, seed=None, scans=None) -> SolveReport:
     holds it bounds below its count). ``lb``, g's obligatory bound or None,
     guides the heuristics and is reported if the search knows less. The time
     limit counts from ``t0``, the start of the public call. ``scans`` goes to
-    ``_search``.
+    ``_Search.run``.
     """
     if g.n == 1:
         tree = spanning_tree(g, (), c)
@@ -508,7 +511,9 @@ def _solve(g, c, lb, opts, t0, seed=None, scans=None) -> SolveReport:
         incumbents.append(spanning_tree(g, seed, c))
     warm = min(incumbents, key=lambda t: t.branches, default=None)
     deadline = t0 + opts.time_limit if opts.time_limit is not None else None
-    lower, upper, ids, nodes = _search(g, c, warm, opts, deadline, scans)
+    search = _Search(g, c)
+    best = (warm.branches, [search.edge_id[e] for e in warm.edges]) if warm else (math.inf, None)
+    lower, upper, ids, nodes = search.run(*best, deadline, opts.node_limit, scans)
     own = _fallback_tree(g) if ids is None else [g.edges[ei] for ei in ids]
     if warm is not None and upper == warm.branches:
         tree = SpanningTree(frozenset(own), warm.branches)

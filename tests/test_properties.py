@@ -26,7 +26,7 @@ from mbv import (
 )
 from mbv.errors import NotASpanningTreeError
 from mbv.graph import _count_branches, _lowpoint
-from mbv.solver import _class_term, _live_scan
+from mbv.solver import _UNDECIDED, _live_scan, _Search
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -232,15 +232,39 @@ def test_class_rescan_spliced_into_the_scan_equals_a_full_scan(g, data):
     assert whole == kept  # the parent's scan is shared, never changed
 
 
-def _node_bound(n, adj, inc_deg, gamma, countable):
+def _drawn_component(g, data):
+    """g as a component whose drawn flags mark split copies and extra degrees."""
+    n = g.n
+    gamma = data.draw(st.lists(st.sampled_from((0, 0, 1, 1, 2)), min_size=n, max_size=n))
+    countable = data.draw(st.lists(st.sampled_from((True, True, True, False)),
+                                   min_size=n, max_size=n))
+    provenance = tuple(Original(v) if ok else SplitCopy(v, 1) for v, ok in enumerate(countable))
+    extra = {v: d for v, d in enumerate(gamma) if d}
+    return Component(g, provenance, extra, {e: e for e in g.edges})
+
+
+def _branch_include(s, ei):
+    """A branching inclusion as the search makes it: ei goes in, its closers out."""
+    dropped = s.closers(ei)
+    s.include(ei)
+    for e in dropped:
+        s.exclude(e)
+
+
+def _include_bridges(s, bridges):
+    for bridge in bridges:
+        if s.status[s.edge_id[bridge]] == _UNDECIDED:
+            s.include(s.edge_id[bridge])
+
+
+def _node_bound(s):
     """A search node's bound evaluated in full from one unrestricted scan."""
-    (pieces, bridge_deg, classes), _ = _full_scan(n, adj)
-    live_deg = [len(a) for a in adj]
-    terms = [_class_term(gamma, countable, live_deg, inc_deg, grp, pieces, bridge_deg)
-             for grp in classes]
+    n = len(s.adj)
+    (pieces, bridge_deg, classes), _ = _full_scan(n, s.adj)
     in_class = {x for grp in classes for x in grp}
-    return sum(terms) + sum(1 for x in range(n) if x not in in_class
-                            and countable[x] and gamma[x] + live_deg[x] > 2)
+    return sum(s.term(grp, pieces, bridge_deg) for grp in classes) + sum(
+        1 for x in range(n)
+        if x not in in_class and s.countable[x] and s.gamma[x] + s.live_deg[x] > 2)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -251,73 +275,72 @@ def test_class_term_before_the_rescan_never_exceeds_the_full_bound(g, data):
     # the parent's scan but the child's degrees, and pruned on that. Node
     # counts stay the same only if this never exceeds the child's full bound
     n = g.n
-    gamma = data.draw(st.lists(st.sampled_from((0, 0, 1, 1, 2)), min_size=n, max_size=n))
-    countable = data.draw(st.lists(st.sampled_from((True, True, True, False)),
-                                   min_size=n, max_size=n))
-    adj = [list(a) for a in g.adjacency]
-    inc_deg = [0] * n
-    included = set()
-    group = list(range(n))
-
-    def find(x):
-        while group[x] != x:
-            x = group[x]
-        return x
-
-    def include(e):
-        u, v = e
-        included.add(e)
-        inc_deg[u] += 1
-        inc_deg[v] += 1
-        group[find(u)] = find(v)
-
-    def drop(e):
-        u, v = e
-        adj[u].remove(v)
-        adj[v].remove(u)
-
-    # the parent: a forest of included edges and some excluded edges that
-    # leave the live graph connected, then the fixpoint: every live edge
-    # that closes a cycle with the forest dropped, every bridge included
+    s = _Search(g, _drawn_component(g, data))
+    # the parent: a forest of included edges, each dropping its cycle
+    # closers, and some excluded edges that leave the live graph connected,
+    # then the fixpoint: every bridge included
     for e, take in data.draw(st.lists(st.tuples(st.sampled_from(g.edges), st.booleans()),
                                       max_size=8)):
-        u, v = e
-        if e in included or v not in adj[u]:
+        ei = s.edge_id[e]
+        if s.status[ei] != _UNDECIDED:
             continue
-        if take and find(u) != find(v):
-            include(e)
-        elif not take:
-            drop(e)
-            if _lowpoint(n, adj).count != 1:
-                adj[u].append(v)
-                adj[v].append(u)
-    for e in g.edges:
-        if e not in included and e[1] in adj[e[0]] and find(e[0]) == find(e[1]):
-            drop(e)
-    (pieces, bridge_deg, classes), bridges = _full_scan(n, adj)
-    for e in bridges:
-        if e not in included:
-            include(e)
-    undecided = [e for e in g.edges if e not in included and e[1] in adj[e[0]]]
+        if take:
+            _branch_include(s, ei)
+        else:
+            mark = len(s.trail)
+            s.exclude(ei)
+            if _lowpoint(n, s.adj).count != 1:
+                s.undo(mark)
+    (pieces, bridge_deg, classes), bridges = _full_scan(n, s.adj)
+    _include_bridges(s, bridges)
+    undecided = [ei for ei in range(g.m) if s.status[ei] == _UNDECIDED]
     assume(undecided)
-    parent = _node_bound(n, adj, inc_deg, gamma, countable)
-    u, v = e = data.draw(st.sampled_from(undecided))
-    k = next(i for i, grp in enumerate(classes) if u in grp)
-    assert v in classes[k]
-    term = _class_term(gamma, countable, [len(a) for a in adj], inc_deg, classes[k], pieces,
-                       bridge_deg)
-    # the child: exclude e, or include it and drop its closers
-    if data.draw(st.booleans()):
-        a, b = find(u), find(v)
-        for x, w in undecided:
-            if {find(x), find(w)} == {a, b} and (x, w) != e:
-                drop((x, w))
-        include(e)
-    else:
-        drop(e)
-    guess = parent - term + _class_term(gamma, countable, [len(a) for a in adj], inc_deg,
-                                        classes[k], pieces, bridge_deg)
-    for bridge in _full_scan(n, adj)[1]:
-        if bridge not in included:
-            include(bridge)
-    assert guess <= _node_bound(n, adj, inc_deg, gamma, countable)
+    parent = _node_bound(s)
+    mark = len(s.trail)
+    for ei in undecided:
+        u, v = g.edges[ei]
+        k = next(i for i, grp in enumerate(classes) if u in grp)
+        assert v in classes[k]
+        term = s.term(classes[k], pieces, bridge_deg)
+        # both children: exclude the edge, or include it and drop its closers
+        for take in (False, True):
+            if take:
+                _branch_include(s, ei)
+            else:
+                s.exclude(ei)
+            guess = parent - term + s.term(classes[k], pieces, bridge_deg)
+            _include_bridges(s, _full_scan(n, s.adj)[1])
+            assert guess <= _node_bound(s)
+            s.undo(mark)
+
+
+def _state(s):
+    """The search state's lists, each live adjacency list sorted."""
+    return (s.status[:], s.live_deg[:], s.inc_deg[:], s.tight[:], s.group_of[:],
+            [grp[:] for grp in s.members], s.trail[:], [sorted(a) for a in s.adj])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(bridged_graphs(), st.data())
+def test_undo_restores_the_search_state_at_each_mark(g, data):
+    # popping a node undoes the trail back to its parent's mark, after any
+    # run of exclusions and of inclusions that dropped their cycle closers,
+    # and the search then goes on from the restored state. Undo re-appends
+    # a live neighbor, so only the adjacency order may differ
+    s = _Search(g, _drawn_component(g, data))
+    marks = []  # (trail mark, the state at it) before each decision
+    for _ in range(data.draw(st.integers(1, 4))):
+        for ei, take in data.draw(st.lists(st.tuples(st.integers(0, g.m - 1), st.booleans()),
+                                           max_size=10)):
+            if s.status[ei] == _UNDECIDED:
+                marks.append((len(s.trail), _state(s)))
+                if take:
+                    _branch_include(s, ei)
+                else:
+                    s.exclude(ei)
+        if marks:
+            i = data.draw(st.integers(0, len(marks) - 1))
+            mark, state = marks[i]
+            del marks[i + 1 :]
+            s.undo(mark)
+            assert _state(s) == state

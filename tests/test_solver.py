@@ -318,7 +318,7 @@ def test_search_scans_per_node(monkeypatch):
     searches = []  # [vertices of the searched graph, scanned share, scans, nodes]
     seen_classes = {}  # id -> every class an earlier scan returned
     lowpoint = mbv.solver._lowpoint
-    search = mbv.solver._search
+    run = mbv.solver._Search.run
     bound_and_scan = mbv.solver._bound_and_scan
 
     def taking(g):
@@ -338,14 +338,14 @@ def test_search_scans_per_node(monkeypatch):
         seen_classes.update((id(grp), grp) for grp in scan.classes)
         return scan
 
-    def recording(g, *args):
-        searches.append([g.n, 0.0, 0])
-        out = search(g, *args)
+    def recording(search, *args):
+        searches.append([len(search.adj), 0.0, 0])
+        out = run(search, *args)
         searches[-1].append(out[3])
         return out
 
     monkeypatch.setattr(mbv.solver, "_lowpoint", counting)
-    monkeypatch.setattr(mbv.solver, "_search", recording)
+    monkeypatch.setattr(mbv.solver._Search, "run", recording)
     monkeypatch.setattr(mbv.solver, "_bound_and_scan", taking)
     cases = [(60, 66, seed, None) for seed in range(2000, 2005)]
     cases += [(100, 130, seed, 1000) for seed in range(3000, 3003)]
