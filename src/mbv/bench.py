@@ -127,31 +127,24 @@ def collect_instances(directory: str) -> list[str]:
     )
 
 
-_BOOL = {True: "true", False: "false"}
+def _record_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.4f}" if isinstance(value, float) else str(value)
 
 
 def to_record(r: Report) -> str:
-    """One machine-readable key=value line; elapsed_* fields are timing-dependent."""
+    """One machine-readable key=value line; elapsed_* fields are timing-dependent.
+
+    The fields are Report's in declaration order, then elapsed_* by phase name,
+    then the error if there is one.
+    """
     parts = [
-        f"instance={r.instance}",
-        f"n={r.n}",
-        f"m={r.m}",
-        f"ob={r.ob}",
-        f"ce={r.ce}",
-        f"heur_path={r.heur_path}",
-        f"heur_multipath={r.heur_multipath}",
-        f"heur_best={r.heur_best}",
-        f"lower_bound={r.lower_bound:.4f}",
-        f"upper_bound={r.upper_bound}",
-        f"gap_percent={r.gap_percent:.4f}",
-        f"optimal={_BOOL[r.optimal]}",
-        f"plain_lower_bound={r.plain_lower_bound:.4f}",
-        f"plain_upper_bound={r.plain_upper_bound}",
-        f"plain_gap_percent={r.plain_gap_percent:.4f}",
-        f"plain_optimal={_BOOL[r.plain_optimal]}",
+        f"{f.name}={_record_value(getattr(r, f.name))}"
+        for f in dataclasses.fields(Report)
+        if f.name not in ("elapsed", "error")
     ]
-    for phase in sorted(r.elapsed):
-        parts.append(f"elapsed_{phase}={r.elapsed[phase]:.6f}")
+    parts += [f"elapsed_{phase}={r.elapsed[phase]:.6f}" for phase in sorted(r.elapsed)]
     if r.error is not None:
         escaped = r.error.replace('"', "'")
         parts.append(f'error="{escaped}"')
@@ -185,51 +178,41 @@ def to_json(reports: list[Report]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+# (header, alignment, Report field, number format); a bool prints yes/no
 _TABLE_COLUMNS = (
-    ("instance", "{:<24}"),
-    ("n", "{:>6}"),
-    ("m", "{:>6}"),
-    ("OB", "{:>5}"),
-    ("CE", "{:>5}"),
-    ("path", "{:>5}"),
-    ("multi", "{:>5}"),
-    ("LB", "{:>8}"),
-    ("UB", "{:>5}"),
-    ("gap%", "{:>6}"),
-    ("opt", "{:>4}"),
-    ("pLB", "{:>8}"),
-    ("pUB", "{:>5}"),
-    ("pgap%", "{:>6}"),
-    ("popt", "{:>4}"),
+    ("instance", "<24", "instance", ""),
+    ("n", ">6", "n", ""),
+    ("m", ">6", "m", ""),
+    ("OB", ">5", "ob", ""),
+    ("CE", ">5", "ce", ""),
+    ("path", ">5", "heur_path", ""),
+    ("multi", ">5", "heur_multipath", ""),
+    ("LB", ">8", "lower_bound", ".2f"),
+    ("UB", ">5", "upper_bound", ""),
+    ("gap%", ">6", "gap_percent", ".1f"),
+    ("opt", ">4", "optimal", ""),
+    ("pLB", ">8", "plain_lower_bound", ".2f"),
+    ("pUB", ">5", "plain_upper_bound", ""),
+    ("pgap%", ">6", "plain_gap_percent", ".1f"),
+    ("popt", ">4", "plain_optimal", ""),
 )
+
+
+def _table_cell(value, align: str, number: str) -> str:
+    text = ("yes" if value else "no") if isinstance(value, bool) else format(value, number)
+    return format(text, align)
 
 
 def render_table(reports: list[Report]) -> str:
     """Human-readable summary table."""
-    header = " ".join(fmt.format(name) for name, fmt in _TABLE_COLUMNS)
+    header = " ".join(format(name, align) for name, align, _, _ in _TABLE_COLUMNS)
     lines = [header, "-" * len(header)]
     for r in reports:
         if r.error is not None:
             lines.append(f"{r.instance:<24} error: {r.error}")
             continue
-        cells = (
-            r.instance,
-            r.n,
-            r.m,
-            r.ob,
-            r.ce,
-            r.heur_path,
-            r.heur_multipath,
-            f"{r.lower_bound:.2f}",
-            r.upper_bound,
-            f"{r.gap_percent:.1f}",
-            "yes" if r.optimal else "no",
-            f"{r.plain_lower_bound:.2f}",
-            r.plain_upper_bound,
-            f"{r.plain_gap_percent:.1f}",
-            "yes" if r.plain_optimal else "no",
-        )
-        lines.append(" ".join(fmt.format(c) for (_, fmt), c in zip(_TABLE_COLUMNS, cells)))
+        row = (_table_cell(getattr(r, attr), align, num) for _, align, attr, num in _TABLE_COLUMNS)
+        lines.append(" ".join(row))
     s = summarize(reports)
     lines.append(
         f"instances={s['instances']} failed={s['failed']} "

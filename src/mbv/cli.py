@@ -180,8 +180,7 @@ def _cmd_bench(args) -> int:
     reports = bench(paths, time_limit=args.time_limit, jobs=args.jobs)
     sys.stdout.write(render_table(reports))
     if args.records:
-        lines = "\n".join(to_record(r) for r in reports)
-        payload = lines + "\n" if reports else ""
+        payload = "".join(to_record(r) + "\n" for r in reports)
         if args.records == "-":
             sys.stdout.write(payload)
         else:

@@ -130,20 +130,16 @@ def write_dimacs(g: Graph) -> str:
 
 
 def load_graph(path: str) -> Graph:
-    """Read a graph file, sniffing the format from its first meaningful line."""
+    """Read a graph file; a first non-whitespace character c, p or e means dimacs."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:  # skips a byte-order mark
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise MalformedHeaderError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(("c", "p", "e")):
-            return parse_dimacs(text)
-        return parse_instance(text)
-    raise MalformedHeaderError(f"{path}: empty instance")
+    first = text.lstrip()[:1]
+    if not first:
+        raise MalformedHeaderError(f"{path}: empty instance")
+    return parse_dimacs(text) if first in ("c", "p", "e") else parse_instance(text)
 
 
 def generate_random_connected(n: int, m: int, seed: int) -> Graph:

@@ -2,9 +2,10 @@
 
 The expected values in ``golden/outputs.json`` were recorded from the
 implementation and pin its observable behaviour: the exact stdout of the
-reporting commands (only ``elapsed=`` is masked), every file ``mbv decompose``
-writes, one digest per heuristic over the trees it builds on many graphs and
-their components, and the node counts and bounds of both exact algorithms. A
+reporting commands (only ``elapsed=`` is masked), the table, records and JSON
+of ``mbv bench`` (times masked), every file ``mbv decompose`` writes, one
+digest per heuristic over the trees it builds on many graphs and their
+components, and the node counts and bounds of both exact algorithms. A
 refactor that keeps behaviour keeps all of them.
 
 To re-record after an intended behaviour change, run from the repository root:
@@ -61,6 +62,35 @@ def _cli(argv) -> str:
     return f"exit={code}\n" + re.sub(r"elapsed=\S+", "elapsed=*", out.getvalue())
 
 
+def _mask_bench_times(text: str) -> str:
+    """Mask the timing-dependent values of bench records and its JSON document."""
+    text = re.sub(r"(elapsed_\w+)=\S+", r"\1=*", text)
+    text = re.sub(r'("(?:enhanced|plain)_time": )[^,\n]+', r"\1*", text)
+    return re.sub(
+        r'"elapsed": \{[^}]*\}', lambda m: re.sub(r'(\n *"\w+": )[^,\n]+', r"\1*", m.group()), text
+    )
+
+
+def _bench_outputs(work: Path) -> dict:
+    """``mbv bench`` over the CLI instances, one unparsable and one non-UTF-8 file."""
+    bench_dir = work / "bench"
+    bench_dir.mkdir()
+    for name, n, m, seed in CLI_INSTANCES:
+        text = write_instance(generate_random_connected(n, m, seed))
+        (bench_dir / f"{name}.graph").write_text(text, encoding="utf-8")
+    (bench_dir / "broken.graph").write_text('3 "x"\n', encoding="utf-8")
+    (bench_dir / "latin1.graph").write_bytes("2 1\n1 2 # caf\u00e9\n".encode("latin-1"))
+    doc = work / "bench.json"
+    stdout = _cli(("bench", bench_dir, "--records", "-", "--json", doc))
+    return {
+        key: _mask_bench_times(text).replace(str(bench_dir), "DIR")
+        for key, text in (
+            ("bench --records -", stdout),
+            ("bench --json", doc.read_text(encoding="utf-8")),
+        )
+    }
+
+
 def _heuristic_digests() -> dict:
     """Per heuristic: how many trees it built and a hash of their sorted edges.
 
@@ -100,6 +130,7 @@ def record(work: Path) -> dict:
         )
         for path in sorted(out_dir.iterdir()):
             outputs[f"decompose {name} {path.name}"] = path.read_text(encoding="utf-8")
+    outputs.update(_bench_outputs(work))
     for n, m, seed, limit in SEARCH_CASES:
         g = generate_random_connected(n, m, seed)
         opts = SolveOptions(node_limit=limit)

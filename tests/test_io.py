@@ -142,6 +142,12 @@ def test_load_graph_sniffs_format(tmp_path):
     assert load_graph(str(simple)) == g
     assert load_graph(str(dimacs)) == g
     assert load_graph(str(commented)) == g
+    # the sniff reads the first non-whitespace character, whatever line it is on
+    for name, text in (("simple.graph", write_instance(g)), ("inst.col", write_dimacs(g))):
+        for lead in ("\n\n", " \t\n  \n", "   "):
+            padded = tmp_path / f"padded-{name}"
+            padded.write_text(lead + text, encoding="utf-8")
+            assert load_graph(str(padded)) == g, (name, lead)
 
 
 def test_load_graph_rejects_non_utf8(tmp_path):
