@@ -9,7 +9,7 @@ every one of its spanning trees has a branch vertex.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DisconnectedInputError
 from .graph import Edge, Graph, _Lowpoint, _lowpoint
@@ -21,23 +21,18 @@ class LowerBoundResult:
 
     ``split_counts`` maps each obligatory vertex to the number of components
     its removal leaves (always >= 3); ``value`` is the lower bound itself,
-    i.e. the number of obligatory vertices. ``fingerprint`` ties the result to
-    the graph it was computed on. ``bridges`` are the graph's cut edges and
-    ``piece_of[v][u]`` is the 1-based piece of the graph without obligatory
-    vertex v that holds its neighbor u; the decomposition reads both from here.
+    i.e. the number of obligatory vertices. ``bridges`` are the graph's cut
+    edges and ``piece_of[v][u]`` is the 1-based piece of the graph without
+    obligatory vertex v that holds its neighbor u; the decomposition reads both
+    from here. ``graph`` is the graph the result was computed on.
     """
 
     obligatory: frozenset[int]
     split_counts: dict[int, int]
     value: int
-    fingerprint: int
     bridges: frozenset[Edge]
     piece_of: dict[int, dict[int, int]]
-
-
-def graph_fingerprint(g: Graph) -> int:
-    """Stable identity of a graph's vertex count and edge set."""
-    return hash((g.n, g.edges))
+    graph: Graph = field(repr=False, compare=False)
 
 
 def obligatory_branch_bound(g: Graph) -> LowerBoundResult:
@@ -91,8 +86,8 @@ def _bound_and_scan(g: Graph) -> tuple[LowerBoundResult, _Lowpoint]:
         obligatory=frozenset(split_counts),
         split_counts=split_counts,
         value=len(split_counts),
-        fingerprint=graph_fingerprint(g),
         bridges=frozenset(s.bridges),
         piece_of=piece_of,
+        graph=g,
     )
     return lb, s

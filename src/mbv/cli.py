@@ -105,9 +105,11 @@ def _cmd_decompose(args) -> int:
         meta.append(f"obligatory vertex={v + 1} split_count={lb.split_counts[v]}")
     for u, v in sorted(d.cut_edges):
         meta.append(f"cut_edge u={u + 1} v={v + 1}")
+    written = set()
     for k, comp in enumerate(d.components):
         fname = f"component_{k:03d}.graph"
         (out / fname).write_text(write_instance(comp.graph), encoding="utf-8")
+        written.add(fname)
         meta.append(
             f"component index={k} file={fname} n={comp.graph.n} m={comp.graph.m}"
         )
@@ -128,6 +130,11 @@ def _cmd_decompose(args) -> int:
                 f"edge component={k} local={a + 1},{b + 1} origin={u + 1},{v + 1}"
             )
     (out / "decomposition.meta").write_text("\n".join(meta) + "\n", encoding="utf-8")
+    # an earlier run's components beyond this run's count would read as current
+    for path in out.glob("component_*.graph"):
+        digits = path.name[len("component_"):-len(".graph")]
+        if path.name not in written and digits.isascii() and digits.isdigit() and path.is_file():
+            path.unlink()
     print(f"{summary} out_dir={args.out_dir}")
     return 0
 
@@ -253,10 +260,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except MbvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MbvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .bound import LowerBoundResult, graph_fingerprint
+from .bound import LowerBoundResult
 from .errors import NotASpanningTreeError, StaleBoundError
-from .graph import Edge, Graph, SpanningTree, build_graph, is_spanning_tree, spanning_tree
+from .graph import Edge, Graph, SpanningTree, build_graph, spanning_tree
 
 # the graph of every single-vertex component, and the maps they share and
 # never change: a non-obligatory vertex with three bridges would split into
@@ -104,9 +104,10 @@ def decompose(g: Graph, lb: LowerBoundResult) -> Decomposition:
 
     A component may legally be a single split copy or a single original vertex
     of degree zero; that happens when a leg hanging off an obligatory branch is
-    a lone bridge.
+    a lone bridge. A bound computed on a graph that is not equal to g raises
+    StaleBoundError; the bound of g itself passes at once.
     """
-    if lb.fingerprint != graph_fingerprint(g):
+    if lb.graph != g:
         raise StaleBoundError("lower bound was computed on a different graph")
     n = g.n
     obligatory = lb.obligatory
@@ -197,21 +198,28 @@ def recombine(d: Decomposition, component_trees) -> SpanningTree:
     """Stitch per-component spanning trees and the deleted bridges back together.
 
     The result is a spanning tree of the source graph whose branch count equals
-    the number of obligatory vertices plus the component branch counts. An
-    empty edge set for a single-vertex component is its tree as it stands;
-    every other edge set must be edges of its component that span it, or
-    NotASpanningTreeError is raised.
+    the number of obligatory vertices plus the component branch counts. Each
+    component's pairs are mapped to input edges, a pair that is no edge of its
+    component raising NotASpanningTreeError, and the mapped edges with the cut
+    edges are certified once, as one list, so a repeated edge fails too.
+
+    For a decomposition built by ``decompose`` that one certificate holds
+    exactly when every part spans its component. A tree path between two
+    vertices of a component could leave it only by a bridge or at an
+    obligatory vertex, and could not come back without crossing that bridge or
+    vertex again; so a spanning tree of the source restricts to a spanning
+    tree of every part.
     """
     trees = list(component_trees)
     if len(trees) != len(d.components):
         raise NotASpanningTreeError(
             f"expected {len(d.components)} component trees, got {len(trees)}"
         )
-    edges: set[Edge] = set(d.cut_edges)
+    edges = list(d.cut_edges)
     for k, (comp, te) in enumerate(zip(d.components, trees)):
-        if comp.graph.n == 1 and not te:
-            continue
-        if not is_spanning_tree(comp.graph, te):
-            raise NotASpanningTreeError(f"component {k}: edge set is not a spanning tree")
-        edges.update(comp.edge_origin[(u, v) if u < v else (v, u)] for u, v in te)
+        for u, v in te:
+            e = comp.edge_origin.get((u, v) if u < v else (v, u))
+            if e is None:
+                raise NotASpanningTreeError(f"component {k}: ({u}, {v}) is not an edge of it")
+            edges.append(e)
     return spanning_tree(d.source, edges)

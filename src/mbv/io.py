@@ -7,6 +7,9 @@ Two text formats are read and written:
 * dimacs: ``c`` comment lines, one ``p edge n m`` line, then m ``e u v``
   lines, again 1-based.
 
+A count or vertex id is a decimal integer, ``-?[0-9]+``: no ``+`` sign, no
+``_`` and no digits outside ASCII, all of which ``int()`` would accept.
+
 Both round-trip bit-exactly through their writers because graphs normalize
 and sort their edge lists on construction.
 """
@@ -25,10 +28,28 @@ from .errors import (
 from .graph import Graph, build_graph
 
 
+def _decimal(token: str) -> int:
+    """``int()`` of a token that must match ``-?[0-9]+``, else ValueError."""
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(token)
+    return int(token)
+
+
+def _int_reader(text: str):
+    """``int``, or ``_decimal`` when text may hold what only ``int`` accepts.
+
+    On ASCII text with no ``_`` or ``+``, ``int()`` of a split token accepts
+    exactly ``-?[0-9]+``, so one check of the whole text keeps the common
+    case at ``int()``'s cost.
+    """
+    return int if text.isascii() and "_" not in text and "+" not in text else _decimal
+
+
 def _counts(line: str, n_text: str, m_text: str, what: str) -> tuple[int, int]:
     """The vertex and edge counts of a header or problem line; ``what`` names it."""
     try:
-        n, m = int(n_text), int(m_text)
+        n, m = _decimal(n_text), _decimal(m_text)
     except ValueError:
         raise MalformedHeaderError(f"non-integer {what} {line!r}") from None
     if n < 0 or m < 0:
@@ -63,13 +84,14 @@ def parse_instance(text: str) -> Graph:
     body = lines[1:]
     if len(body) != m:
         raise BadEdgeLineError(f"header promises {m} edges, found {len(body)} edge lines")
+    to_int = _int_reader(text)
     pairs = []
     for line in body:
         parts = line.split()
         if len(parts) != 2:
             raise BadEdgeLineError(f"expected 'u v', got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = to_int(parts[0]), to_int(parts[1])
         except ValueError:
             raise BadEdgeLineError(f"non-integer edge line {line!r}") from None
         pairs.append((u - 1, v - 1))
@@ -85,6 +107,7 @@ def parse_dimacs(text: str) -> Graph:
     """Parse the dimacs-style edge list format into a Graph."""
     n = m = None
     pairs, edge_lines = [], []
+    to_int = _int_reader(text)
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -102,7 +125,7 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 3:
                 raise BadEdgeLineError(f"expected 'e u v', got {line!r}")
             try:
-                u, v = int(parts[1]), int(parts[2])
+                u, v = to_int(parts[1]), to_int(parts[2])
             except ValueError:
                 raise BadEdgeLineError(f"non-integer edge line {line!r}") from None
             pairs.append((u - 1, v - 1))

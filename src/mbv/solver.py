@@ -62,6 +62,10 @@ An open node holds its edge, its decision, the trail length at its parent and
 the parent's bound. Popping it undoes the trail back to that mark, which
 restores the parent's fixpoint, and then applies the decision.
 
+The parent looks up once which class of its scan holds the edge it
+branches on, and both children carry that index; the root carries 0, the
+pseudo-parent's one class (below).
+
 A node scans the live graph only when it has changed. Both children's stack
 entries carry the split counts, bridge degrees and classes of their parent's
 scan (one shared tuple, never changed). A child whose decision dropped edges
@@ -387,20 +391,21 @@ class _Search:
         nodes = 0
         width = n + 1  # the pick key's radix: above every live degree
         # an entry is (edge, include it?, trail mark, parent's bound, parent's
-        # fixpoint scan, parent's class terms). The lists are shared by both
-        # children and never changed; a child that changes one copies it. Node
-        # bounds and the objective are integers, so a node is pruned exactly when
-        # its bound reaches the incumbent. The root decides nothing, and its parent
-        # is a constant pseudo-parent: one class holding every vertex, no pieces
-        # or bridges, and a bound of 0
+        # fixpoint scan, parent's class terms, index of the edge's class K in
+        # that scan). The lists are shared by both children and never changed;
+        # a child that changes one copies it. Node bounds and the objective are
+        # integers, so a node is pruned exactly when its bound reaches the
+        # incumbent. The root decides nothing, and its parent is a constant
+        # pseudo-parent: one class holding every vertex, no pieces or bridges,
+        # and a bound of 0
         pseudo_scan = ([0] * n, [0] * n, [list(range(n))])
-        stack: list[tuple] = [(-1, False, 0, 0, pseudo_scan, [0])]
+        stack: list[tuple] = [(-1, False, 0, 0, pseudo_scan, [0], 0)]
         while stack:
             if node_limit is not None and nodes >= node_limit:
                 break
             if deadline is not None and perf_counter() > deadline:
                 break
-            ei, take, mark, bound, scan, terms = stack.pop()
+            ei, take, mark, bound, scan, terms, k = stack.pop()
             if bound >= best_val:
                 continue
             nodes += 1
@@ -414,19 +419,16 @@ class _Search:
                 exclude(ei)
             # the node bound is a term per class, in the order of the scan's
             # classes, plus the final flags of the vertices in no class; a child
-            # corrects the terms its decision can change and keeps the rest. Both
-            # ends of the edge lie in its class K (the root's -1 reads the last
-            # edge, and its pseudo-parent's one class holds every vertex)
-            u, v = edges[ei]
+            # corrects the terms its decision can change and keeps the rest
             pieces, bridge_deg, classes = scan
             if take and not dropped:
                 # the live graph and its scan are the parent's, and only the
                 # included degree of u and v rose, so K's term changes only when
                 # the flag of u or v turns on
+                u, v = edges[ei]
                 if (tight[u] == 3 and inc_deg[u] > pieces[u]) or (
                     tight[v] == 3 and inc_deg[v] > pieces[v]
                 ):
-                    k = next(i for i, grp in enumerate(classes) if u in grp)
                     t = term(classes[k], pieces, bridge_deg)
                     bound += t - terms[k]
                     terms = terms[:]
@@ -441,7 +443,6 @@ class _Search:
                 # of K left in no class has only included bridges, so its flag,
                 # tightness above two, is final and counted once here. A plain
                 # search's root takes the bound's scan of the input
-                k = next(i for i, grp in enumerate(classes) if u in grp)
                 group = classes[k]
                 if ei >= 0 and bound - terms[k] + term(group, pieces, bridge_deg) >= best_val:
                     continue
@@ -480,9 +481,12 @@ class _Search:
                 best_val = bound
                 best_ids = [e for e in range(m) if status[e] == _INCLUDED]
                 continue
+            # both ends of the picked edge lie in one class K of this scan
             mark = len(self.trail)
-            stack.append((pick, True, mark, bound, scan, terms))
-            stack.append((pick, False, mark, bound, scan, terms))
+            u = edges[pick][0]
+            k = next(i for i, grp in enumerate(classes) if u in grp)
+            stack.append((pick, True, mark, bound, scan, terms, k))
+            stack.append((pick, False, mark, bound, scan, terms, k))
 
         # a stopped search's open nodes bound the trees it did not reach; a
         # finished search leaves none open

@@ -242,6 +242,29 @@ def test_cli_decompose_writes_components(tmp_path, capsys):
     assert "cut_edge" in meta or "ce=0" in meta
 
 
+def test_cli_decompose_removes_an_earlier_runs_components(tmp_path, capsys):
+    # 22 components and then 4 into one directory: what is left is what the
+    # meta lists, and only component_<digits>.graph files are ever removed
+    out_dir = tmp_path / "parts"
+    counts = []
+    for n, m, seed in ((30, 33, 3), (6, 7, 1)):
+        inst = tmp_path / f"g{n}.graph"
+        inst.write_text(write_instance(generate_random_connected(n, m, seed)), encoding="utf-8")
+        assert run_cli(capsys, "decompose", str(inst), "--out-dir", str(out_dir))[0] == 0
+        meta = (out_dir / "decomposition.meta").read_text(encoding="utf-8")
+        listed = re.findall(r" file=(\S+)", meta)
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(listed + ["decomposition.meta"])
+        counts.append(len(listed))
+    assert counts == [22, 4]
+    kept = ["component_00x.graph", "component_001.txt", "notes.txt"]
+    for name in kept:
+        (out_dir / name).write_text("keep\n", encoding="utf-8")
+    (out_dir / "component_999.graph").write_text("stale\n", encoding="utf-8")
+    assert run_cli(capsys, "decompose", str(inst), "--out-dir", str(out_dir))[0] == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        listed + kept + ["decomposition.meta"])
+
+
 def test_cli_timeout_exit_code(tmp_path, capsys):
     inst = tmp_path / "k24.graph"
     from mbv import build_graph

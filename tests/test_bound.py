@@ -5,11 +5,11 @@ import pytest
 from mbv import (
     brute_force_optimum,
     build_graph,
+    decompose,
     enumerate_spanning_trees,
     generate_random_connected,
     obligatory_branch_bound,
 )
-from mbv.bound import graph_fingerprint
 from mbv.errors import DisconnectedInputError
 
 
@@ -38,9 +38,14 @@ def test_disconnected_rejected():
         obligatory_branch_bound(build_graph(4, [(0, 1), (2, 3)]))
 
 
-def test_fingerprint_tracks_graph(p4, c5):
-    assert obligatory_branch_bound(p4).fingerprint == graph_fingerprint(p4)
-    assert graph_fingerprint(p4) != graph_fingerprint(c5)
+def test_bound_holds_its_graph(p4):
+    lb = obligatory_branch_bound(p4)
+    assert lb.graph is p4
+    # an equal but distinct graph is not stale; a different one is
+    # (test_decompose.py::test_stale_bound_rejected)
+    twin = build_graph(p4.n, p4.edges)
+    assert twin is not p4
+    assert decompose(twin, lb).source is twin
 
 
 def test_bound_below_optimum_and_necessity():

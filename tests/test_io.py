@@ -47,11 +47,18 @@ def test_parse_simple_errors():
         ("", MalformedHeaderError, "empty instance"),
         ("4\n", MalformedHeaderError, "expected 'n m' header, got '4'"),
         ("a b\n", MalformedHeaderError, "non-integer header 'a b'"),
+        # a count or id is -?[0-9]+, although int() reads these too
+        ("1_0 0\n", MalformedHeaderError, "non-integer header '1_0 0'"),
+        ("+3 0\n", MalformedHeaderError, "non-integer header '+3 0'"),
+        ("\u0663 0\n", MalformedHeaderError, "non-integer header '\u0663 0'"),
         ("-3 0\n", MalformedHeaderError, "negative count in header '-3 0'"),
         ("3 -1\n", MalformedHeaderError, "negative count in header '3 -1'"),
         ("2 1\n", BadEdgeLineError, "header promises 1 edges, found 0 edge lines"),
         ("2 1\n1 2 3\n", BadEdgeLineError, "expected 'u v', got '1 2 3'"),
         ("2 1\n1 x\n", BadEdgeLineError, "non-integer edge line '1 x'"),
+        ("2 1\n1 +2\n", BadEdgeLineError, "non-integer edge line '1 +2'"),
+        ("2 1\n1_0 2\n", BadEdgeLineError, "non-integer edge line '1_0 2'"),
+        ("2 1\n1 \u0662\n", BadEdgeLineError, "non-integer edge line '1 \u0662'"),
         ("2 1\n1 1\n", LoopEdgeError, "edge line '1 1': loop edge"),
         ("2 2\n1 2\n2 1\n", DuplicateEdgeError, "edge line '2 1': repeated edge"),
     ):
@@ -68,8 +75,10 @@ def test_parse_simple_errors():
         (parse_instance, "2 2\n1 2\n2 1\n", DuplicateEdgeError, "edge line '2 1': "),
         (parse_dimacs, "p edge 2 1\ne 0 1\n", IndexOutOfRangeError,
          "edge line 'e 0 1': vertex ids must lie in 1..2"),
+        (parse_instance, "3 1\n-1 2\n", IndexOutOfRangeError,
+         "edge line '-1 2': vertex ids must lie in 1..3"),
     ],
-    ids=["range", "loop", "duplicate", "dimacs-range"],
+    ids=["range", "loop", "duplicate", "dimacs-range", "negative"],
 )
 def test_vertex_errors_quote_the_edge_line(parse, text, error, message):
     # instance files number vertices from 1, so an error names the line as
@@ -97,6 +106,13 @@ def test_parse_dimacs_comment():
     assert g.edges == ((0, 1),)
 
 
+def test_comments_may_hold_what_ids_may_not():
+    # a +, a _ or a non-ASCII character in a comment sends the ids through
+    # the token-by-token check, which reads plain ids as before
+    assert parse_instance("# +1_0 \u0663\n2 1\n1 2\n").edges == ((0, 1),)
+    assert parse_dimacs("c +1_0 \u0663\np edge 2 1\ne 1 2\n").edges == ((0, 1),)
+
+
 def test_parse_dimacs_errors():
     for text, error, message in (
         ("p edge 2 1\np edge 2 1\ne 1 2\n", MalformedHeaderError, "second 'p' line"),
@@ -105,10 +121,14 @@ def test_parse_dimacs_errors():
         ("p edge -3 0\n", MalformedHeaderError, "negative count in problem line 'p edge -3 0'"),
         ("p edge 3 -1\n", MalformedHeaderError, "negative count in problem line 'p edge 3 -1'"),
         ("p edge 3 x\n", MalformedHeaderError, "non-integer problem line 'p edge 3 x'"),
+        ("p edge +3 0\n", MalformedHeaderError, "non-integer problem line 'p edge +3 0'"),
+        ("p edge 3 1_0\n", MalformedHeaderError, "non-integer problem line 'p edge 3 1_0'"),
         ("p edge 2 1\ne 1\n", BadEdgeLineError, "expected 'e u v', got 'e 1'"),
         ("p edge 2 2\ne 1 2\n", BadEdgeLineError, "problem line promises 2 edges, found 1"),
         ("p edge 2 1\nx 1 2\ne 1 2\n", BadEdgeLineError, "unrecognized line 'x 1 2'"),
         ("p edge 2 1\ne 1 x\n", BadEdgeLineError, "non-integer edge line 'e 1 x'"),
+        ("p edge 2 1\ne +1 2\n", BadEdgeLineError, "non-integer edge line 'e +1 2'"),
+        ("p edge 2 1\ne \u0661 2\n", BadEdgeLineError, "non-integer edge line 'e \u0661 2'"),
     ):
         with pytest.raises(error, match=_whole(message)):
             parse_dimacs(text)

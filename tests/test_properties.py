@@ -26,6 +26,7 @@ from mbv import (
     parse_dimacs,
     parse_instance,
     path_expanding,
+    recombine,
     solve_component,
     solve_plain,
     solve_with_decomposition,
@@ -180,6 +181,85 @@ def test_spanning_tree_certifies_exactly_the_spanning_trees(case):
         tree = spanning_tree(g, edges, component)
         assert tree.edges == normalized
         assert tree.branches == _count_branches(g.n, edges, extra, countable)
+
+
+def _random_tree(draw, g):
+    """A spanning tree of connected g, as a list of its edges in a drawn order."""
+    group = list(range(g.n))
+    tree = []
+    for e in draw(st.permutations(g.edges)):
+        u, v = e
+        while group[u] != u:
+            u = group[u]
+        while group[v] != v:
+            v = group[v]
+        if u != v:
+            group[u] = v
+            tree.append(e)
+    return tree
+
+
+@st.composite
+def component_tree_lists(draw):
+    """A decomposition and one pair list per component, valid or perturbed.
+
+    Each list starts as a spanning tree of its component. Then a few lists
+    lose a pair, gain one (an edge of the component or not), repeat one in
+    either orientation, take a pair of another component's list, flip a pair,
+    trade a tree pair for another edge of the component, or trade places with
+    another component's list.
+    """
+    g = draw(connected_graphs(extra=3) | bridged_graphs(extra=3))
+    d = decompose(g, obligatory_branch_bound(g))
+    parts = [_random_tree(draw, c.graph) for c in d.components]
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        k = draw(st.integers(0, len(parts) - 1))
+        part, comp = parts[k], d.components[k]
+        kind = draw(st.sampled_from(("drop", "add", "repeat", "foreign", "flip", "trade",
+                                     "swap")))
+        pairs = st.tuples(st.integers(-1, comp.graph.n), st.integers(-1, comp.graph.n))
+        if kind == "add":
+            part.append(draw(st.sampled_from(comp.graph.edges) | pairs if comp.graph.m else pairs))
+        elif kind == "foreign":
+            others = [e for j, q in enumerate(parts) if j != k for e in q]
+            if others:
+                part.append(draw(st.sampled_from(others)))
+        elif kind == "swap":
+            j = draw(st.integers(0, len(parts) - 1))
+            parts[k], parts[j] = parts[j], part
+        elif part:
+            i = draw(st.integers(0, len(part) - 1))
+            u, v = part[i]
+            if kind == "drop":
+                del part[i]
+            elif kind == "repeat":
+                part.append((v, u) if draw(st.booleans()) else (u, v))
+            elif kind == "flip":
+                part[i] = (v, u)
+            else:
+                part[i] = draw(st.sampled_from(comp.graph.edges))
+    return d, parts
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(component_tree_lists())
+def test_recombine_accepts_exactly_when_every_part_spans_its_component(case):
+    # the reference is the rule recombine applied part by part: each part a
+    # spanning tree of its component, then the mapped parts and the cut
+    # edges a spanning tree of the source
+    d, parts = case
+    expected = None
+    if all(is_spanning_tree(c.graph, part) for c, part in zip(d.components, parts)):
+        edges = set(d.cut_edges)
+        for c, part in zip(d.components, parts):
+            edges.update(c.edge_origin[(u, v) if u < v else (v, u)] for u, v in part)
+        if is_spanning_tree(d.source, edges):
+            expected = spanning_tree(d.source, edges)
+    if expected is None:
+        with pytest.raises(NotASpanningTreeError):
+            recombine(d, parts)
+    else:
+        assert recombine(d, parts) == expected
 
 
 def _full_scan(n, adj):
