@@ -77,12 +77,19 @@ def bench_graph(name: str, g: Graph, time_limit: float | None = None) -> Report:
     r.heur_multipath = multi_tree.branches
     r.heur_best = min(r.heur_path, r.heur_multipath)
 
-    for phase, prefix, solve in (("enhanced", "", solve_with_decomposition),
-                                 ("plain", "plain_", solve_plain)):
-        report = solve(g, opts)
-        r.elapsed[phase] = report.elapsed
-        for name in ("lower_bound", "upper_bound", "gap_percent", "optimal"):
-            setattr(r, prefix + name, getattr(report, name))
+    enhanced = solve_with_decomposition(g, opts)
+    r.elapsed["enhanced"] = enhanced.elapsed
+    r.lower_bound = enhanced.lower_bound
+    r.upper_bound = enhanced.upper_bound
+    r.gap_percent = enhanced.gap_percent
+    r.optimal = enhanced.optimal
+
+    plain = solve_plain(g, opts)
+    r.elapsed["plain"] = plain.elapsed
+    r.plain_lower_bound = plain.lower_bound
+    r.plain_upper_bound = plain.upper_bound
+    r.plain_gap_percent = plain.gap_percent
+    r.plain_optimal = plain.optimal
     return r
 
 

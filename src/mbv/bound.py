@@ -32,7 +32,7 @@ class LowerBoundResult:
     value: int
     bridges: frozenset[Edge]
     piece_of: dict[int, dict[int, int]]
-    graph: Graph = field(repr=False, compare=False)
+    graph: Graph = field(repr=False)
 
 
 def obligatory_branch_bound(g: Graph) -> LowerBoundResult:

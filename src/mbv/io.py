@@ -30,20 +30,9 @@ from .graph import Graph, build_graph
 
 def _decimal(token: str) -> int:
     """``int()`` of a token that must match ``-?[0-9]+``, else ValueError."""
-    digits = token[1:] if token[:1] == "-" else token
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(token)
-    return int(token)
-
-
-def _int_reader(text: str):
-    """``int``, or ``_decimal`` when text may hold what only ``int`` accepts.
-
-    On ASCII text with no ``_`` or ``+``, ``int()`` of a split token accepts
-    exactly ``-?[0-9]+``, so one check of the whole text keeps the common
-    case at ``int()``'s cost.
-    """
-    return int if text.isascii() and "_" not in text and "+" not in text else _decimal
+    if token.isascii() and (token.isdigit() or token[:1] == "-" and token[1:].isdigit()):
+        return int(token)
+    raise ValueError(token)
 
 
 def _counts(line: str, n_text: str, m_text: str, what: str) -> tuple[int, int]:
@@ -84,14 +73,13 @@ def parse_instance(text: str) -> Graph:
     body = lines[1:]
     if len(body) != m:
         raise BadEdgeLineError(f"header promises {m} edges, found {len(body)} edge lines")
-    to_int = _int_reader(text)
     pairs = []
     for line in body:
         parts = line.split()
         if len(parts) != 2:
             raise BadEdgeLineError(f"expected 'u v', got {line!r}")
         try:
-            u, v = to_int(parts[0]), to_int(parts[1])
+            u, v = _decimal(parts[0]), _decimal(parts[1])
         except ValueError:
             raise BadEdgeLineError(f"non-integer edge line {line!r}") from None
         pairs.append((u - 1, v - 1))
@@ -107,7 +95,6 @@ def parse_dimacs(text: str) -> Graph:
     """Parse the dimacs-style edge list format into a Graph."""
     n = m = None
     pairs, edge_lines = [], []
-    to_int = _int_reader(text)
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -125,7 +112,7 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 3:
                 raise BadEdgeLineError(f"expected 'e u v', got {line!r}")
             try:
-                u, v = to_int(parts[1]), to_int(parts[2])
+                u, v = _decimal(parts[1]), _decimal(parts[2])
             except ValueError:
                 raise BadEdgeLineError(f"non-integer edge line {line!r}") from None
             pairs.append((u - 1, v - 1))

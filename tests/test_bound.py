@@ -46,6 +46,12 @@ def test_bound_holds_its_graph(p4):
     twin = build_graph(p4.n, p4.edges)
     assert twin is not p4
     assert decompose(twin, lb).source is twin
+    # the graph takes part in equality: bounds of equal graphs are equal, while
+    # a triangle's and a square's agree on every other field yet differ
+    assert obligatory_branch_bound(twin) == lb
+    triangle = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    square = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert obligatory_branch_bound(triangle) != obligatory_branch_bound(square)
 
 
 def test_bound_below_optimum_and_necessity():
