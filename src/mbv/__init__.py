@@ -9,14 +9,7 @@ verification.
 from . import errors
 from .bench import Report, bench, bench_graph, summarize
 from .bound import LowerBoundResult, obligatory_branch_bound
-from .decompose import (
-    Component,
-    Decomposition,
-    Original,
-    SplitCopy,
-    decompose,
-    recombine,
-)
+from .decompose import Component, Decomposition, decompose, recombine
 from .graph import (
     Graph,
     SpanningTree,
@@ -53,12 +46,10 @@ __all__ = [
     "Graph",
     "LowerBoundResult",
     "OracleResult",
-    "Original",
     "Report",
     "SolveOptions",
     "SolveReport",
     "SpanningTree",
-    "SplitCopy",
     "bench",
     "bench_graph",
     "best_heuristic",

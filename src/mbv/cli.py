@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .bench import bench, collect_instances, render_table, to_json, to_record
 from .bound import obligatory_branch_bound
-from .decompose import Original, decompose
+from .decompose import decompose
 from .errors import MbvError
 from .graph import SpanningTree
 from .heuristics import best_heuristic, multi_path_expanding, path_expanding
@@ -113,17 +113,17 @@ def _cmd_decompose(args) -> int:
         meta.append(
             f"component index={k} file={fname} n={comp.graph.n} m={comp.graph.m}"
         )
-        for i, p in enumerate(comp.provenance):
-            if isinstance(p, Original):
+        for i, (v, p) in enumerate(zip(comp.origin, comp.piece)):
+            if p == 0:
                 meta.append(
                     f"vertex component={k} local={i + 1} kind=original "
-                    f"origin={p.vertex + 1} extra_degree={comp.extra_degree.get(i, 0)} "
-                    f"original_degree={d.source.degree(p.vertex)}"
+                    f"origin={v + 1} extra_degree={comp.extra_degree.get(i, 0)} "
+                    f"original_degree={d.source.degree(v)}"
                 )
             else:
                 meta.append(
                     f"vertex component={k} local={i + 1} kind=copy "
-                    f"origin={p.vertex + 1} piece={p.piece}"
+                    f"origin={v + 1} piece={p}"
                 )
         for (a, b), (u, v) in sorted(comp.edge_origin.items()):
             meta.append(

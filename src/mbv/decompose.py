@@ -15,14 +15,17 @@ single component of the graph without v), so the bridge set of the split graph
 is exactly the image of the bridges the bound found on the input. Labeling
 the split graph's components needs no second lowpoint scan, only one
 union-find pass over its edges. The surviving pieces are returned as ordinary
-graphs with dense local ids; provenance is the only mapping back.
+graphs with dense local ids. Each local vertex is described by two ints, the
+input vertex it comes from (``origin``) and its piece (``piece``: 0 for the
+vertex itself, 1..split_count for a stub of an obligatory vertex); with the
+edge map they are the only mapping back.
 
 Most pieces are single vertices (a lone bridge leg, an isolated split copy).
 Such a piece never counts: a non-obligatory vertex has at most two bridges and
 a split copy is never scored. So every single-vertex component shares one
-validated one-vertex graph and one empty edge map, carries only its
-provenance and extra degree, and is never solved: its tree is the empty edge
-set.
+validated one-vertex graph and one empty edge map, an original one also the
+piece tuple ``(0,)``; it carries only its origin, piece and extra degree, and
+is never solved: its tree is the empty edge set.
 """
 from __future__ import annotations
 
@@ -33,39 +36,23 @@ from .bound import LowerBoundResult
 from .errors import NotASpanningTreeError, StaleBoundError
 from .graph import Edge, Graph, SpanningTree, build_graph, spanning_tree
 
-# the graph of every single-vertex component, and the maps they share and
-# never change: a non-obligatory vertex with three bridges would split into
-# three pieces, so a single original vertex carries at most two
+# the graph of every single-vertex component, and the tuple and maps they
+# share and never change: a non-obligatory vertex with three bridges would
+# split into three pieces, so a single original vertex carries at most two
 _POINT = build_graph(1, ())
+_ORIGINAL = (0,)
 _NO_EDGES: Mapping[Edge, Edge] = {}
 _POINT_EXTRA: tuple[Mapping[int, int], ...] = ({}, {0: 1}, {0: 2})
 
 
 @dataclass(frozen=True, slots=True)
-class Original(object):
-    """A component vertex that is an input-graph vertex."""
-
-    vertex: int
-
-
-@dataclass(frozen=True, slots=True)
-class SplitCopy(object):
-    """A stub created for one piece of the graph without an obligatory branch.
-
-    ``piece`` is the 1-based index of that piece; for a fixed source vertex the
-    copies are exactly piece = 1..split_count.
-    """
-
-    vertex: int
-    piece: int
-
-
-Provenance = Original | SplitCopy
-
-
-@dataclass(frozen=True, slots=True)
 class Component:
     """One connected piece of the decomposed graph, with its own objective.
+
+    Local vertex i comes from input vertex ``origin[i]``. ``piece[i]`` is 0
+    when it is that vertex itself (an original) and the 1-based piece of the
+    graph without ``origin[i]`` when it is a split copy of an obligatory
+    vertex; a vertex's copies are exactly pieces 1..split_count.
 
     A component spanning tree is scored by counting the ``countable`` local
     vertices (the originals; split copies never count) whose tree degree plus
@@ -74,19 +61,21 @@ class Component:
     ``spanning_tree``, the heuristics and the exact search read both from here.
 
     Every single-vertex component of a decomposition shares one graph, the
-    empty edge map and an extra-degree map, none of them ever changed; the
-    enhanced solve gives it the empty tree, never reading ``countable``.
+    empty edge map and an extra-degree map, and an original one the piece
+    tuple ``(0,)``, none of them ever changed; the enhanced solve gives it the
+    empty tree, never reading ``countable``.
     """
 
     graph: Graph
-    provenance: tuple[Provenance, ...]
+    origin: tuple[int, ...]
+    piece: tuple[int, ...]
     extra_degree: Mapping[int, int]
     edge_origin: Mapping[Edge, Edge]
 
     @property
     def countable(self) -> tuple[bool, ...]:
-        """Per local vertex, whether it counts: originals do, split copies never."""
-        return tuple([isinstance(p, Original) for p in self.provenance])
+        """Per local vertex, whether it counts: originals (piece 0) do, copies never."""
+        return tuple([p == 0 for p in self.piece])
 
 
 @dataclass(frozen=True)
@@ -117,15 +106,24 @@ def decompose(g: Graph, lb: LowerBoundResult) -> Decomposition:
     # split ids: surviving originals first, then copies; sid[v] is the id of
     # v itself, or of its first copy when v is obligatory
     sid = [0] * n
-    node_origin: list[Provenance] = []
+    origin: list[int] = []
     for v in range(n):
         if v not in obligatory:
-            sid[v] = len(node_origin)
-            node_origin.append(Original(v))
+            sid[v] = len(origin)
+            origin.append(v)
+    piece = [0] * len(origin)
     for v in sorted(obligatory):
-        sid[v] = len(node_origin)
-        node_origin.extend(SplitCopy(v, p) for p in range(1, lb.split_counts[v] + 1))
-    n_split = len(node_origin)
+        sid[v] = len(origin)
+        k = lb.split_counts[v]
+        origin += [v] * k
+        piece += range(1, k + 1)
+    n_split = len(origin)
+    # one unit of extra degree per deleted bridge, on its original ends only
+    extra_of = [0] * n_split
+    for e in bridges:
+        for v in e:
+            if v not in obligatory:
+                extra_of[sid[v]] += 1
 
     # every kept edge's split endpoints lo < hi, and the input edge; a
     # union-find links the larger root under the smaller one as it goes, so
@@ -169,27 +167,22 @@ def decompose(g: Graph, lb: LowerBoundResult) -> Decomposition:
         pairs.append((local[a], local[b]))
         origins.append(e)
 
-    bridge_deg = [0] * n
-    for u, w in bridges:
-        bridge_deg[u] += 1
-        bridge_deg[w] += 1
     components = []
     for r in range(n_split):
         if parent[r] != r:
             continue
         if r not in members:
-            p = node_origin[r]
-            d = bridge_deg[p.vertex] if isinstance(p, Original) else 0
-            components.append(Component(_POINT, (p,), _POINT_EXTRA[d], _NO_EDGES))
+            p = piece[r]
+            components.append(Component(_POINT, (origin[r],), (p,) if p else _ORIGINAL,
+                                        _POINT_EXTRA[extra_of[r]], _NO_EDGES))
             continue
-        provenance = tuple(node_origin[x] for x in members[r])
-        extra = {}
-        for i, p in enumerate(provenance):
-            if isinstance(p, Original) and bridge_deg[p.vertex]:
-                extra[i] = bridge_deg[p.vertex]
+        ids = members[r]
+        extra = {i: extra_of[x] for i, x in enumerate(ids) if extra_of[x]}
         pairs, origins = edges_of[r]
-        cg = build_graph(len(provenance), pairs)
-        components.append(Component(cg, provenance, extra, dict(zip(pairs, origins))))
+        cg = build_graph(len(ids), pairs)
+        components.append(Component(cg, tuple([origin[x] for x in ids]),
+                                    tuple([piece[x] for x in ids]), extra,
+                                    dict(zip(pairs, origins))))
 
     return Decomposition(g, tuple(components), lb, bridges)
 

@@ -10,6 +10,10 @@ Two text formats are read and written:
 A count or vertex id is a decimal integer, ``-?[0-9]+``: no ``+`` sign, no
 ``_`` and no digits outside ASCII, all of which ``int()`` would accept.
 
+The parsers accept any graph. ``load_graph``, which every command that reads a
+file goes through, also refuses counts no connected graph has (n > m + 1) at
+the header or problem line, before anything is allocated for n vertices.
+
 Both round-trip bit-exactly through their writers because graphs normalize
 and sort their edge lists on construction.
 """
@@ -19,6 +23,7 @@ import random
 
 from .errors import (
     BadEdgeLineError,
+    DisconnectedInputError,
     DuplicateEdgeError,
     IndexOutOfRangeError,
     InfeasibleEdgeCountError,
@@ -35,14 +40,21 @@ def _decimal(token: str) -> int:
     raise ValueError(token)
 
 
-def _counts(line: str, n_text: str, m_text: str, what: str) -> tuple[int, int]:
-    """The vertex and edge counts of a header or problem line; ``what`` names it."""
+def _counts(line: str, n_text: str, m_text: str, what: str, connected: bool) -> tuple[int, int]:
+    """The vertex and edge counts of a header or problem line; ``what`` names it.
+
+    With ``connected``, counts that no connected graph has are refused.
+    """
     try:
         n, m = _decimal(n_text), _decimal(m_text)
     except ValueError:
         raise MalformedHeaderError(f"non-integer {what} {line!r}") from None
     if n < 0 or m < 0:
         raise MalformedHeaderError(f"negative count in {what} {line!r}")
+    if connected and n > m + 1:
+        raise DisconnectedInputError(
+            f"{what} {line!r}: a connected graph on {n} vertices needs at least {n - 1} edges"
+        )
     return n, m
 
 
@@ -61,15 +73,15 @@ def _write(g: Graph, header: str, tag: str) -> str:
     return f"{header}{g.n} {g.m}\n" + "".join([f"{tag}{u + 1} {v + 1}\n" for u, v in g.edges])
 
 
-def parse_instance(text: str) -> Graph:
-    """Parse the simple header-plus-edge-list format into a Graph."""
+def _parse_simple(text: str, connected: bool) -> Graph:
+    """``parse_instance``; with ``connected``, refuse a header with n > m + 1."""
     lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
     if not lines:
         raise MalformedHeaderError("empty instance")
     header = lines[0].split()
     if len(header) != 2:
         raise MalformedHeaderError(f"expected 'n m' header, got {lines[0]!r}")
-    n, m = _counts(lines[0], *header, "header")
+    n, m = _counts(lines[0], *header, "header", connected)
     body = lines[1:]
     if len(body) != m:
         raise BadEdgeLineError(f"header promises {m} edges, found {len(body)} edge lines")
@@ -86,13 +98,18 @@ def parse_instance(text: str) -> Graph:
     return _build(n, pairs, body)
 
 
+def parse_instance(text: str) -> Graph:
+    """Parse the simple header-plus-edge-list format into a Graph."""
+    return _parse_simple(text, False)
+
+
 def write_instance(g: Graph) -> str:
     """Simple format text for a graph; parse_instance(write_instance(g)) == g."""
     return _write(g, "", "")
 
 
-def parse_dimacs(text: str) -> Graph:
-    """Parse the dimacs-style edge list format into a Graph."""
+def _parse_dimacs(text: str, connected: bool) -> Graph:
+    """``parse_dimacs``; with ``connected``, refuse a problem line with n > m + 1."""
     n = m = None
     pairs, edge_lines = [], []
     for raw in text.splitlines():
@@ -105,7 +122,7 @@ def parse_dimacs(text: str) -> Graph:
                 raise MalformedHeaderError("second 'p' line")
             if len(parts) != 4 or parts[1] != "edge":
                 raise MalformedHeaderError(f"expected 'p edge n m', got {line!r}")
-            n, m = _counts(line, parts[2], parts[3], "problem line")
+            n, m = _counts(line, parts[2], parts[3], "problem line", connected)
         elif parts[0] == "e":
             if n is None:
                 raise MalformedHeaderError("edge line before the 'p' line")
@@ -126,13 +143,21 @@ def parse_dimacs(text: str) -> Graph:
     return _build(n, pairs, edge_lines)
 
 
+def parse_dimacs(text: str) -> Graph:
+    """Parse the dimacs-style edge list format into a Graph."""
+    return _parse_dimacs(text, False)
+
+
 def write_dimacs(g: Graph) -> str:
     """Dimacs format text for a graph; parse_dimacs(write_dimacs(g)) == g."""
     return _write(g, "p edge ", "e ")
 
 
 def load_graph(path: str) -> Graph:
-    """Read a graph file; a first non-whitespace character c, p or e means dimacs."""
+    """Read a connected graph file; a first non-whitespace c, p or e means dimacs.
+
+    Counts with n > m + 1 are refused at the header, before the graph is built.
+    """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:  # skips a byte-order mark
             text = fh.read()
@@ -141,7 +166,7 @@ def load_graph(path: str) -> Graph:
     first = text.lstrip()[:1]
     if not first:
         raise MalformedHeaderError(f"{path}: empty instance")
-    return parse_dimacs(text) if first in ("c", "p", "e") else parse_instance(text)
+    return (_parse_dimacs if first in ("c", "p", "e") else _parse_simple)(text, True)
 
 
 def generate_random_connected(n: int, m: int, seed: int) -> Graph:

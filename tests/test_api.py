@@ -1,7 +1,11 @@
+import ast
+import importlib
 import re
 from pathlib import Path
 
 import mbv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # the public surface; a name added to or dropped from mbv.__all__ must be
 # changed here too, so every change to the API is deliberate
@@ -11,12 +15,10 @@ PUBLIC = [
     "Graph",
     "LowerBoundResult",
     "OracleResult",
-    "Original",
     "Report",
     "SolveOptions",
     "SolveReport",
     "SpanningTree",
-    "SplitCopy",
     "bench",
     "bench_graph",
     "best_heuristic",
@@ -54,7 +56,26 @@ def test_public_surface_is_pinned():
 def test_scaling_script_uses_only_public_names():
     # scripts/bench_scaling.py reads the package as ``mbv.<name>``; a trim of
     # the public surface must not break it
-    script = Path(__file__).resolve().parents[1] / "scripts" / "bench_scaling.py"
+    script = ROOT / "scripts" / "bench_scaling.py"
     used = set(re.findall(r"\bmbv\.([A-Za-z_]\w*)", script.read_text(encoding="utf-8")))
     assert used  # the pattern still finds the script's calls
     assert used <= set(mbv.__all__), used - set(mbv.__all__)
+
+
+def test_benchmark_uses_only_public_names_and_existing_attributes():
+    # perfbench/harness.py imports public names and perfbench/tracing.py wraps
+    # module attributes by name; both are read as source, never imported, so
+    # a trim of either fails here rather than in a benchmark run
+    harness = ast.parse((ROOT / "perfbench" / "harness.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(harness)
+                if isinstance(node, ast.ImportFrom) and node.module == "mbv"
+                for alias in node.names}
+    assert imported
+    assert imported <= set(mbv.__all__), imported - set(mbv.__all__)
+    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    targets = next(node.value for node in tracing.body
+                   if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS")
+    traced = [(ast.literal_eval(t.elts[0]), ast.literal_eval(t.elts[1])) for t in targets.elts]
+    assert traced
+    for module_name, attr in traced:
+        assert hasattr(importlib.import_module(module_name), attr), (module_name, attr)

@@ -3,8 +3,6 @@ import random
 import pytest
 
 from mbv import (
-    Original,
-    SplitCopy,
     brute_force_optimum,
     build_graph,
     decompose,
@@ -35,9 +33,9 @@ def test_two_triangles(two_triangles):
         assert comp.graph.m == 3
         # exactly one local vertex carries the bridge's extra degree
         assert sorted(comp.extra_degree.values()) == [1]
-        assert all(isinstance(p, Original) for p in comp.provenance)
+        assert comp.piece == (0, 0, 0)
     endpoints = {
-        comp.provenance[i].vertex
+        comp.origin[i]
         for comp in d.components
         for i in comp.extra_degree
     }
@@ -50,9 +48,7 @@ def test_spider(spider):
     assert d.cut_edges == frozenset(spider.edges)
     assert len(d.components) == 9
     assert all(c.graph.n == 1 for c in d.components)
-    kinds = [type(c.provenance[0]) for c in d.components]
-    assert kinds.count(SplitCopy) == 3
-    assert kinds.count(Original) == 6
+    assert sorted(c.piece[0] for c in d.components) == [0] * 6 + [1, 2, 3]
     zs = [solve_component(c).upper_bound for c in d.components]
     assert d.obligatory.value + sum(zs) == 1
     tree = recombine(d, [()] * 9)
@@ -83,7 +79,8 @@ def _triangle_component(extra):
     g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
     return Component(
         graph=g,
-        provenance=(Original(10), Original(11), Original(12)),
+        origin=(10, 11, 12),
+        piece=(0, 0, 0),
         extra_degree=extra,
         edge_origin={e: e for e in g.edges},
     )
@@ -101,7 +98,8 @@ def test_component_branch_count_ignores_split_copies():
     star = build_graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)])
     comp = Component(
         graph=star,
-        provenance=(SplitCopy(7, 1),) + tuple(Original(v) for v in range(1, 6)),
+        origin=(7, 1, 2, 3, 4, 5),
+        piece=(1, 0, 0, 0, 0, 0),
         extra_degree={},
         edge_origin={e: e for e in star.edges},
     )
@@ -173,15 +171,15 @@ def test_accounting_identities_random():
         assert len(origins) == len(set(origins))
         assert set(origins) == set(g.edges) - set(d.cut_edges)
         for comp in d.components:
-            for i, p in enumerate(comp.provenance):
-                if isinstance(p, Original):
+            for i, (v, p) in enumerate(zip(comp.origin, comp.piece)):
+                if p:
+                    assert v in lb.obligatory
+                    assert 1 <= p <= lb.split_counts[v]
+                else:
                     local = comp.graph.degree(i)
                     extra = comp.extra_degree.get(i, 0)
                     assert extra >= 0
-                    assert local + extra <= g.degree(p.vertex)
-                else:
-                    assert p.vertex in lb.obligatory
-                    assert 1 <= p.piece <= lb.split_counts[p.vertex]
+                    assert local + extra <= g.degree(v)
             if comp.graph.n > 1:
                 assert _lowpoint(comp.graph.n, comp.graph.adjacency).count == 1
                 # splitting never creates a bridge, so a component is final
@@ -199,13 +197,15 @@ def test_split_copy_pieces_are_complete():
         g = generate_random_connected(n, m, rng.randrange(10**6))
         lb = obligatory_branch_bound(g)
         d = decompose(g, lb)
-        copies = {}
+        # every (origin, piece) pair once: (v, 0) for each vertex that is not
+        # obligatory, (v, 1..split_count) for each obligatory one
+        pairs = [(v, p) for comp in d.components for v, p in zip(comp.origin, comp.piece)]
+        expected = [(v, 0) for v in range(g.n) if v not in lb.obligatory]
+        expected += [(v, p) for v in lb.obligatory for p in range(1, lb.split_counts[v] + 1)]
+        assert sorted(pairs) == sorted(expected)
         for comp in d.components:
-            for p in comp.provenance:
-                if isinstance(p, SplitCopy):
-                    copies.setdefault(p.vertex, set()).add(p.piece)
-        for v in lb.obligatory:
-            assert copies[v] == set(range(1, lb.split_counts[v] + 1))
+            assert len(comp.origin) == len(comp.piece) == comp.graph.n
+            assert comp.countable == tuple(p == 0 for p in comp.piece)
 
 
 def test_decomposition_identity_random():

@@ -8,8 +8,6 @@ import pytest
 import mbv.heuristics
 from mbv import (
     Component,
-    Original,
-    SplitCopy,
     best_heuristic,
     branch_count,
     brute_force_optimum,
@@ -142,11 +140,9 @@ def test_heap_restart_matches_scan_rule(monkeypatch):
         lb = lb_of(g)
         # decomposed components give multi-vertex components extra degree at
         # most one, so a hand-made one also starts vertices above two
-        provenance = tuple(
-            SplitCopy(v, 1) if rng.random() < 0.1 else Original(v) for v in range(n)
-        )
+        piece = tuple([int(rng.random() < 0.1) for _ in range(n)])
         extra = {v: rng.randrange(1, 5) for v in rng.sample(range(n), n // 4)}
-        made = Component(g, provenance, extra, {e: e for e in g.edges})
+        made = Component(g, tuple(range(n)), piece, extra, {e: e for e in g.edges})
         runs = [(g, lb, None), (g, lb, made)]
         for comp in decompose(g, lb).components:
             if comp.graph.n > 1:
@@ -227,11 +223,9 @@ def test_restart_key_tracks_tier():
         n = rng.randrange(4, 40)
         g = generate_random_connected(n, min(n * (n - 1) // 2, n - 1 + rng.randrange(0, n)),
                                       rng.randrange(10**6))
-        provenance = tuple(
-            SplitCopy(v, 1) if rng.random() < 0.15 else Original(v) for v in range(n)
-        )
+        piece = tuple([int(rng.random() < 0.15) for _ in range(n)])
         extra = {v: rng.randrange(1, 4) for v in rng.sample(range(n), n // 3)}
-        comp = Component(g, provenance, extra, {e: e for e in g.edges})
+        comp = Component(g, tuple(range(n)), piece, extra, {e: e for e in g.edges})
         lb = lb_of(g)
         priority = _priority(lb, comp)
         state = HeuristicState(g, lb, comp)
@@ -342,7 +336,7 @@ def test_determinism():
 def test_overlay_runs_on_components():
     g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
     lb = lb_of(g)
-    comp = Component(g, tuple(Original(v) for v in range(3)), {2: 1}, {e: e for e in g.edges})
+    comp = Component(g, (0, 1, 2), (0, 0, 0), {2: 1}, {e: e for e in g.edges})
     for heuristic in (path_expanding, multi_path_expanding, best_heuristic):
         tree = heuristic(g, lb, comp)
         assert is_spanning_tree(g, tree.edges)
@@ -353,8 +347,7 @@ def test_overlay_runs_on_components():
 def test_overlay_exempt_absorbs_degree():
     star = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     lb = lb_of(star)
-    provenance = (SplitCopy(9, 1),) + tuple(Original(v) for v in range(1, 5))
-    comp = Component(star, provenance, {}, {e: e for e in star.edges})
+    comp = Component(star, (9, 1, 2, 3, 4), (1, 0, 0, 0, 0), {}, {e: e for e in star.edges})
     tree = multi_path_expanding(star, lb, comp)
     assert spanning_tree(star, tree.edges, comp).branches == tree.branches == 0
     assert branch_count(star.n, tree.edges) == 1  # a plain count still sees the center

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,7 @@ from mbv import (
 )
 from mbv.errors import (
     BadEdgeLineError,
+    DisconnectedInputError,
     DuplicateEdgeError,
     IndexOutOfRangeError,
     InfeasibleEdgeCountError,
@@ -188,6 +190,31 @@ def test_load_graph_skips_a_byte_order_mark(tmp_path):
     utf16.write_bytes(b"\xff\xfe3 2\n1 2\n2 3\n")
     with pytest.raises(MalformedHeaderError, match="not UTF-8 text"):
         load_graph(str(utf16))
+
+
+def test_load_graph_refuses_counts_no_connected_graph_has(tmp_path):
+    # every command that reads a file needs a connected graph, so n > m + 1
+    # is refused at the header, before anything is allocated for n vertices
+    for name, text, message in (
+        ("huge.graph", "1000000 0", "header '1000000 0': "),
+        ("huge.col", "p edge 1000000 0\n", "problem line 'p edge 1000000 0': "),
+    ):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        message += "a connected graph on 1000000 vertices needs at least 999999 edges"
+        tracemalloc.start()
+        try:
+            with pytest.raises(DisconnectedInputError, match=_whole(message)):
+                load_graph(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6, peak
+    # n = m + 1 passes the count test, and the parsers read a disconnected graph
+    path = tmp_path / "path.graph"
+    path.write_text("3 2\n1 2\n2 3\n", encoding="utf-8")
+    assert load_graph(str(path)).m == 2
+    assert parse_instance("4 2\n1 2\n3 4\n").n == parse_dimacs("p edge 4 0\n").n == 4
 
 
 def test_generator_postconditions():

@@ -5,6 +5,7 @@ it is connected by construction and small enough for the oracle. The last test
 draws instance texts instead, from a small token grammar. Examples are
 derandomized, so every run checks the same graphs and texts.
 """
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
@@ -13,9 +14,7 @@ import pytest
 from mbv import (
     Component,
     Graph,
-    Original,
     SolveOptions,
-    SplitCopy,
     best_heuristic,
     brute_force_optimum,
     build_graph,
@@ -161,9 +160,9 @@ def near_tree_edge_lists(draw):
     flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
     edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
     split = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    provenance = tuple(SplitCopy(v, 1) if s else Original(v) for v, s in enumerate(split))
     extra = draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, 4), max_size=n))
-    return g, Component(g, provenance, extra, {e: e for e in g.edges}), edges
+    return g, Component(g, tuple(range(n)), tuple(map(int, split)), extra,
+                        {e: e for e in g.edges}), edges
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
@@ -326,9 +325,9 @@ def _drawn_component(g, data):
     gamma = data.draw(st.lists(st.sampled_from((0, 0, 1, 1, 2)), min_size=n, max_size=n))
     countable = data.draw(st.lists(st.sampled_from((True, True, True, False)),
                                    min_size=n, max_size=n))
-    provenance = tuple(Original(v) if ok else SplitCopy(v, 1) for v, ok in enumerate(countable))
     extra = {v: d for v, d in enumerate(gamma) if d}
-    return Component(g, provenance, extra, {e: e for e in g.edges})
+    return Component(g, tuple(range(n)), tuple([int(not ok) for ok in countable]), extra,
+                     {e: e for e in g.edges})
 
 
 def _branch_include(s, ei):
@@ -434,7 +433,11 @@ def test_undo_restores_the_search_state_at_each_mark(g, data):
             assert _state(s) == state
 
 
-_TOKENS = st.sampled_from(("p", "edge", "e", "c", "#", "x", "col")) | st.integers(-1, 9).map(str)
+# the grammar's words and integers, and spellings of an integer that int()
+# reads but a count or vertex id may not take: a + sign, an _, digits
+# outside ASCII
+_TOKENS = (st.sampled_from(("p", "edge", "e", "c", "#", "x", "col", "1_0", "\u0663", "\u00b2"))
+           | st.integers(-1, 9).map(str) | st.integers(0, 9).map("+{}".format))
 
 
 @st.composite
@@ -458,12 +461,16 @@ def instance_texts(draw):
 @given(instance_texts())
 def test_malformed_text_is_refused_never_crashes(tmp_path_factory, text):
     # bad input is an MbvError from the parsers and exit 1 from the CLI,
-    # never another exception
-    for parse in (parse_instance, parse_dimacs):
+    # never another exception; a graph is read only from its format's words
+    # and ASCII decimal integers, whatever the comment lines hold
+    for parse, comment in ((parse_instance, "#"), (parse_dimacs, "c")):
         try:
             assert isinstance(parse(text), Graph)
         except MbvError:
-            pass
+            continue
+        words = [w for line in text.splitlines() if line.strip()[:1] not in ("", comment)
+                 for w in line.split()]
+        assert all(re.fullmatch(r"p|edge|e|-?[0-9]+", w) for w in words), text
     path = tmp_path_factory.getbasetemp() / "drawn.graph"
     path.write_bytes(text.encode())
     with redirect_stdout(StringIO()), redirect_stderr(StringIO()):

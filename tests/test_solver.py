@@ -9,8 +9,6 @@ import pytest
 import mbv.solver
 from mbv import (
     Graph,
-    Original,
-    SplitCopy,
     SolveOptions,
     branch_count,
     brute_force_optimum,
@@ -61,7 +59,8 @@ def test_disconnected_rejected():
 def test_single_split_copy_component():
     comp = Component(
         graph=build_graph(1, []),
-        provenance=(SplitCopy(3, 2),),
+        origin=(3,),
+        piece=(2,),
         extra_degree={},
         edge_origin={},
     )
@@ -72,10 +71,10 @@ def test_single_split_copy_component():
     # original with three or more deleted bridges is a branch in its only tree.
     # decompose never builds one (the vertex would be obligatory and split),
     # but a hand-built component can hold one
-    cases = [(Original(0), {0: d} if d else {}, int(d > 2)) for d in range(5)]
-    cases.append((SplitCopy(0, 1), {}, 0))
-    for origin, extra, branches in cases:
-        comp = Component(comp.graph, (origin,), extra, {})
+    cases = [(0, {0: d} if d else {}, int(d > 2)) for d in range(5)]
+    cases.append((1, {}, 0))
+    for piece, extra, branches in cases:
+        comp = Component(comp.graph, (0,), (piece,), extra, {})
         report = solve_component(comp)
         assert spanning_tree(comp.graph, (), comp).branches == branches
         assert report.lower_bound == report.upper_bound == branches
@@ -87,7 +86,8 @@ def _triangle_component(extra):
     g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
     return Component(
         graph=g,
-        provenance=(Original(4), Original(5), Original(6)),
+        origin=(4, 5, 6),
+        piece=(0, 0, 0),
         extra_degree=extra,
         edge_origin={e: e for e in g.edges},
     )
