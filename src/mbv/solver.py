@@ -44,27 +44,31 @@ for every completion of the node:
 Branching picks the undecided edge at the most constrained endpoint (largest
 extra-plus-bridge-plus-chosen degree), then the highest remaining degree, then
 the smallest edge index, and explores the exclude child first. These are
-measured defaults, not load-bearing for correctness. The pick compares one
-int per edge, tightness * (n + 1) + degree: a live degree is below n + 1 and
-tightness is at least -1 (a split copy never counts), so the int orders edges
-exactly like the pair, and a strict comparison keeps the smallest index.
+measured defaults, not load-bearing for correctness. The pick walks the
+list of undecided edges and compares one int per edge, tightness * (n + 1) +
+degree: a live degree is below n + 1 and tightness is at least -1 (a split
+copy never counts), so the int orders edges exactly like the pair. The list
+is in no fixed order, so an equal key goes to the smaller edge index.
 
 The search state is one ``_Search`` value, changed in place: a status per
-edge (undecided, included, excluded), the live adjacency (every edge not
-excluded) with its degrees, included degrees with the tightness they give,
-and the groups joined by included edges (explicit labels merged by size, so
-a union is undone by relabeling the smaller group). Its ``include``,
-``exclude`` and ``undo`` are the only code that changes it, and its ``run``
-is the node loop. Every change is pushed on one trail: a branching decision,
-a forced bridge, a dropped cycle closer, each inclusion with its union.
+edge (undecided, included, excluded), the undecided edges as a list with
+each edge's slot in it (a decided edge is swapped out, and undoing the
+trail in reverse swaps it back, restoring the list exactly), the live
+adjacency (every edge not excluded) with its degrees, included degrees with
+the tightness they give, and the groups joined by included edges (explicit
+labels merged by size, so a union is undone by relabeling the smaller
+group). Its ``include``, ``exclude`` and ``undo`` are the only code that
+changes it, and its ``run`` is the node loop. Every change is pushed on one
+trail: a branching decision, a forced bridge, a dropped cycle closer, each
+inclusion with its union.
 
 An open node holds its edge, its decision, the trail length at its parent and
 the parent's bound. Popping it undoes the trail back to that mark, which
 restores the parent's fixpoint, and then applies the decision.
 
 The parent looks up once which class of its scan holds the edge it
-branches on, and both children carry that index; the root carries 0, the
-pseudo-parent's one class (below).
+branches on (the first, when its scan has one), and both children carry
+that index; the root carries 0, the pseudo-parent's one class (below).
 
 A node scans the live graph only when it has changed. Both children's stack
 entries carry the split counts, bridge degrees and classes of their parent's
@@ -84,32 +88,40 @@ takes the lowpoint scan the obligatory bound made of the input as that
 class's scan instead of scanning again.
 
 The bound is carried the same way. It sums one addend per class of the
-scan, the class's term 1 (its forced branches) plus its term 2, and the
-term-1 flags of the vertices in no class. Such a vertex has only bridges
-left, all included, so its flag is final: its extra plus live degree
+scan, the class's term 1 (its forced branches, c1) plus its term 2 (c2),
+and the term-1 flags of the vertices in no class. Such a vertex has only
+bridges left, all included, so its flag is final: its extra plus live degree
 exceeds two. Next to the scan, both children's entries hold the parent's
-addend per class (in the order of the scan's classes), and each child
-corrects only the addends its decision can touch. A class's addend reads
-only the split counts, bridge degrees, live degrees and included degrees of
-its vertices. A node takes one of three rules:
+tally per class (in the order of the scan's classes): the addend, c1, the
+summed ``free`` absorption of the degree accounting and its ascending list
+of gains, from which c2 is read. Each vertex adds its own share to c1, free
+and the gains, read only off its split count, bridge degree, live degree and
+included degree, so a tally that changed at a few vertices is corrected
+there: take their shares off and put their new shares on. A child's
+decision changes the degrees only at the vertices it touches, the ends of
+its edge and of the closers it drops, all in K. It reads their shares on
+the parent's scan after the undo (the parent's fixpoint) and again after
+its decision, and takes one of three rules:
 
 * an include child that drops no closer keeps its parent's live graph and
   scan, and only the included degree of the edge's ends u and v rises. The
   edge was undecided, so it is no bridge, and u and v share one class K.
-  K's addend changes only when the flag of u or v turns on: the split count
+  K's tally changes only when the flag of u or v turns on: the split count
   is unchanged, so that happens exactly when its extra plus included degree
   reaches 3 and its included degree exceeds its split count. Only then does
-  the child re-evaluate K's addend, and the bound equals the full evaluation;
-* a child below the root that drops edges first re-evaluates K's addend on
-  its parent's scan with its own live and included degrees, and is pruned
-  without a scan when the parent's bound with that addend in place of K's
-  reaches the incumbent;
+  the child correct K's tally, and the bound equals the full evaluation;
+* a child below the root that drops edges first corrects K's tally on its
+  parent's scan, which gives the estimate E, and is pruned without a scan
+  when the parent's bound with E's addend in place of K's reaches the
+  incumbent;
 * else the child rescans K. It changes only vertices of K (its split
   counts, the new bridges and their inclusions all lie in K, and so do the
-  ends of the decided and dropped edges), so it swaps K's addend for the
-  addends of K's sub-classes and adds the flags of K's vertices left in no
-  class, which equals the full evaluation. The pseudo-parent's one addend is
-  0, so the root evaluates the bound in full.
+  ends of the decided and dropped edges), so it swaps K's tally for the
+  tallies of K's sub-classes, each a full walk of its sub-class, and adds
+  the flags of K's vertices left in no class, which equals the full
+  evaluation. The pseudo-parent's one addend is 0, so the root evaluates the
+  bound in full. Only these walks, at the root and on the sub-classes of a
+  rescan, visit a whole class.
 
 The estimate E of the second rule bounds every completion: K is still
 connected and every edge leaving it is a bridge of the parent, so a
@@ -129,6 +141,7 @@ prune, and node counts are those of a search that always rescans:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from time import perf_counter
 
@@ -224,6 +237,36 @@ def _live_scan(n: int, adj, parent, k: int, live=None):
     return (pieces, bridge_deg, classes), live.bridges
 
 
+def _fresh(need, gains) -> int:
+    """c2: how many of the largest ``gains`` (held ascending) cover ``need``, or all."""
+    c2 = 0
+    i = len(gains)
+    while need > 0 and i:
+        i -= 1
+        need -= gains[i]
+        c2 += 1
+    return c2
+
+
+def _corrected(tally, h, before, after) -> tuple:
+    """The tally of a class of h vertices after some of them changed.
+
+    ``before`` and ``after`` are ``_Search.share`` of the same vertices, taken
+    before and after the change; the class's other vertices kept their share.
+    ``tally``'s gains list is copied before it is changed.
+    """
+    _, c1, free, gains = tally
+    c1 += after[0] - before[0]
+    free += after[1] - before[1]
+    if after[2] != before[2]:
+        gains = gains[:]
+        for gain in before[2]:
+            del gains[bisect_left(gains, gain)]
+        for gain in after[2]:
+            insort(gains, gain)
+    return c1 + _fresh(h - 2 - free, gains), c1, free, gains
+
+
 # search states of an edge
 _UNDECIDED, _INCLUDED, _EXCLUDED = 0, 1, 2
 
@@ -234,11 +277,13 @@ class _Search:
     It is built with every edge undecided and changed in place only by
     ``include``, ``exclude`` and ``undo``; ``run`` is the node loop over it.
     Trail entries are ei for an included edge (and the union it made) and ~ei
-    for an excluded one.
+    for an excluded one; both also swapped ei out of the undecided list.
+    ``term`` walks a whole class for its bound tally, and ``share`` gives the
+    part of it that some of its vertices hold, by the same per-vertex rule.
     """
 
-    __slots__ = ("edges", "edge_id", "gamma", "countable", "status", "adj", "live_deg",
-                 "inc_deg", "tight", "group_of", "members", "hung", "trail")
+    __slots__ = ("edges", "edge_id", "gamma", "countable", "status", "undecided", "slot",
+                 "adj", "live_deg", "inc_deg", "tight", "group_of", "members", "hung", "trail")
 
     def __init__(self, g: Graph, c: Component | None):
         n = g.n
@@ -248,6 +293,10 @@ class _Search:
         self.gamma = gamma = [extra.get(v, 0) for v in range(n)]
         self.countable = countable
         self.status = [_UNDECIDED] * g.m
+        # the undecided edges in no fixed order, and each edge's index in that
+        # list while it is undecided (its last index after)
+        self.undecided = list(range(g.m))
+        self.slot = list(range(g.m))
         self.adj = [list(a) for a in g.adjacency]  # live adjacency: the edges not excluded
         self.live_deg = [len(a) for a in self.adj]
         self.inc_deg = [0] * n
@@ -268,6 +317,7 @@ class _Search:
         self.live_deg[v] -= 1
         self.status[ei] = _EXCLUDED
         self.trail.append(~ei)
+        self.decide(ei)
 
     def include(self, ei: int) -> None:
         """Include ei and merge the groups of its ends."""
@@ -278,6 +328,7 @@ class _Search:
         self.tight[v] += self.countable[v]
         self.status[ei] = _INCLUDED
         self.trail.append(ei)
+        self.decide(ei)
         group_of, members = self.group_of, self.members
         a, b = group_of[u], group_of[v]
         if len(members[a]) < len(members[b]):
@@ -288,12 +339,22 @@ class _Search:
             group_of[x] = a
         members[a] += small
 
-    def closers(self, ei: int) -> list[int]:
+    def decide(self, ei: int) -> None:
+        """Swap undecided ei out of the undecided list."""
+        undecided, slot = self.undecided, self.slot
+        last = undecided.pop()
+        if last != ei:
+            i = slot[ei]
+            undecided[i] = last
+            slot[last] = i
+
+    def closers(self, ei: int) -> tuple[list[int], set[int]]:
         """The live edges other than undecided ei that join its ends' groups.
 
         Including ei closes each into a cycle. Live edges between two groups
         are all undecided, so the smaller group's live neighbors in the other
-        group give them all.
+        group give them all. Also returns the vertices that including ei and
+        dropping them touches: the ends of ei and of each.
         """
         u, v = self.edges[ei]
         group_of, members, adj, edge_id = self.group_of, self.members, self.adj, self.edge_id
@@ -301,17 +362,21 @@ class _Search:
         if len(members[a]) < len(members[b]):
             a, b = b, a
         found = []
+        touched = {u, v}
         for x in members[b]:
             for w in adj[x]:
                 if group_of[w] == a:
                     e = edge_id[(x, w) if x < w else (w, x)]
                     if e != ei:
                         found.append(e)
-        return found
+                        touched.add(x)
+                        touched.add(w)
+        return found, touched
 
     def undo(self, mark: int) -> None:
         """Undo the trail back to its first ``mark`` entries."""
         trail, group_of, members = self.trail, self.group_of, self.members
+        undecided, slot = self.undecided, self.slot
         while len(trail) > mark:
             ei = trail.pop()
             if ei >= 0:
@@ -333,23 +398,48 @@ class _Search:
                 self.live_deg[u] += 1
                 self.live_deg[v] += 1
             self.status[ei] = _UNDECIDED
+            # the reverse of ``decide``: the edge that took ei's slot goes back
+            # to the end, so the list is restored exactly
+            i = slot[ei]
+            if i < len(undecided):
+                last = undecided[i]
+                slot[last] = len(undecided)
+                undecided.append(last)
+                undecided[i] = ei
+            else:
+                undecided.append(ei)
 
-    def term(self, group, pieces, bridge_deg) -> int:
-        """One two-edge-connected class's addend of the node bound: c1 + c2.
+    def term(self, group, pieces, bridge_deg) -> tuple:
+        """One two-edge-connected class's tally: (addend, c1, free, gains).
 
-        c1 counts the class's forced branches. Each bridge at v cuts off a piece
-        of its own and is already included, so bridge degree + max(class pieces,
-        chosen class degree) from the module docstring is max(pieces, chosen
-        degree) in the live graph. c2 is the class's degree accounting, in which
-        a forced branch absorbs any degree.
+        The addend of the node bound is c1 + c2. c1 counts the class's forced
+        branches, and c2 is its degree accounting, read off ``free`` and the
+        ascending ``gains`` by ``_fresh``. This is the one walk over a whole
+        class.
+        """
+        c1, free, gains = self.share(group, pieces, bridge_deg)
+        gains.sort()
+        return c1 + _fresh(len(group) - 2 - free, gains), c1, free, gains
+
+    def share(self, vertices, pieces, bridge_deg) -> tuple:
+        """The part of their class's tally that ``vertices`` give: (c1, free, gains).
+
+        A vertex v adds 1 to c1 when it is a forced branch. Each bridge at v
+        cuts off a piece of its own and is already included, so bridge degree +
+        max(class pieces, chosen class degree) from the module docstring is
+        max(pieces, chosen degree) in the live graph. In the degree accounting
+        a forced branch absorbs any degree; another vertex absorbs up to its
+        cap, 2 minus its extra and bridge degrees, so it adds what it absorbs
+        beyond one to ``free`` and, when its class degree d exceeds the cap,
+        d minus the cap to ``gains``: what a fresh branch there would absorb
+        more. ``gains`` is in the order of ``vertices``.
         """
         gamma, countable, live_deg, inc_deg = (
             self.gamma, self.countable, self.live_deg, self.inc_deg)
-        h = len(group)
         c1 = 0
         free = 0
         gains = []
-        for v in group:
+        for v in vertices:
             d = live_deg[v] - bridge_deg[v]
             if countable[v]:
                 if gamma[v] + (pieces[v] if pieces[v] > inc_deg[v] else inc_deg[v]) > 2:
@@ -361,16 +451,7 @@ class _Search:
                         gains.append(d - cap)
                         continue
             free += d - 1
-        need = h - 2 - free
-        c2 = 0
-        if need > 0:
-            gains.sort(reverse=True)
-            for gain in gains:
-                c2 += 1
-                need -= gain
-                if need <= 0:
-                    break
-        return c1 + c2
+        return c1, free, gains
 
     def run(self, best_val: float, best_ids: list[int] | None, deadline: float | None,
             node_limit: int | None, scans: list | None = None):
@@ -383,68 +464,79 @@ class _Search:
         a lowpoint scan of g's adjacency, which the root pops and takes in place
         of its own scan; it then holds the only reference.
         """
-        edges, status, adj, live_deg, inc_deg, tight = (
-            self.edges, self.status, self.adj, self.live_deg, self.inc_deg, self.tight)
-        include, exclude, closers, undo, term = (
-            self.include, self.exclude, self.closers, self.undo, self.term)
-        n, m = len(adj), len(edges)
+        edges, status, adj, live_deg, inc_deg, tight, undecided = (
+            self.edges, self.status, self.adj, self.live_deg, self.inc_deg, self.tight,
+            self.undecided)
+        include, exclude, closers, undo, term, share = (
+            self.include, self.exclude, self.closers, self.undo, self.term, self.share)
+        n = len(adj)
         nodes = 0
         width = n + 1  # the pick key's radix: above every live degree
         # an entry is (edge, include it?, trail mark, parent's bound, parent's
-        # fixpoint scan, parent's class terms, index of the edge's class K in
-        # that scan). The lists are shared by both children and never changed;
-        # a child that changes one copies it. Node bounds and the objective are
-        # integers, so a node is pruned exactly when its bound reaches the
-        # incumbent. The root decides nothing, and its parent is a constant
-        # pseudo-parent: one class holding every vertex, no pieces or bridges,
-        # and a bound of 0
+        # fixpoint scan, parent's class tallies, index of the edge's class K in
+        # that scan). The scan and the tallies (with their gains lists) are
+        # shared by both children and never changed; a child that changes one
+        # copies it. Node bounds and the objective are integers, so a node is
+        # pruned exactly when its bound reaches the incumbent. The root decides
+        # nothing, and its parent is a constant pseudo-parent: one class holding
+        # every vertex, no pieces or bridges, and a bound of 0
         pseudo_scan = ([0] * n, [0] * n, [list(range(n))])
-        stack: list[tuple] = [(-1, False, 0, 0, pseudo_scan, [0], 0)]
+        stack: list[tuple] = [(-1, False, 0, 0, pseudo_scan, [(0, 0, 0, [])], 0)]
         while stack:
             if node_limit is not None and nodes >= node_limit:
                 break
             if deadline is not None and perf_counter() > deadline:
                 break
-            ei, take, mark, bound, scan, terms, k = stack.pop()
+            ei, take, mark, bound, scan, tallies, k = stack.pop()
             if bound >= best_val:
                 continue
             nodes += 1
             undo(mark)
-            if take:  # unlike a forced bridge, a branching inclusion may close cycles
-                dropped = closers(ei)
-                include(ei)
-                for e in dropped:
-                    exclude(e)
-            elif ei >= 0:
-                exclude(ei)
-            # the node bound is a term per class, in the order of the scan's
-            # classes, plus the final flags of the vertices in no class; a child
-            # corrects the terms its decision can change and keeps the rest
+            # the node bound is an addend per class, in the order of the scan's
+            # classes, plus the final flags of the vertices in no class. A child
+            # corrects K's tally at the vertices its decision touches, the ends
+            # of its edge and of the closers it drops, from their shares at the
+            # parent's fixpoint to their shares now, on the parent's scan
             pieces, bridge_deg, classes = scan
+            if ei >= 0:
+                u, v = edges[ei]
+                if take:  # unlike a forced bridge, a branching inclusion may close cycles
+                    dropped, touched = closers(ei)
+                else:
+                    touched = (u, v)
+                before = share(touched, pieces, bridge_deg)
+                if take:
+                    include(ei)
+                    for e in dropped:
+                        exclude(e)
+                else:
+                    exclude(ei)
             if take and not dropped:
                 # the live graph and its scan are the parent's, and only the
-                # included degree of u and v rose, so K's term changes only when
-                # the flag of u or v turns on
-                u, v = edges[ei]
+                # included degree of u and v rose, so K's tally changes only
+                # when the flag of u or v turns on
                 if (tight[u] == 3 and inc_deg[u] > pieces[u]) or (
                     tight[v] == 3 and inc_deg[v] > pieces[v]
                 ):
-                    t = term(classes[k], pieces, bridge_deg)
-                    bound += t - terms[k]
-                    terms = terms[:]
-                    terms[k] = t
+                    tally = _corrected(tallies[k], len(classes[k]), before,
+                                       share(touched, pieces, bridge_deg))
+                    bound += tally[0] - tallies[k][0]
+                    tallies = tallies[:]
+                    tallies[k] = tally
             else:
                 # the dropped edges all lie in K, and only K changed. Below the
-                # root, K's term on the parent's scan with the child's degrees
-                # never exceeds the full evaluation, so a child it prunes skips
-                # the rescan. Else K is rescanned, its undecided bridges are
-                # included (closing no cycle), and its term gives way to its
-                # sub-classes' terms, which come last in the class list. A vertex
-                # of K left in no class has only included bridges, so its flag,
-                # tightness above two, is final and counted once here. A plain
-                # search's root takes the bound's scan of the input
+                # root, K's corrected addend never exceeds the full evaluation,
+                # so a child it prunes skips the rescan. Else K is rescanned,
+                # its undecided bridges are included (closing no cycle), and its
+                # tally gives way to its sub-classes' tallies, which come last in
+                # the class list. A vertex of K left in no class has only
+                # included bridges, so its flag, tightness above two, is final
+                # and counted once here. A plain search's root takes the bound's
+                # scan of the input
                 group = classes[k]
-                if ei >= 0 and bound - terms[k] + term(group, pieces, bridge_deg) >= best_val:
+                if ei >= 0 and bound - tallies[k][0] + _corrected(
+                    tallies[k], len(group), before, share(touched, pieces, bridge_deg)
+                )[0] >= best_val:
                     continue
                 scan, bridges = _live_scan(n, adj, scan, k, scans.pop() if scans else None)
                 for bridge in bridges:
@@ -452,9 +544,9 @@ class _Search:
                     if status[e] == _UNDECIDED:
                         include(e)
                 pieces, bridge_deg, classes = scan
-                fresh = [term(grp, pieces, bridge_deg) for grp in classes[len(terms) - 1 :]]
-                bound += sum(fresh) - terms[k]
-                terms = terms[:k] + terms[k + 1 :] + fresh
+                fresh = [term(grp, pieces, bridge_deg) for grp in classes[len(tallies) - 1 :]]
+                bound += sum(tally[0] for tally in fresh) - tallies[k][0]
+                tallies = tallies[:k] + tallies[k + 1 :] + fresh
                 for x in group:
                     if live_deg[x] == bridge_deg[x] and tight[x] > 2:
                         bound += 1
@@ -463,30 +555,31 @@ class _Search:
 
             # branch on the undecided edge at the most constrained endpoint,
             # then the densest; deciding tight vertices first moves the bound.
-            # The int key orders edges like (tightness, degree), and a strict >
-            # keeps the smallest edge index on ties.
+            # The int key orders edges like (tightness, degree), and ties go to
+            # the smallest edge index, whatever the list's order
             pick = -1
             pick_key = -width - 1
-            for e in range(m):
-                if status[e] != _UNDECIDED:
-                    continue
+            for e in undecided:
                 u, v = edges[e]
                 tu, tv = tight[u], tight[v]
                 du, dv = live_deg[u], live_deg[v]
                 key = (tu if tu >= tv else tv) * width + (du if du >= dv else dv)
-                if key > pick_key:
+                if key > pick_key or (key == pick_key and e < pick):
                     pick_key = key
                     pick = e
             if pick < 0:  # a leaf: the bound is its tree's branch count
                 best_val = bound
-                best_ids = [e for e in range(m) if status[e] == _INCLUDED]
+                best_ids = [e for e, state in enumerate(status) if state == _INCLUDED]
                 continue
             # both ends of the picked edge lie in one class K of this scan
             mark = len(self.trail)
-            u = edges[pick][0]
-            k = next(i for i, grp in enumerate(classes) if u in grp)
-            stack.append((pick, True, mark, bound, scan, terms, k))
-            stack.append((pick, False, mark, bound, scan, terms, k))
+            if len(classes) == 1:
+                k = 0
+            else:
+                u = edges[pick][0]
+                k = next(i for i, grp in enumerate(classes) if u in grp)
+            stack.append((pick, True, mark, bound, scan, tallies, k))
+            stack.append((pick, False, mark, bound, scan, tallies, k))
 
         # a stopped search's open nodes bound the trees it did not reach; a
         # finished search leaves none open

@@ -5,6 +5,7 @@ it is connected by construction and small enough for the oracle. The last test
 draws instance texts instead, from a small token grammar. Examples are
 derandomized, so every run checks the same graphs and texts.
 """
+import random
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -19,6 +20,7 @@ from mbv import (
     brute_force_optimum,
     build_graph,
     decompose,
+    generate_random_connected,
     is_spanning_tree,
     multi_path_expanding,
     obligatory_branch_bound,
@@ -34,7 +36,7 @@ from mbv import (
 from mbv.cli import main as cli_main
 from mbv.errors import MbvError, NotASpanningTreeError
 from mbv.graph import _count_branches, _lowpoint
-from mbv.solver import _UNDECIDED, _live_scan, _Search
+from mbv.solver import _UNDECIDED, _corrected, _live_scan, _Search
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -332,7 +334,7 @@ def _drawn_component(g, data):
 
 def _branch_include(s, ei):
     """A branching inclusion as the search makes it: ei goes in, its closers out."""
-    dropped = s.closers(ei)
+    dropped, _ = s.closers(ei)
     s.include(ei)
     for e in dropped:
         s.exclude(e)
@@ -349,25 +351,19 @@ def _node_bound(s):
     n = len(s.adj)
     (pieces, bridge_deg, classes), _ = _full_scan(n, s.adj)
     in_class = {x for grp in classes for x in grp}
-    return sum(s.term(grp, pieces, bridge_deg) for grp in classes) + sum(
+    return sum(s.term(grp, pieces, bridge_deg)[0] for grp in classes) + sum(
         1 for x in range(n)
         if x not in in_class and s.countable[x] and s.gamma[x] + s.live_deg[x] > 2)
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(bridged_graphs(extra=8), st.data())
-def test_class_term_before_the_rescan_never_exceeds_the_full_bound(g, data):
-    # a search child that drops edges inside class K of its parent's fixpoint
-    # is first bounded by the parent's bound with K's term re-evaluated on
-    # the parent's scan but the child's degrees, and pruned on that. Node
-    # counts stay the same only if this never exceeds the child's full bound
+def _parent_fixpoint(s, g, decisions):
+    """Apply drawn decisions as a search path would, then include every bridge.
+
+    Each inclusion drops its cycle closers, and an exclusion that would cut
+    the live graph is undone. Returns the fixpoint's scan.
+    """
     n = g.n
-    s = _Search(g, _drawn_component(g, data))
-    # the parent: a forest of included edges, each dropping its cycle
-    # closers, and some excluded edges that leave the live graph connected,
-    # then the fixpoint: every bridge included
-    for e, take in data.draw(st.lists(st.tuples(st.sampled_from(g.edges), st.booleans()),
-                                      max_size=8)):
+    for e, take in decisions:
         ei = s.edge_id[e]
         if s.status[ei] != _UNDECIDED:
             continue
@@ -378,33 +374,93 @@ def test_class_term_before_the_rescan_never_exceeds_the_full_bound(g, data):
             s.exclude(ei)
             if _lowpoint(n, s.adj).count != 1:
                 s.undo(mark)
-    (pieces, bridge_deg, classes), bridges = _full_scan(n, s.adj)
+    scan, bridges = _full_scan(n, s.adj)
     _include_bridges(s, bridges)
-    undecided = [ei for ei in range(g.m) if s.status[ei] == _UNDECIDED]
-    assume(undecided)
+    return scan
+
+
+def _check_children(s, scan):
+    """Check both children of every undecided edge at a fixpoint; return their kinds.
+
+    A child corrects its class K's tally at the vertices it touched: the ends
+    of its edge and, as ``closers`` gives them, of the closers it drops. On
+    the parent's scan with the child's degrees, that must equal the full walk
+    of K. An include child that drops nothing changes the tally only when a
+    flag turns on (the flag-flip rule), and the corrected bound never exceeds
+    the child's full bound, so a child it prunes skips only a rescan that
+    would prune it too.
+    """
+    n = len(s.adj)
+    pieces, bridge_deg, classes = scan
     parent = _node_bound(s)
     mark = len(s.trail)
-    for ei in undecided:
-        u, v = g.edges[ei]
+    kinds = set()
+    for ei in [e for e in range(len(s.edges)) if s.status[e] == _UNDECIDED]:
+        u, v = s.edges[ei]
         k = next(i for i, grp in enumerate(classes) if u in grp)
         assert v in classes[k]
-        term = s.term(classes[k], pieces, bridge_deg)
-        # both children: exclude the edge, or include it and drop its closers
+        tally = s.term(classes[k], pieces, bridge_deg)
         for take in (False, True):
+            dropped, touched = s.closers(ei) if take else ([], (u, v))
+            before = s.share(touched, pieces, bridge_deg)
             if take:
                 _branch_include(s, ei)
             else:
                 s.exclude(ei)
-            guess = parent - term + s.term(classes[k], pieces, bridge_deg)
+            child = _corrected(tally, len(classes[k]), before, s.share(touched, pieces, bridge_deg))
+            assert child == s.term(classes[k], pieces, bridge_deg)
+            if not take:
+                kinds.add("exclude")
+            elif dropped:
+                kinds.add("include dropping closers")
+            else:
+                flips = [x for x in (u, v) if s.tight[x] == 3 and s.inc_deg[x] > pieces[x]]
+                assert child[1] == tally[1] + len(flips)
+                assert child == tally or flips
+                if flips:
+                    kinds.add("include flipping a flag")
+            guess = parent - tally[0] + child[0]
             _include_bridges(s, _full_scan(n, s.adj)[1])
             assert guess <= _node_bound(s)
             s.undo(mark)
+    return kinds
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(bridged_graphs(extra=8), st.data())
+def test_class_term_before_the_rescan_never_exceeds_the_full_bound(g, data):
+    # a search child that drops edges inside class K of its parent's fixpoint
+    # is first bounded by the parent's bound with K's tally corrected at the
+    # vertices it touched, and pruned on that. Node counts stay the same only
+    # if this never exceeds the child's full bound
+    s = _Search(g, _drawn_component(g, data))
+    scan = _parent_fixpoint(s, g, data.draw(
+        st.lists(st.tuples(st.sampled_from(g.edges), st.booleans()), max_size=8)))
+    assume(_UNDECIDED in s.status)
+    _check_children(s, scan)
+
+
+def test_corrected_class_tally_meets_every_kind_of_child():
+    # the drawn graphs above are small; these search-sized ones, with a few
+    # extra degrees and split copies, show each kind of child at least once
+    kinds = set()
+    for seed in range(3):
+        g = generate_random_connected(30, 40, seed)
+        rng = random.Random(seed)
+        c = Component(g, tuple(range(g.n)), tuple(int(rng.random() < 0.2) for _ in range(g.n)),
+                      {v: rng.choice((1, 2)) for v in range(g.n) if rng.random() < 0.3},
+                      {e: e for e in g.edges})
+        for _ in range(3):
+            s = _Search(g, c)
+            decisions = [(rng.choice(g.edges), rng.random() < 0.6) for _ in range(6)]
+            kinds |= _check_children(s, _parent_fixpoint(s, g, decisions))
+    assert kinds == {"exclude", "include dropping closers", "include flipping a flag"}
 
 
 def _state(s):
     """The search state's lists, each live adjacency list sorted."""
-    return (s.status[:], s.live_deg[:], s.inc_deg[:], s.tight[:], s.group_of[:],
-            [grp[:] for grp in s.members], s.trail[:], [sorted(a) for a in s.adj])
+    return (s.status[:], s.undecided[:], s.slot[:], s.live_deg[:], s.inc_deg[:], s.tight[:],
+            s.group_of[:], [grp[:] for grp in s.members], s.trail[:], [sorted(a) for a in s.adj])
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -413,13 +469,18 @@ def test_undo_restores_the_search_state_at_each_mark(g, data):
     # popping a node undoes the trail back to its parent's mark, after any
     # run of exclusions and of inclusions that dropped their cycle closers,
     # and the search then goes on from the restored state. Undo re-appends
-    # a live neighbor, so only the adjacency order may differ
+    # a live neighbor, so only the adjacency order may differ; the undecided
+    # list and its slots come back exactly, and at every mark the list holds
+    # the undecided edges, each at its slot
     s = _Search(g, _drawn_component(g, data))
     marks = []  # (trail mark, the state at it) before each decision
     for _ in range(data.draw(st.integers(1, 4))):
         for ei, take in data.draw(st.lists(st.tuples(st.integers(0, g.m - 1), st.booleans()),
                                            max_size=10)):
             if s.status[ei] == _UNDECIDED:
+                assert sorted(s.undecided) == [e for e in range(g.m)
+                                               if s.status[e] == _UNDECIDED]
+                assert all(s.undecided[s.slot[e]] == e for e in s.undecided)
                 marks.append((len(s.trail), _state(s)))
                 if take:
                     _branch_include(s, ei)

@@ -309,8 +309,8 @@ def test_search_scans_per_node(monkeypatch):
     # scan lies in a class of an earlier scan. The live graph stays
     # connected, which the search relies on without checking. A plain
     # search's root takes the bound's scan of the input, which is not
-    # counted here, but its classes are seen. A child that its class's term
-    # on the parent's scan prunes scans nothing. Scanned vertices per node,
+    # counted here, but its classes are seen. A child that its class's
+    # corrected tally on the parent's scan prunes scans nothing. Scanned vertices per node,
     # over the searched graph's n (summed across the components of an
     # enhanced solve), read 0.061-0.132 plain and 0.091-0.213 enhanced; a
     # search that rescans before it tries that prune reads 0.150-0.336 and
@@ -358,6 +358,45 @@ def test_search_scans_per_node(monkeypatch):
             assert report.nodes_explored == sum(nodes for *_, nodes in searches) > 0
             scanned = sum(share for _, share, *_ in searches)
             assert scanned <= most * report.nodes_explored, case
+
+
+def test_search_walks_only_rescanned_classes(monkeypatch):
+    # a child corrects its class's tally at the vertices its decision
+    # touched, both to prune before the rescan and when an inclusion turns a
+    # flag on; only the sub-classes a rescan returns (the root's classes
+    # among them) are walked in full. A search that re-walks the class for
+    # either rule walks more classes than its rescans return
+    counts = []  # [full walks, sub-classes returned] per search
+    term = mbv.solver._Search.term
+    live_scan = mbv.solver._live_scan
+    run = mbv.solver._Search.run
+
+    def walking(search, group, pieces, bridge_deg):
+        counts[-1][0] += 1
+        return term(search, group, pieces, bridge_deg)
+
+    def splicing(n, adj, parent, k, live=None):
+        out = live_scan(n, adj, parent, k, live)
+        counts[-1][1] += len(out[0][2]) - len(parent[2]) + 1
+        return out
+
+    def recording(search, *args):
+        counts.append([0, 0])
+        return run(search, *args)
+
+    monkeypatch.setattr(mbv.solver._Search, "term", walking)
+    monkeypatch.setattr(mbv.solver, "_live_scan", splicing)
+    monkeypatch.setattr(mbv.solver._Search, "run", recording)
+    cases = [(60, 66, seed, None) for seed in range(2000, 2005)]
+    cases += [(100, 130, seed, 1000) for seed in range(3000, 3003)]
+    for n, m, seed, limit in cases:
+        g = generate_random_connected(n, m, seed)
+        for solve in (solve_plain, solve_with_decomposition):
+            counts.clear()
+            solve(g, SolveOptions(node_limit=limit))
+            assert counts, (n, m, seed, solve.__name__)
+            for walks, sub_classes in counts:
+                assert walks <= sub_classes, (n, m, seed, solve.__name__)
 
 
 def test_plain_root_frees_the_bound_scan(monkeypatch):
