@@ -12,7 +12,6 @@ stderr. The other subcommands never import logging.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -38,14 +37,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _time_limit(text: str) -> float:
-    """Parse --time-limit: a finite number of seconds above zero."""
+    """Parse --time-limit by ``SolveOptions``' rule: finite seconds above zero."""
     try:
-        value = float(text)
+        return SolveOptions(time_limit=float(text)).time_limit
     except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number of seconds above 0, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds above 0, got {text!r}") from None
 
 
 def _configure_logging() -> None:

@@ -60,6 +60,11 @@ class Component:
     vertices only, the number of deleted bridges that were incident to them.
     ``spanning_tree``, the heuristics and the exact search read both from here.
 
+    ``edge_origin`` maps each local edge to its input edge. The input edge
+    could be read off ``origin``, but it is stored because its values are the
+    input graph's own edge tuples, so a recombined tree shares them rather
+    than holding new tuples of its own.
+
     Every single-vertex component of a decomposition shares one graph, the
     empty edge map and an extra-degree map, and an original one the piece
     tuple ``(0,)``, none of them ever changed; the enhanced solve gives it the

@@ -47,20 +47,22 @@ the smallest edge index, and explores the exclude child first. These are
 measured defaults, not load-bearing for correctness. The pick walks the
 list of undecided edges and compares one int per edge, tightness * (n + 1) +
 degree: a live degree is below n + 1 and tightness is at least -1 (a split
-copy never counts), so the int orders edges exactly like the pair. The list
-is in no fixed order, so an equal key goes to the smaller edge index.
+copy never counts), so the int orders edges exactly like the pair. An equal
+key goes to the smaller edge index, so the pick does not depend on the
+list's order, which undoing changes.
 
-The search state is one ``_Search`` value, changed in place: a status per
-edge (undecided, included, excluded), the undecided edges as a list with
-each edge's slot in it (a decided edge is swapped out, and undoing the
-trail in reverse swaps it back, restoring the list exactly), the live
-adjacency (every edge not excluded) with its degrees, included degrees with
-the tightness they give, and the groups joined by included edges (explicit
+The search state is one ``_Search`` value, changed in place: the undecided
+edges as a list with each edge's slot in it (a decided edge is swapped out
+and its slot cleared, and undoing it appends it again), the live adjacency
+(every edge not excluded) with its degrees, included degrees with the
+tightness they give, and the groups joined by included edges (explicit
 labels merged by size, so a union is undone by relabeling the smaller
 group). Its ``include``, ``exclude`` and ``undo`` are the only code that
 changes it, and its ``run`` is the node loop. Every change is pushed on one
 trail: a branching decision, a forced bridge, a dropped cycle closer, each
-inclusion with its union.
+inclusion with its union. The trail is the one record of each decision: an
+edge is included exactly when it is on the trail as itself, so a leaf's
+tree is the trail's inclusions.
 
 An open node holds its edge, its decision, the trail length at its parent and
 the parent's bound. Popping it undoes the trail back to that mark, which
@@ -267,22 +269,19 @@ def _corrected(tally, h, before, after) -> tuple:
     return c1 + _fresh(h - 2 - free, gains), c1, free, gains
 
 
-# search states of an edge
-_UNDECIDED, _INCLUDED, _EXCLUDED = 0, 1, 2
-
-
 class _Search:
     """The one search state of g under c's objective (None: the plain one).
 
     It is built with every edge undecided and changed in place only by
     ``include``, ``exclude`` and ``undo``; ``run`` is the node loop over it.
     Trail entries are ei for an included edge (and the union it made) and ~ei
-    for an excluded one; both also swapped ei out of the undecided list.
+    for an excluded one, so the trail holds every decision; an edge is
+    undecided exactly when it has a slot in the undecided list.
     ``term`` walks a whole class for its bound tally, and ``share`` gives the
     part of it that some of its vertices hold, by the same per-vertex rule.
     """
 
-    __slots__ = ("edges", "edge_id", "gamma", "countable", "status", "undecided", "slot",
+    __slots__ = ("edges", "edge_id", "gamma", "countable", "undecided", "slot",
                  "adj", "live_deg", "inc_deg", "tight", "group_of", "members", "hung", "trail")
 
     def __init__(self, g: Graph, c: Component | None):
@@ -292,9 +291,8 @@ class _Search:
         self.edge_id = {e: ei for ei, e in enumerate(g.edges)}
         self.gamma = gamma = [extra.get(v, 0) for v in range(n)]
         self.countable = countable
-        self.status = [_UNDECIDED] * g.m
         # the undecided edges in no fixed order, and each edge's index in that
-        # list while it is undecided (its last index after)
+        # list while it is undecided (-1 after)
         self.undecided = list(range(g.m))
         self.slot = list(range(g.m))
         self.adj = [list(a) for a in g.adjacency]  # live adjacency: the edges not excluded
@@ -315,7 +313,6 @@ class _Search:
         self.adj[v].remove(u)
         self.live_deg[u] -= 1
         self.live_deg[v] -= 1
-        self.status[ei] = _EXCLUDED
         self.trail.append(~ei)
         self.decide(ei)
 
@@ -326,7 +323,6 @@ class _Search:
         self.inc_deg[v] += 1
         self.tight[u] += self.countable[u]
         self.tight[v] += self.countable[v]
-        self.status[ei] = _INCLUDED
         self.trail.append(ei)
         self.decide(ei)
         group_of, members = self.group_of, self.members
@@ -340,13 +336,14 @@ class _Search:
         members[a] += small
 
     def decide(self, ei: int) -> None:
-        """Swap undecided ei out of the undecided list."""
+        """Swap undecided ei out of the undecided list and clear its slot."""
         undecided, slot = self.undecided, self.slot
         last = undecided.pop()
         if last != ei:
             i = slot[ei]
             undecided[i] = last
             slot[last] = i
+        slot[ei] = -1
 
     def closers(self, ei: int) -> tuple[list[int], set[int]]:
         """The live edges other than undecided ei that join its ends' groups.
@@ -374,7 +371,11 @@ class _Search:
         return found, touched
 
     def undo(self, mark: int) -> None:
-        """Undo the trail back to its first ``mark`` entries."""
+        """Undo the trail back to its first ``mark`` entries.
+
+        Each restored edge goes back at the end of the undecided list, so the
+        list holds the same edges as at the mark, though maybe in another order.
+        """
         trail, group_of, members = self.trail, self.group_of, self.members
         undecided, slot = self.undecided, self.slot
         while len(trail) > mark:
@@ -397,17 +398,8 @@ class _Search:
                 self.adj[v].append(u)
                 self.live_deg[u] += 1
                 self.live_deg[v] += 1
-            self.status[ei] = _UNDECIDED
-            # the reverse of ``decide``: the edge that took ei's slot goes back
-            # to the end, so the list is restored exactly
-            i = slot[ei]
-            if i < len(undecided):
-                last = undecided[i]
-                slot[last] = len(undecided)
-                undecided.append(last)
-                undecided[i] = ei
-            else:
-                undecided.append(ei)
+            slot[ei] = len(undecided)
+            undecided.append(ei)
 
     def term(self, group, pieces, bridge_deg) -> tuple:
         """One two-edge-connected class's tally: (addend, c1, free, gains).
@@ -464,8 +456,8 @@ class _Search:
         a lowpoint scan of g's adjacency, which the root pops and takes in place
         of its own scan; it then holds the only reference.
         """
-        edges, status, adj, live_deg, inc_deg, tight, undecided = (
-            self.edges, self.status, self.adj, self.live_deg, self.inc_deg, self.tight,
+        edges, slot, adj, live_deg, inc_deg, tight, undecided = (
+            self.edges, self.slot, self.adj, self.live_deg, self.inc_deg, self.tight,
             self.undecided)
         include, exclude, closers, undo, term, share = (
             self.include, self.exclude, self.closers, self.undo, self.term, self.share)
@@ -541,7 +533,7 @@ class _Search:
                 scan, bridges = _live_scan(n, adj, scan, k, scans.pop() if scans else None)
                 for bridge in bridges:
                     e = self.edge_id[bridge]
-                    if status[e] == _UNDECIDED:
+                    if slot[e] >= 0:
                         include(e)
                 pieces, bridge_deg, classes = scan
                 fresh = [term(grp, pieces, bridge_deg) for grp in classes[len(tallies) - 1 :]]
@@ -569,7 +561,7 @@ class _Search:
                     pick = e
             if pick < 0:  # a leaf: the bound is its tree's branch count
                 best_val = bound
-                best_ids = [e for e, state in enumerate(status) if state == _INCLUDED]
+                best_ids = [e for e in self.trail if e >= 0]  # every included edge
                 continue
             # both ends of the picked edge lie in one class K of this scan
             mark = len(self.trail)

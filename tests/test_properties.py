@@ -36,7 +36,7 @@ from mbv import (
 from mbv.cli import main as cli_main
 from mbv.errors import MbvError, NotASpanningTreeError
 from mbv.graph import _count_branches, _lowpoint
-from mbv.solver import _UNDECIDED, _corrected, _live_scan, _Search
+from mbv.solver import _corrected, _live_scan, _Search
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -237,7 +237,7 @@ def component_tree_lists(draw):
                 part.append((v, u) if draw(st.booleans()) else (u, v))
             elif kind == "flip":
                 part[i] = (v, u)
-            else:
+            elif comp.graph.m:  # a one-vertex component's list may hold a pair
                 part[i] = draw(st.sampled_from(comp.graph.edges))
     return d, parts
 
@@ -342,7 +342,7 @@ def _branch_include(s, ei):
 
 def _include_bridges(s, bridges):
     for bridge in bridges:
-        if s.status[s.edge_id[bridge]] == _UNDECIDED:
+        if s.slot[s.edge_id[bridge]] >= 0:
             s.include(s.edge_id[bridge])
 
 
@@ -365,7 +365,7 @@ def _parent_fixpoint(s, g, decisions):
     n = g.n
     for e, take in decisions:
         ei = s.edge_id[e]
-        if s.status[ei] != _UNDECIDED:
+        if s.slot[ei] < 0:
             continue
         if take:
             _branch_include(s, ei)
@@ -395,7 +395,7 @@ def _check_children(s, scan):
     parent = _node_bound(s)
     mark = len(s.trail)
     kinds = set()
-    for ei in [e for e in range(len(s.edges)) if s.status[e] == _UNDECIDED]:
+    for ei in [e for e in range(len(s.edges)) if s.slot[e] >= 0]:
         u, v = s.edges[ei]
         k = next(i for i, grp in enumerate(classes) if u in grp)
         assert v in classes[k]
@@ -436,7 +436,7 @@ def test_class_term_before_the_rescan_never_exceeds_the_full_bound(g, data):
     s = _Search(g, _drawn_component(g, data))
     scan = _parent_fixpoint(s, g, data.draw(
         st.lists(st.tuples(st.sampled_from(g.edges), st.booleans()), max_size=8)))
-    assume(_UNDECIDED in s.status)
+    assume(s.undecided)
     _check_children(s, scan)
 
 
@@ -458,9 +458,13 @@ def test_corrected_class_tally_meets_every_kind_of_child():
 
 
 def _state(s):
-    """The search state's lists, each live adjacency list sorted."""
-    return (s.status[:], s.undecided[:], s.slot[:], s.live_deg[:], s.inc_deg[:], s.tight[:],
-            s.group_of[:], [grp[:] for grp in s.members], s.trail[:], [sorted(a) for a in s.adj])
+    """The search state's lists, the undecided edges and live adjacency lists sorted.
+
+    Of the slots only which edges have one counts: undo may reorder the list.
+    """
+    return (sorted(s.undecided), [i >= 0 for i in s.slot], s.live_deg[:], s.inc_deg[:],
+            s.tight[:], s.group_of[:], [grp[:] for grp in s.members], s.trail[:],
+            [sorted(a) for a in s.adj])
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -469,18 +473,18 @@ def test_undo_restores_the_search_state_at_each_mark(g, data):
     # popping a node undoes the trail back to its parent's mark, after any
     # run of exclusions and of inclusions that dropped their cycle closers,
     # and the search then goes on from the restored state. Undo re-appends
-    # a live neighbor, so only the adjacency order may differ; the undecided
-    # list and its slots come back exactly, and at every mark the list holds
-    # the undecided edges, each at its slot
+    # a live neighbor and an undecided edge, so only the order of the
+    # adjacency and of the undecided list may differ; at every mark the list
+    # holds the undecided edges, each at its slot, and a decided edge has none
     s = _Search(g, _drawn_component(g, data))
     marks = []  # (trail mark, the state at it) before each decision
     for _ in range(data.draw(st.integers(1, 4))):
         for ei, take in data.draw(st.lists(st.tuples(st.integers(0, g.m - 1), st.booleans()),
                                            max_size=10)):
-            if s.status[ei] == _UNDECIDED:
-                assert sorted(s.undecided) == [e for e in range(g.m)
-                                               if s.status[e] == _UNDECIDED]
+            if s.slot[ei] >= 0:
+                assert sorted(s.undecided) == [e for e in range(g.m) if s.slot[e] >= 0]
                 assert all(s.undecided[s.slot[e]] == e for e in s.undecided)
+                assert all(s.slot[e if e >= 0 else ~e] == -1 for e in s.trail)
                 marks.append((len(s.trail), _state(s)))
                 if take:
                     _branch_include(s, ei)

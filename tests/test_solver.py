@@ -360,6 +360,32 @@ def test_search_scans_per_node(monkeypatch):
             assert scanned <= most * report.nodes_explored, case
 
 
+def test_search_results_ignore_the_undecided_lists_order():
+    # undo re-appends each edge it restores, so the undecided list comes back
+    # holding the same edges in another order; the pick breaks ties by edge
+    # index, so a search started from a shuffled list must give the same
+    # bounds, tree and node count
+    cases = [(60, 66, seed) for seed in range(2000, 2005)]
+    cases += [(100, 130, seed) for seed in range(3000, 3003)]
+    for n, m, seed in cases:
+        g = generate_random_connected(n, m, seed)
+        parts = [(g, None)] + [(c.graph, c) for c in
+                               decompose(g, obligatory_branch_bound(g)).components
+                               if c.graph.n > 1]
+        for k, (graph, comp) in enumerate(parts):
+            for limit in (1, 7, 50, 300):
+                results = []
+                for shuffled in (False, True):
+                    search = mbv.solver._Search(graph, comp)
+                    if shuffled:
+                        random.Random(seed + k + limit).shuffle(search.undecided)
+                        for i, e in enumerate(search.undecided):
+                            search.slot[e] = i
+                    lower, upper, ids, nodes = search.run(math.inf, None, None, limit)
+                    results.append((lower, upper, ids and sorted(ids), nodes))
+                assert results[0] == results[1], (n, m, seed, k, limit)
+
+
 def test_search_walks_only_rescanned_classes(monkeypatch):
     # a child corrects its class's tally at the vertices its decision
     # touched, both to prune before the rescan and when an inclusion turns a
