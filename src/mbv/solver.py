@@ -54,8 +54,9 @@ list's order, which undoing changes.
 The search state is one ``_Search`` value, changed in place: the undecided
 edges as a list with each edge's slot in it (a decided edge is swapped out
 and its slot cleared, and undoing it appends it again), the live adjacency
-(every edge not excluded) with its degrees, included degrees with the
-tightness they give, and the groups joined by included edges (explicit
+(every edge not excluded) with its degrees, each vertex's tightness (its
+extra plus included degree, or -1 for a vertex that never counts; no other
+list holds included degrees), and the groups joined by included edges (explicit
 labels merged by size, so a union is undone by relabeling the smaller
 group). Its ``include``, ``exclude`` and ``undo`` are the only code that
 changes it, and its ``run`` is the node loop. Every change is pushed on one
@@ -98,8 +99,8 @@ tally per class (in the order of the scan's classes): the addend, c1, the
 summed ``free`` absorption of the degree accounting and its ascending list
 of gains, from which c2 is read. Each vertex adds its own share to c1, free
 and the gains, read only off its split count, bridge degree, live degree and
-included degree, so a tally that changed at a few vertices is corrected
-there: take their shares off and put their new shares on. A child's
+tightness, so a tally that changed at a few vertices is corrected there:
+take their shares off and put their new shares on. A child's
 decision changes the degrees only at the vertices it touches, the ends of
 its edge and of the closers it drops, all in K. It reads their shares on
 the parent's scan after the undo (the parent's fixpoint) and again after
@@ -109,9 +110,9 @@ its decision, and takes one of three rules:
   scan, and only the included degree of the edge's ends u and v rises. The
   edge was undecided, so it is no bridge, and u and v share one class K.
   K's tally changes only when the flag of u or v turns on: the split count
-  is unchanged, so that happens exactly when its extra plus included degree
-  reaches 3 and its included degree exceeds its split count. Only then does
-  the child correct K's tally, and the bound equals the full evaluation;
+  is unchanged, so that happens exactly when its tightness reaches 3 while
+  its extra degree plus split count is at most 2. Only then does the child
+  correct K's tally, and the bound equals the full evaluation;
 * a child below the root that drops edges first corrects K's tally on its
   parent's scan, which gives the estimate E, and is pruned without a scan
   when the parent's bound with E's addend in place of K's reaches the
@@ -276,13 +277,15 @@ class _Search:
     ``include``, ``exclude`` and ``undo``; ``run`` is the node loop over it.
     Trail entries are ei for an included edge (and the union it made) and ~ei
     for an excluded one, so the trail holds every decision; an edge is
-    undecided exactly when it has a slot in the undecided list.
+    undecided exactly when it has a slot in the undecided list. A vertex's
+    included degree is read only where it counts, so ``tight`` (extra plus
+    included degree, or -1) is its only record.
     ``term`` walks a whole class for its bound tally, and ``share`` gives the
     part of it that some of its vertices hold, by the same per-vertex rule.
     """
 
     __slots__ = ("edges", "edge_id", "gamma", "countable", "undecided", "slot",
-                 "adj", "live_deg", "inc_deg", "tight", "group_of", "members", "hung", "trail")
+                 "adj", "live_deg", "tight", "group_of", "members", "hung", "trail")
 
     def __init__(self, g: Graph, c: Component | None):
         n = g.n
@@ -297,7 +300,6 @@ class _Search:
         self.slot = list(range(g.m))
         self.adj = [list(a) for a in g.adjacency]  # live adjacency: the edges not excluded
         self.live_deg = [len(a) for a in self.adj]
-        self.inc_deg = [0] * n
         # extra plus included degree, or -1 for a vertex that never counts
         self.tight = [gamma[v] if countable[v] else -1 for v in range(n)]
         # groups joined by included edges: union by size with explicit labels, so
@@ -319,8 +321,6 @@ class _Search:
     def include(self, ei: int) -> None:
         """Include ei and merge the groups of its ends."""
         u, v = self.edges[ei]
-        self.inc_deg[u] += 1
-        self.inc_deg[v] += 1
         self.tight[u] += self.countable[u]
         self.tight[v] += self.countable[v]
         self.trail.append(ei)
@@ -382,8 +382,6 @@ class _Search:
             ei = trail.pop()
             if ei >= 0:
                 u, v = self.edges[ei]
-                self.inc_deg[u] -= 1
-                self.inc_deg[v] -= 1
                 self.tight[u] -= self.countable[u]
                 self.tight[v] -= self.countable[v]
                 b = self.hung[ei]
@@ -419,22 +417,23 @@ class _Search:
         A vertex v adds 1 to c1 when it is a forced branch. Each bridge at v
         cuts off a piece of its own and is already included, so bridge degree +
         max(class pieces, chosen class degree) from the module docstring is
-        max(pieces, chosen degree) in the live graph. In the degree accounting
-        a forced branch absorbs any degree; another vertex absorbs up to its
-        cap, 2 minus its extra and bridge degrees, so it adds what it absorbs
-        beyond one to ``free`` and, when its class degree d exceeds the cap,
-        d minus the cap to ``gains``: what a fresh branch there would absorb
-        more. ``gains`` is in the order of ``vertices``.
+        max(pieces, chosen degree) in the live graph. Its extra plus chosen
+        degree is its tightness, so a countable v is forced exactly when its
+        tightness or its extra degree plus pieces exceeds 2. In the degree
+        accounting a forced branch absorbs any degree; another vertex absorbs
+        up to its cap, 2 minus its extra and bridge degrees, so it adds what it
+        absorbs beyond one to ``free`` and, when its class degree d exceeds the
+        cap, d minus the cap to ``gains``: what a fresh branch there would
+        absorb more. ``gains`` is in the order of ``vertices``.
         """
-        gamma, countable, live_deg, inc_deg = (
-            self.gamma, self.countable, self.live_deg, self.inc_deg)
+        gamma, countable, live_deg, tight = self.gamma, self.countable, self.live_deg, self.tight
         c1 = 0
         free = 0
         gains = []
         for v in vertices:
             d = live_deg[v] - bridge_deg[v]
             if countable[v]:
-                if gamma[v] + (pieces[v] if pieces[v] > inc_deg[v] else inc_deg[v]) > 2:
+                if tight[v] > 2 or gamma[v] + pieces[v] > 2:
                     c1 += 1
                 else:
                     cap = 2 - gamma[v] - bridge_deg[v]
@@ -456,8 +455,8 @@ class _Search:
         a lowpoint scan of g's adjacency, which the root pops and takes in place
         of its own scan; it then holds the only reference.
         """
-        edges, slot, adj, live_deg, inc_deg, tight, undecided = (
-            self.edges, self.slot, self.adj, self.live_deg, self.inc_deg, self.tight,
+        edges, slot, adj, gamma, live_deg, tight, undecided = (
+            self.edges, self.slot, self.adj, self.gamma, self.live_deg, self.tight,
             self.undecided)
         include, exclude, closers, undo, term, share = (
             self.include, self.exclude, self.closers, self.undo, self.term, self.share)
@@ -506,9 +505,10 @@ class _Search:
             if take and not dropped:
                 # the live graph and its scan are the parent's, and only the
                 # included degree of u and v rose, so K's tally changes only
-                # when the flag of u or v turns on
-                if (tight[u] == 3 and inc_deg[u] > pieces[u]) or (
-                    tight[v] == 3 and inc_deg[v] > pieces[v]
+                # when the flag of u or v turns on: its tightness reaches 3
+                # while its extra degree plus split count is at most 2
+                if (tight[u] == 3 and gamma[u] + pieces[u] < 3) or (
+                    tight[v] == 3 and gamma[v] + pieces[v] < 3
                 ):
                     tally = _corrected(tallies[k], len(classes[k]), before,
                                        share(touched, pieces, bridge_deg))
@@ -646,7 +646,10 @@ def solve_with_decomposition(g: Graph, opts: SolveOptions = SolveOptions()) -> S
     edge counts, recomputed as components finish. The node limit is not split:
     every multi-vertex component's search may explore up to ``node_limit``
     nodes, and ``nodes_explored`` is their sum. The whole-graph heuristic tree
-    only seeds those components, so it is built only when there is one.
+    only seeds those components, so it is built only when there is one. The
+    reported upper bound is the recombined tree's certified branch count,
+    which ``recombine`` shows is the obligatory count plus the components'
+    upper bounds.
     """
     t0 = perf_counter()
     deadline = t0 + opts.time_limit if opts.time_limit is not None else None
@@ -674,8 +677,7 @@ def solve_with_decomposition(g: Graph, opts: SolveOptions = SolveOptions()) -> S
         reports.append(solve_component(comp, sub, seed_tree=seed))
     solved = iter(reports)
     trees = [next(solved).tree.edges if c.graph.n > 1 else () for c in d.components]
-    upper = lb.value + sum(r.upper_bound for r in reports)
     lower = float(lb.value) + sum(r.lower_bound for r in reports)
     tree = recombine(d, trees)
     nodes = sum(r.nodes_explored for r in reports)
-    return SolveReport(lower, upper, tree, nodes, perf_counter() - t0)
+    return SolveReport(lower, tree.branches, tree, nodes, perf_counter() - t0)

@@ -379,6 +379,16 @@ def _parent_fixpoint(s, g, decisions):
     return scan
 
 
+def _included_degree(s, x):
+    """x's included degree counted from the trail, the one record of inclusions."""
+    return sum(x in s.edges[e] for e in s.trail if e >= 0)
+
+
+def _flag(s, x, pieces):
+    """x's forced-branch flag as the module docstring defines it."""
+    return s.countable[x] and s.gamma[x] + max(pieces[x], _included_degree(s, x)) > 2
+
+
 def _check_children(s, scan):
     """Check both children of every undecided edge at a fixpoint; return their kinds.
 
@@ -386,7 +396,8 @@ def _check_children(s, scan):
     of its edge and, as ``closers`` gives them, of the closers it drops. On
     the parent's scan with the child's degrees, that must equal the full walk
     of K. An include child that drops nothing changes the tally only when a
-    flag turns on (the flag-flip rule), and the corrected bound never exceeds
+    flag turns on (the flag-flip rule, checked against the flag's definition
+    before and after the inclusion), and the corrected bound never exceeds
     the child's full bound, so a child it prunes skips only a rescan that
     would prune it too.
     """
@@ -403,6 +414,7 @@ def _check_children(s, scan):
         for take in (False, True):
             dropped, touched = s.closers(ei) if take else ([], (u, v))
             before = s.share(touched, pieces, bridge_deg)
+            flagged = [_flag(s, x, pieces) for x in (u, v)]
             if take:
                 _branch_include(s, ei)
             else:
@@ -414,7 +426,9 @@ def _check_children(s, scan):
             elif dropped:
                 kinds.add("include dropping closers")
             else:
-                flips = [x for x in (u, v) if s.tight[x] == 3 and s.inc_deg[x] > pieces[x]]
+                flips = [x for x, was in zip((u, v), flagged) if not was and _flag(s, x, pieces)]
+                assert flips == [x for x in (u, v)
+                                 if s.tight[x] == 3 and s.gamma[x] + pieces[x] < 3]
                 assert child[1] == tally[1] + len(flips)
                 assert child == tally or flips
                 if flips:
@@ -462,8 +476,8 @@ def _state(s):
 
     Of the slots only which edges have one counts: undo may reorder the list.
     """
-    return (sorted(s.undecided), [i >= 0 for i in s.slot], s.live_deg[:], s.inc_deg[:],
-            s.tight[:], s.group_of[:], [grp[:] for grp in s.members], s.trail[:],
+    return (sorted(s.undecided), [i >= 0 for i in s.slot], s.live_deg[:], s.tight[:],
+            s.group_of[:], [grp[:] for grp in s.members], s.trail[:],
             [sorted(a) for a in s.adj])
 
 
@@ -475,7 +489,9 @@ def test_undo_restores_the_search_state_at_each_mark(g, data):
     # and the search then goes on from the restored state. Undo re-appends
     # a live neighbor and an undecided edge, so only the order of the
     # adjacency and of the undecided list may differ; at every mark the list
-    # holds the undecided edges, each at its slot, and a decided edge has none
+    # holds the undecided edges, each at its slot, a decided edge has none,
+    # and the lists kept in step with a record agree with it: tightness with
+    # the trail's inclusions, live degrees with the live adjacency
     s = _Search(g, _drawn_component(g, data))
     marks = []  # (trail mark, the state at it) before each decision
     for _ in range(data.draw(st.integers(1, 4))):
@@ -485,6 +501,9 @@ def test_undo_restores_the_search_state_at_each_mark(g, data):
                 assert sorted(s.undecided) == [e for e in range(g.m) if s.slot[e] >= 0]
                 assert all(s.undecided[s.slot[e]] == e for e in s.undecided)
                 assert all(s.slot[e if e >= 0 else ~e] == -1 for e in s.trail)
+                assert s.tight == [s.gamma[v] + _included_degree(s, v) if s.countable[v] else -1
+                                   for v in range(g.n)]
+                assert s.live_deg == [len(a) for a in s.adj]
                 marks.append((len(s.trail), _state(s)))
                 if take:
                     _branch_include(s, ei)
