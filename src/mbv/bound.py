@@ -65,19 +65,17 @@ def _bound_and_scan(g: Graph) -> tuple[LowerBoundResult, _Lowpoint]:
 
     # piece 1 of an obligatory vertex v is the side holding v's DFS parent
     # (absent for the root), the split-child subtrees follow in visit order.
-    # Neighbor membership is interval containment on entry times.
-    entry = s.entry
-    spans: dict[int, list[tuple[int, int]]] = {v: [] for v in split_counts}
-    for c in range(n):
-        p = s.parent[c]
-        if p in spans and s.low[c] >= entry[p]:
-            spans[p].append((entry[c], s.end[c]))
+    # Both are read off v's own neighbors: its split children are those c with
+    # parent[c] == v and low[c] >= entry[v], and a neighbor u lies in the
+    # split-child subtree whose entry interval holds entry[u].
+    entry, end, low, parent = s.entry, s.end, s.low, s.parent
     piece_of: dict[int, dict[int, int]] = {}
-    for v, cut in spans.items():
-        cut.sort()
-        base = 0 if s.parent[v] < 0 else 1
+    for v in split_counts:
+        adj = g.adjacency[v]
+        cut = sorted([(entry[c], end[c]) for c in adj if parent[c] == v and low[c] >= entry[v]])
+        base = 0 if parent[v] < 0 else 1
         pieces = piece_of[v] = {}
-        for u in g.adjacency[v]:
+        for u in adj:
             j = bisect_right(cut, (entry[u], n)) - 1
             # only a non-root has neighbors outside every split-child subtree
             pieces[u] = base + j + 1 if j >= 0 and entry[u] < cut[j][1] else 1

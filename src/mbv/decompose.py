@@ -60,10 +60,11 @@ class Component:
     vertices only, the number of deleted bridges that were incident to them.
     ``spanning_tree``, the heuristics and the exact search read both from here.
 
-    ``edge_origin`` maps each local edge to its input edge. The input edge
-    could be read off ``origin``, but it is stored because its values are the
-    input graph's own edge tuples, so a recombined tree shares them rather
-    than holding new tuples of its own.
+    ``edge_origin`` maps each local edge to its input edge, and is the map
+    ``graph`` was built from: ``decompose`` collects it once and hands its
+    keys to ``build_graph``. The input edge could be read off ``origin``, but
+    it is stored because its values are the input graph's own edge tuples, so
+    a recombined tree shares them rather than holding new tuples of its own.
 
     Every single-vertex component of a decomposition shares one graph, the
     empty edge map and an extra-degree map, and an original one the piece
@@ -130,10 +131,10 @@ def decompose(g: Graph, lb: LowerBoundResult) -> Decomposition:
             if v not in obligatory:
                 extra_of[sid[v]] += 1
 
-    # every kept edge's split endpoints lo < hi, and the input edge; a
+    # every kept edge as its split endpoints a < b and the input edge; a
     # union-find links the larger root under the smaller one as it goes, so
     # parent[x] <= x and a component's root is its smallest id
-    lo, hi, kept = [], [], []
+    kept = []
     parent = list(range(n_split))
     for e in g.edges:
         if e in bridges:
@@ -146,9 +147,7 @@ def decompose(g: Graph, lb: LowerBoundResult) -> Decomposition:
             b += piece_of[w][u] - 1
         if a > b:
             a, b = b, a
-        lo.append(a)
-        hi.append(b)
-        kept.append(e)
+        kept.append((a, b, e))
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
@@ -166,11 +165,10 @@ def decompose(g: Graph, lb: LowerBoundResult) -> Decomposition:
             ids = members.get(r) or members.setdefault(r, [r])
             local[x] = len(ids)
             ids.append(x)
-    edges_of: dict[int, tuple[list[Edge], list[Edge]]] = {r: ([], []) for r in members}
-    for a, b, e in zip(lo, hi, kept):
-        pairs, origins = edges_of[parent[a]]
-        pairs.append((local[a], local[b]))
-        origins.append(e)
+    # each multi-vertex component's edge map, local pair -> input edge
+    edges_of: dict[int, dict[Edge, Edge]] = {r: {} for r in members}
+    for a, b, e in kept:
+        edges_of[parent[a]][local[a], local[b]] = e
 
     components = []
     for r in range(n_split):
@@ -183,11 +181,10 @@ def decompose(g: Graph, lb: LowerBoundResult) -> Decomposition:
             continue
         ids = members[r]
         extra = {i: extra_of[x] for i, x in enumerate(ids) if extra_of[x]}
-        pairs, origins = edges_of[r]
-        cg = build_graph(len(ids), pairs)
-        components.append(Component(cg, tuple([origin[x] for x in ids]),
-                                    tuple([piece[x] for x in ids]), extra,
-                                    dict(zip(pairs, origins))))
+        edge_origin = edges_of[r]
+        components.append(Component(build_graph(len(ids), edge_origin),
+                                    tuple([origin[x] for x in ids]),
+                                    tuple([piece[x] for x in ids]), extra, edge_origin))
 
     return Decomposition(g, tuple(components), lb, bridges)
 

@@ -94,19 +94,20 @@ class HeuristicState:
         self.restarts: list[int] = []
 
     def _stuck(self) -> DisconnectedInputError:
-        return DisconnectedInputError(
-            f"heuristics need a connected graph: growth stopped at "
-            f"{len(self.tree_edges)} of {self.graph.n - 1} tree edges"
-        )
+        n = self.graph.n
+        why = (f": growth stopped at {len(self.tree_edges)} of {n - 1} tree edges" if n
+               else ", but the graph has no vertices")
+        return DisconnectedInputError(f"heuristics need a connected graph{why}")
 
     def start(self) -> int:
         """Add the best vertex with unvisited neighbors to the tree and return it.
 
-        A one-vertex graph has no such vertex, and its one vertex is added.
+        A one-vertex graph has no such vertex, and its one vertex is added; any
+        other graph without one, the empty graph included, is disconnected.
         """
         n, base, unvisited = self.graph.n, self.base, self.unvisited
         best = min((base[v] - c * n for v, c in enumerate(unvisited) if c), default=None)
-        if best is None and n > 1:
+        if best is None and n != 1:
             raise self._stuck()
         v = 0 if best is None else best % n
         self.in_tree[v] = True

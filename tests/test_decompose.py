@@ -171,6 +171,11 @@ def test_accounting_identities_random():
         assert len(origins) == len(set(origins))
         assert set(origins) == set(g.edges) - set(d.cut_edges)
         for comp in d.components:
+            # the edge map holds exactly the component's edges, each mapped to
+            # the input edge between its ends' origins
+            assert set(comp.edge_origin) == set(comp.graph.edges)
+            for (a, b), e in comp.edge_origin.items():
+                assert e == tuple(sorted((comp.origin[a], comp.origin[b])))
             for i, (v, p) in enumerate(zip(comp.origin, comp.piece)):
                 if p:
                     assert v in lb.obligatory

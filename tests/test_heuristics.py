@@ -300,12 +300,15 @@ def test_single_vertex():
 
 
 def test_disconnected_rejected():
-    g = build_graph(4, [(0, 1), (2, 3)])
-    lb = obligatory_branch_bound(build_graph(2, [(0, 1)]))
-    with pytest.raises(DisconnectedInputError):
-        path_expanding(g, lb)
-    with pytest.raises(DisconnectedInputError):
-        multi_path_expanding(g, lb)
+    two_edges = build_graph(4, [(0, 1), (2, 3)])
+    cases = (
+        (two_edges, obligatory_branch_bound(build_graph(2, [(0, 1)])), "stopped at 1 of 3"),
+        (build_graph(0, []), None, "but the graph has no vertices"),  # the bound's wording
+    )
+    for g, lb, why in cases:
+        for heuristic in (path_expanding, multi_path_expanding, best_heuristic):
+            with pytest.raises(DisconnectedInputError, match=why):
+                heuristic(g, lb)
 
 
 def test_trees_valid_and_above_bound():
