@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import KeysView
 
 from .errors import DisconnectedInputError
 from .graph import Edge, Graph, _Lowpoint, _lowpoint
@@ -20,19 +21,26 @@ class LowerBoundResult:
     """Obligatory branch vertices of a connected graph.
 
     ``split_counts`` maps each obligatory vertex to the number of components
-    its removal leaves (always >= 3); ``value`` is the lower bound itself,
-    i.e. the number of obligatory vertices. ``bridges`` are the graph's cut
-    edges and ``piece_of[v][u]`` is the 1-based piece of the graph without
-    obligatory vertex v that holds its neighbor u; the decomposition reads both
-    from here. ``graph`` is the graph the result was computed on.
+    its removal leaves (always >= 3); ``obligatory`` (its keys) and ``value``
+    (their number, the lower bound itself) are read off it. ``bridges`` are
+    the graph's cut edges and ``piece_of[v][u]`` is the 1-based piece of the
+    graph without obligatory vertex v that holds its neighbor u; the
+    decomposition reads both from here. ``graph`` is the graph the result was
+    computed on.
     """
 
-    obligatory: frozenset[int]
     split_counts: dict[int, int]
-    value: int
     bridges: frozenset[Edge]
     piece_of: dict[int, dict[int, int]]
     graph: Graph = field(repr=False)
+
+    @property
+    def obligatory(self) -> KeysView[int]:
+        return self.split_counts.keys()
+
+    @property
+    def value(self) -> int:
+        return len(self.split_counts)
 
 
 def obligatory_branch_bound(g: Graph) -> LowerBoundResult:
@@ -81,9 +89,7 @@ def _bound_and_scan(g: Graph) -> tuple[LowerBoundResult, _Lowpoint]:
             pieces[u] = base + j + 1 if j >= 0 and entry[u] < cut[j][1] else 1
 
     lb = LowerBoundResult(
-        obligatory=frozenset(split_counts),
         split_counts=split_counts,
-        value=len(split_counts),
         bridges=frozenset(s.bridges),
         piece_of=piece_of,
         graph=g,

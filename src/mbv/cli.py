@@ -114,7 +114,7 @@ def _cmd_decompose(args) -> int:
             if p == 0:
                 meta.append(
                     f"vertex component={k} local={i + 1} kind=original "
-                    f"origin={v + 1} extra_degree={comp.extra_degree.get(i, 0)} "
+                    f"origin={v + 1} extra_degree={comp.extra_degree[i]} "
                     f"original_degree={d.source.degree(v)}"
                 )
             else:

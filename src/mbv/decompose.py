@@ -15,17 +15,19 @@ single component of the graph without v), so the bridge set of the split graph
 is exactly the image of the bridges the bound found on the input. Labeling
 the split graph's components needs no second lowpoint scan, only one
 union-find pass over its edges. The surviving pieces are returned as ordinary
-graphs with dense local ids. Each local vertex is described by two ints, the
-input vertex it comes from (``origin``) and its piece (``piece``: 0 for the
-vertex itself, 1..split_count for a stub of an obligatory vertex); with the
-edge map they are the only mapping back.
+graphs with dense local ids. Each local vertex is described by three ints:
+the input vertex it comes from (``origin``), its piece (``piece``: 0 for the
+vertex itself, 1..split_count for a stub of an obligatory vertex) and the
+number of deleted bridges at it (``extra_degree``); with the edge map the
+first two are the only mapping back.
 
 Most pieces are single vertices (a lone bridge leg, an isolated split copy).
 Such a piece never counts: a non-obligatory vertex has at most two bridges and
 a split copy is never scored. So every single-vertex component shares one
-validated one-vertex graph and one empty edge map, an original one also the
-piece tuple ``(0,)``; it carries only its origin, piece and extra degree, and
-is never solved: its tree is the empty edge set.
+validated one-vertex graph and one empty edge map, and its extra degree d is
+read off one shared table ``((0,), (1,), (2,))``, whose first entry is also
+the piece tuple ``(0,)`` of an original; it carries only its origin, piece
+and extra degree, and is never solved: its tree is the empty edge set.
 """
 from __future__ import annotations
 
@@ -36,13 +38,13 @@ from .bound import LowerBoundResult
 from .errors import NotASpanningTreeError, StaleBoundError
 from .graph import Edge, Graph, SpanningTree, build_graph, spanning_tree
 
-# the graph of every single-vertex component, and the tuple and maps they
-# share and never change: a non-obligatory vertex with three bridges would
-# split into three pieces, so a single original vertex carries at most two
+# the graph of every single-vertex component, and the edge map and tuples
+# they share and never change: a non-obligatory vertex with three bridges
+# would split into three pieces, so a single original vertex carries at most
+# two; entry 0 is also the piece tuple of an original
 _POINT = build_graph(1, ())
-_ORIGINAL = (0,)
 _NO_EDGES: Mapping[Edge, Edge] = {}
-_POINT_EXTRA: tuple[Mapping[int, int], ...] = ({}, {0: 1}, {0: 2})
+_POINT_INTS = ((0,), (1,), (2,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,8 +58,8 @@ class Component:
 
     A component spanning tree is scored by counting the ``countable`` local
     vertices (the originals; split copies never count) whose tree degree plus
-    ``extra_degree`` exceeds two. ``extra_degree`` holds, for original
-    vertices only, the number of deleted bridges that were incident to them.
+    ``extra_degree`` exceeds two. ``extra_degree[i]`` is the number of deleted
+    bridges that were incident to local vertex i, always 0 for a split copy.
     ``spanning_tree``, the heuristics and the exact search read both from here.
 
     ``edge_origin`` maps each local edge to its input edge, and is the map
@@ -67,7 +69,7 @@ class Component:
     a recombined tree shares them rather than holding new tuples of its own.
 
     Every single-vertex component of a decomposition shares one graph, the
-    empty edge map and an extra-degree map, and an original one the piece
+    empty edge map and its extra-degree tuple, and an original one the piece
     tuple ``(0,)``, none of them ever changed; the enhanced solve gives it the
     empty tree, never reading ``countable``.
     """
@@ -75,7 +77,7 @@ class Component:
     graph: Graph
     origin: tuple[int, ...]
     piece: tuple[int, ...]
-    extra_degree: Mapping[int, int]
+    extra_degree: tuple[int, ...]
     edge_origin: Mapping[Edge, Edge]
 
     @property
@@ -90,7 +92,6 @@ class Decomposition:
 
     source: Graph
     components: tuple[Component, ...]
-    obligatory: LowerBoundResult
     cut_edges: frozenset[Edge]
 
 
@@ -176,17 +177,17 @@ def decompose(g: Graph, lb: LowerBoundResult) -> Decomposition:
             continue
         if r not in members:
             p = piece[r]
-            components.append(Component(_POINT, (origin[r],), (p,) if p else _ORIGINAL,
-                                        _POINT_EXTRA[extra_of[r]], _NO_EDGES))
+            components.append(Component(_POINT, (origin[r],), (p,) if p else _POINT_INTS[0],
+                                        _POINT_INTS[extra_of[r]], _NO_EDGES))
             continue
         ids = members[r]
-        extra = {i: extra_of[x] for i, x in enumerate(ids) if extra_of[x]}
         edge_origin = edges_of[r]
         components.append(Component(build_graph(len(ids), edge_origin),
                                     tuple([origin[x] for x in ids]),
-                                    tuple([piece[x] for x in ids]), extra, edge_origin))
+                                    tuple([piece[x] for x in ids]),
+                                    tuple([extra_of[x] for x in ids]), edge_origin))
 
-    return Decomposition(g, tuple(components), lb, bridges)
+    return Decomposition(g, tuple(components), bridges)
 
 
 def recombine(d: Decomposition, component_trees) -> SpanningTree:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     DuplicateEdgeError,
@@ -236,18 +236,17 @@ def is_spanning_tree(g: Graph, tree_edges) -> bool:
     return True
 
 
-def _count_branches(n: int, tree_edges, extra_degree: Mapping[int, int], countable) -> int:
+def _count_branches(tree_edges, extra_degree, countable) -> int:
     """Countable vertices whose degree in tree_edges plus extra degree exceeds two.
 
-    The package's branch count for an edge set that is not certified: a
-    whole graph counts every vertex with no extra degree; a decomposition
-    component adds each vertex's deleted bridges and skips its split copies.
-    ``spanning_tree`` counts the same from the degrees its union-find pass
-    collects.
+    The package's branch count for an edge set that is not certified.
+    ``extra_degree`` holds one int per vertex and fixes the vertex count: a
+    whole graph counts every vertex with an extra degree of 0; a
+    decomposition component adds each vertex's deleted bridges and skips its
+    split copies. ``spanning_tree`` counts the same from the degrees its
+    union-find pass collects.
     """
-    deg = [0] * n
-    for v, d in extra_degree.items():
-        deg[v] = d
+    deg = list(extra_degree)
     for u, v in tree_edges:
         deg[u] += 1
         deg[v] += 1
@@ -256,7 +255,7 @@ def _count_branches(n: int, tree_edges, extra_degree: Mapping[int, int], countab
 
 def branch_count(n: int, tree_edges) -> int:
     """Number of vertices of degree greater than two in the given edge subset."""
-    return _count_branches(n, tree_edges, {}, repeat(True))
+    return _count_branches(tree_edges, [0] * n, repeat(True))
 
 
 def spanning_tree(g: Graph, tree_edges, component: Component | None = None) -> SpanningTree:
@@ -276,10 +275,7 @@ def spanning_tree(g: Graph, tree_edges, component: Component | None = None) -> S
     if len(edges) < len(tree_edges):
         raise NotASpanningTreeError("edge list repeats an edge")
     n = g.n
-    deg = [0] * n
-    if component is not None:
-        for v, d in component.extra_degree.items():
-            deg[v] = d
+    deg = [0] * n if component is None else list(component.extra_degree)
     if not _tree_degrees(g, tree_edges, deg):
         raise NotASpanningTreeError(
             f"edge set of size {len(edges)} does not span {n} vertices"

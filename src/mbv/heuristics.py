@@ -82,13 +82,12 @@ class HeuristicState:
         self.tree_edges: list[tuple[int, int]] = []
         self.base = base = list(range(2 * nn, 2 * nn + n))
         if component is not None:
-            for v, d in component.extra_degree.items():
+            for v, (d, p) in enumerate(zip(component.extra_degree, component.piece)):
                 tree_degree[v] = d
-                if d > 2:
-                    base[v] -= nn
-            for v, keep in enumerate(component.countable):
-                if not keep:
+                if p:
                     base[v] = v
+                elif d > 2:
+                    base[v] -= nn
         for v in lb.obligatory if lb is not None else ():
             base[v] = v
         self.restarts: list[int] = []

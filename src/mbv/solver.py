@@ -158,9 +158,10 @@ from .heuristics import best_heuristic
 class SolveOptions:
     """Search controls: optional time and node budgets, and the warm start.
 
-    A time limit is a finite number of seconds above 0, counted from the start
-    of the solve call, so the bound and the heuristics spend it too; they are
-    not interrupted, only the search is. A node limit is at least 1.
+    A time limit is a finite number of seconds above 0 (not a bool), counted
+    from the start of the solve call, so the bound and the heuristics spend it
+    too; they are not interrupted, only the search is. A node limit is an int
+    (not a bool) of at least 1.
     ``solve_with_decomposition`` splits the time limit across its multi-vertex
     components but applies the node limit to each component's search separately.
     """
@@ -170,10 +171,11 @@ class SolveOptions:
     node_limit: int | None = None
 
     def __post_init__(self):
-        if self.time_limit is not None and not 0.0 < self.time_limit < math.inf:
-            raise ValueError(f"time_limit must be finite and above 0, got {self.time_limit!r}")
-        if self.node_limit is not None and self.node_limit < 1:
-            raise ValueError(f"node_limit must be at least 1, got {self.node_limit!r}")
+        t, k = self.time_limit, self.node_limit
+        if isinstance(t, bool) or t is not None and not 0.0 < t < math.inf:
+            raise ValueError(f"time_limit must be a finite number above 0, got {t!r}")
+        if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
+            raise ValueError(f"node_limit must be an int of at least 1, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -289,10 +291,10 @@ class _Search:
 
     def __init__(self, g: Graph, c: Component | None):
         n = g.n
-        extra, countable = ({}, [True] * n) if c is None else (c.extra_degree, c.countable)
+        gamma, countable = ([0] * n, [True] * n) if c is None else (c.extra_degree, c.countable)
         self.edges = g.edges
         self.edge_id = {e: ei for ei, e in enumerate(g.edges)}
-        self.gamma = gamma = [extra.get(v, 0) for v in range(n)]
+        self.gamma = gamma
         self.countable = countable
         # the undecided edges in no fixed order, and each edge's index in that
         # list while it is undecided (-1 after)

@@ -1,6 +1,19 @@
 import pytest
 
 from mbv import build_graph
+from mbv.decompose import Component
+
+
+def whole_component(g, piece=None, extra=None):
+    """g as a decomposition component of itself.
+
+    Each local vertex and edge maps to itself. ``piece`` and ``extra`` hold
+    one int per vertex and default to zeros: every vertex an original with no
+    deleted bridge.
+    """
+    zeros = (0,) * g.n
+    return Component(g, tuple(range(g.n)), zeros if piece is None else tuple(piece),
+                     zeros if extra is None else tuple(extra), {e: e for e in g.edges})
 
 
 @pytest.fixture
@@ -11,6 +24,11 @@ def p4():
 @pytest.fixture
 def c5():
     return build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+
+
+@pytest.fixture
+def k3():
+    return build_graph(3, [(0, 1), (0, 2), (1, 2)])
 
 
 @pytest.fixture

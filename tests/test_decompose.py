@@ -18,52 +18,58 @@ from mbv.decompose import Component
 from mbv.errors import NotASpanningTreeError, StaleBoundError
 from mbv.graph import _lowpoint
 
+from conftest import whole_component
+
 
 def decompose_of(g):
     return decompose(g, obligatory_branch_bound(g))
 
 
 def test_two_triangles(two_triangles):
-    d = decompose_of(two_triangles)
-    assert d.obligatory.value == 0
+    lb = obligatory_branch_bound(two_triangles)
+    d = decompose(two_triangles, lb)
+    assert lb.value == 0
     assert d.cut_edges == {(2, 3)}
     assert len(d.components) == 2
     for comp in d.components:
         assert comp.graph.n == 3
         assert comp.graph.m == 3
         # exactly one local vertex carries the bridge's extra degree
-        assert sorted(comp.extra_degree.values()) == [1]
+        assert sorted(comp.extra_degree) == [0, 0, 1]
         assert comp.piece == (0, 0, 0)
     endpoints = {
         comp.origin[i]
         for comp in d.components
-        for i in comp.extra_degree
+        for i, extra in enumerate(comp.extra_degree)
+        if extra
     }
     assert endpoints == {2, 3}
 
 
 def test_spider(spider):
-    d = decompose_of(spider)
-    assert d.obligatory.value == 1
+    lb = obligatory_branch_bound(spider)
+    d = decompose(spider, lb)
+    assert lb.value == 1
     assert d.cut_edges == frozenset(spider.edges)
     assert len(d.components) == 9
     assert all(c.graph.n == 1 for c in d.components)
     assert sorted(c.piece[0] for c in d.components) == [0] * 6 + [1, 2, 3]
     zs = [solve_component(c).upper_bound for c in d.components]
-    assert d.obligatory.value + sum(zs) == 1
+    assert lb.value + sum(zs) == 1
     tree = recombine(d, [()] * 9)
     assert tree.edges == frozenset(spider.edges)
     assert tree.branches == 1
 
 
 def test_cycle_is_untouched(c5):
-    d = decompose_of(c5)
-    assert d.obligatory.value == 0
+    lb = obligatory_branch_bound(c5)
+    d = decompose(c5, lb)
+    assert lb.value == 0
     assert d.cut_edges == frozenset()
     assert len(d.components) == 1
     comp = d.components[0]
     assert comp.graph.edges == c5.edges
-    assert comp.extra_degree == {}
+    assert comp.extra_degree == (0, 0, 0, 0, 0)
     tree = recombine(d, [c5.edges[1:]])
     assert tree.edges == frozenset(c5.edges[1:])
     assert tree.branches == 0
@@ -75,19 +81,8 @@ def test_stale_bound_rejected(p4, c5):
         decompose(c5, lb)
 
 
-def _triangle_component(extra):
-    g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
-    return Component(
-        graph=g,
-        origin=(10, 11, 12),
-        piece=(0, 0, 0),
-        extra_degree=extra,
-        edge_origin={e: e for e in g.edges},
-    )
-
-
-def test_component_branch_count_triangle():
-    comp = _triangle_component({2: 1})
+def test_component_branch_count_triangle(k3):
+    comp = whole_component(k3, extra=(0, 0, 1))
     # vertex 2 as a path endpoint: local degree 1 + extra 1 stays within two
     assert spanning_tree(comp.graph, [(0, 2), (0, 1)], comp).branches == 0
     # vertex 2 in the middle: 2 + 1 > 2
@@ -100,15 +95,15 @@ def test_component_branch_count_ignores_split_copies():
         graph=star,
         origin=(7, 1, 2, 3, 4, 5),
         piece=(1, 0, 0, 0, 0, 0),
-        extra_degree={},
+        extra_degree=(0, 0, 0, 0, 0, 0),
         edge_origin={e: e for e in star.edges},
     )
     # the copy has degree five, yet nothing counts
     assert spanning_tree(star, star.edges, comp).branches == 0
 
 
-def test_component_branch_count_rejects_non_tree():
-    comp = _triangle_component({})
+def test_component_branch_count_rejects_non_tree(k3):
+    comp = whole_component(k3)
     with pytest.raises(NotASpanningTreeError):
         spanning_tree(comp.graph, [(0, 1)], comp)
 
@@ -118,7 +113,7 @@ def test_recombine_two_triangles(two_triangles):
     # per component, a path with the bridge endpoint as a path end
     trees = []
     for comp in d.components:
-        attach = next(iter(comp.extra_degree))
+        attach = comp.extra_degree.index(1)
         others = [i for i in range(3) if i != attach]
         trees.append([tuple(sorted((attach, others[0]))), tuple(sorted(others))])
     tree = recombine(d, trees)
@@ -177,19 +172,23 @@ def test_accounting_identities_random():
             for (a, b), e in comp.edge_origin.items():
                 assert e == tuple(sorted((comp.origin[a], comp.origin[b])))
             for i, (v, p) in enumerate(zip(comp.origin, comp.piece)):
+                extra = comp.extra_degree[i]
                 if p:
                     assert v in lb.obligatory
                     assert 1 <= p <= lb.split_counts[v]
+                    assert extra == 0  # a split copy is credited no bridge
                 else:
                     local = comp.graph.degree(i)
-                    extra = comp.extra_degree.get(i, 0)
                     assert extra >= 0
                     assert local + extra <= g.degree(v)
+                    # one unit per deleted bridge at the vertex
+                    assert extra == sum(v in e for e in lb.bridges)
             if comp.graph.n > 1:
                 assert _lowpoint(comp.graph.n, comp.graph.adjacency).count == 1
                 # splitting never creates a bridge, so a component is final
-                again = decompose_of(comp.graph)
-                assert again.obligatory.value == 0
+                again_lb = obligatory_branch_bound(comp.graph)
+                again = decompose(comp.graph, again_lb)
+                assert again_lb.value == 0
                 assert again.cut_edges == frozenset()
                 assert len(again.components) == 1
 
@@ -209,7 +208,7 @@ def test_split_copy_pieces_are_complete():
         expected += [(v, p) for v in lb.obligatory for p in range(1, lb.split_counts[v] + 1)]
         assert sorted(pairs) == sorted(expected)
         for comp in d.components:
-            assert len(comp.origin) == len(comp.piece) == comp.graph.n
+            assert len(comp.origin) == len(comp.piece) == len(comp.extra_degree) == comp.graph.n
             assert comp.countable == tuple(p == 0 for p in comp.piece)
 
 

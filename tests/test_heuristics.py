@@ -23,6 +23,8 @@ from mbv import (
 from mbv.errors import DisconnectedInputError
 from mbv.heuristics import HeuristicState
 
+from conftest import whole_component
+
 
 def lb_of(g):
     return obligatory_branch_bound(g)
@@ -141,14 +143,16 @@ def test_heap_restart_matches_scan_rule(monkeypatch):
         # decomposed components give multi-vertex components extra degree at
         # most one, so a hand-made one also starts vertices above two
         piece = tuple([int(rng.random() < 0.1) for _ in range(n)])
-        extra = {v: rng.randrange(1, 5) for v in rng.sample(range(n), n // 4)}
-        made = Component(g, tuple(range(n)), piece, extra, {e: e for e in g.edges})
+        extra = [0] * n
+        for v in rng.sample(range(n), n // 4):
+            extra[v] = rng.randrange(1, 5)
+        made = whole_component(g, piece, extra)
         runs = [(g, lb, None), (g, lb, made)]
         for comp in decompose(g, lb).components:
             if comp.graph.n > 1:
                 runs.append((comp.graph, lb_of(comp.graph), comp))
                 seen["split copy"] += not all(comp.countable)
-                seen["extra degree"] += bool(comp.extra_degree)
+                seen["extra degree"] += any(comp.extra_degree)
         seen["obligatory"] += lb.value > 0
         for graph, graph_lb, comp in runs:
             priority.clear()
@@ -224,8 +228,10 @@ def test_restart_key_tracks_tier():
         g = generate_random_connected(n, min(n * (n - 1) // 2, n - 1 + rng.randrange(0, n)),
                                       rng.randrange(10**6))
         piece = tuple([int(rng.random() < 0.15) for _ in range(n)])
-        extra = {v: rng.randrange(1, 4) for v in rng.sample(range(n), n // 3)}
-        comp = Component(g, tuple(range(n)), piece, extra, {e: e for e in g.edges})
+        extra = [0] * n
+        for v in rng.sample(range(n), n // 3):
+            extra[v] = rng.randrange(1, 4)
+        comp = whole_component(g, piece, extra)
         lb = lb_of(g)
         priority = _priority(lb, comp)
         state = HeuristicState(g, lb, comp)
@@ -242,9 +248,9 @@ def test_restart_key_tracks_tier():
                 assert key == (tier * n - state.unvisited[w]) * n + w
         for w in range(n):
             seen["priority above two"] += w in priority and state.tree_degree[w] > 2
-            seen["extra at least two"] += extra.get(w, 0) >= 2 and w not in priority
+            seen["extra at least two"] += extra[w] >= 2 and w not in priority
             seen["dropped to tier 1"] += (
-                w not in priority and extra.get(w, 0) <= 2 and state.tree_degree[w] > 2
+                w not in priority and extra[w] <= 2 and state.tree_degree[w] > 2
             )
     assert all(seen[k] > 0 for k in (
         "priority above two", "extra at least two", "dropped to tier 1")), seen
@@ -339,7 +345,7 @@ def test_determinism():
 def test_overlay_runs_on_components():
     g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
     lb = lb_of(g)
-    comp = Component(g, (0, 1, 2), (0, 0, 0), {2: 1}, {e: e for e in g.edges})
+    comp = whole_component(g, extra=(0, 0, 1))
     for heuristic in (path_expanding, multi_path_expanding, best_heuristic):
         tree = heuristic(g, lb, comp)
         assert is_spanning_tree(g, tree.edges)
@@ -350,7 +356,8 @@ def test_overlay_runs_on_components():
 def test_overlay_exempt_absorbs_degree():
     star = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     lb = lb_of(star)
-    comp = Component(star, (9, 1, 2, 3, 4), (1, 0, 0, 0, 0), {}, {e: e for e in star.edges})
+    comp = Component(star, (9, 1, 2, 3, 4), (1, 0, 0, 0, 0), (0, 0, 0, 0, 0),
+                     {e: e for e in star.edges})
     tree = multi_path_expanding(star, lb, comp)
     assert spanning_tree(star, tree.edges, comp).branches == tree.branches == 0
     assert branch_count(star.n, tree.edges) == 1  # a plain count still sees the center

@@ -13,7 +13,6 @@ from io import StringIO
 import pytest
 
 from mbv import (
-    Component,
     Graph,
     SolveOptions,
     best_heuristic,
@@ -40,6 +39,8 @@ from mbv.solver import _corrected, _live_scan, _Search
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from conftest import whole_component  # noqa: E402
 
 
 @st.composite
@@ -80,9 +81,7 @@ def _assert_solvers_meet_the_oracle_and_trees_carry_their_own_count(g):
         total += report.upper_bound
         trees.append(report.tree)
         for tree in trees:
-            assert tree.branches == _count_branches(
-                c.graph.n, tree.edges, c.extra_degree, c.countable
-            )
+            assert tree.branches == _count_branches(tree.edges, c.extra_degree, c.countable)
     assert total == optimum
 
 
@@ -163,8 +162,7 @@ def near_tree_edge_lists(draw):
     edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
     split = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     extra = draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, 4), max_size=n))
-    return g, Component(g, tuple(range(n)), tuple(map(int, split)), extra,
-                        {e: e for e in g.edges}), edges
+    return g, whole_component(g, map(int, split), [extra.get(v, 0) for v in range(n)]), edges
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
@@ -173,7 +171,7 @@ def test_spanning_tree_certifies_exactly_the_spanning_trees(case):
     g, comp, edges = case
     normalized = {(u, v) if u < v else (v, u) for u, v in edges}
     valid = normalized <= set(g.edges) and is_spanning_tree(g, edges)
-    for component, extra, countable in ((None, {}, [True] * g.n),
+    for component, extra, countable in ((None, [0] * g.n, [True] * g.n),
                                         (comp, comp.extra_degree, comp.countable)):
         if not valid:
             with pytest.raises(NotASpanningTreeError):
@@ -181,7 +179,7 @@ def test_spanning_tree_certifies_exactly_the_spanning_trees(case):
             continue
         tree = spanning_tree(g, edges, component)
         assert tree.edges == normalized
-        assert tree.branches == _count_branches(g.n, edges, extra, countable)
+        assert tree.branches == _count_branches(edges, extra, countable)
 
 
 def _random_tree(draw, g):
@@ -327,9 +325,7 @@ def _drawn_component(g, data):
     gamma = data.draw(st.lists(st.sampled_from((0, 0, 1, 1, 2)), min_size=n, max_size=n))
     countable = data.draw(st.lists(st.sampled_from((True, True, True, False)),
                                    min_size=n, max_size=n))
-    extra = {v: d for v, d in enumerate(gamma) if d}
-    return Component(g, tuple(range(n)), tuple([int(not ok) for ok in countable]), extra,
-                     {e: e for e in g.edges})
+    return whole_component(g, [int(not ok) for ok in countable], gamma)
 
 
 def _branch_include(s, ei):
@@ -461,9 +457,8 @@ def test_corrected_class_tally_meets_every_kind_of_child():
     for seed in range(3):
         g = generate_random_connected(30, 40, seed)
         rng = random.Random(seed)
-        c = Component(g, tuple(range(g.n)), tuple(int(rng.random() < 0.2) for _ in range(g.n)),
-                      {v: rng.choice((1, 2)) for v in range(g.n) if rng.random() < 0.3},
-                      {e: e for e in g.edges})
+        c = whole_component(g, [int(rng.random() < 0.2) for _ in range(g.n)],
+                            [rng.choice((1, 2)) if rng.random() < 0.3 else 0 for _ in range(g.n)])
         for _ in range(3):
             s = _Search(g, c)
             decisions = [(rng.choice(g.edges), rng.random() < 0.6) for _ in range(6)]

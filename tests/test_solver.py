@@ -26,6 +26,8 @@ from mbv import (
 from mbv.decompose import Component
 from mbv.errors import DisconnectedInputError
 
+from conftest import whole_component
+
 
 def test_path_is_free(p4):
     report = solve_plain(p4)
@@ -61,7 +63,7 @@ def test_single_split_copy_component():
         graph=build_graph(1, []),
         origin=(3,),
         piece=(2,),
-        extra_degree={},
+        extra_degree=(0,),
         edge_origin={},
     )
     report = solve_component(comp)
@@ -71,10 +73,10 @@ def test_single_split_copy_component():
     # original with three or more deleted bridges is a branch in its only tree.
     # decompose never builds one (the vertex would be obligatory and split),
     # but a hand-built component can hold one
-    cases = [(0, {0: d} if d else {}, int(d > 2)) for d in range(5)]
-    cases.append((1, {}, 0))
+    cases = [(0, d, int(d > 2)) for d in range(5)]
+    cases.append((1, 0, 0))
     for piece, extra, branches in cases:
-        comp = Component(comp.graph, (0,), (piece,), extra, {})
+        comp = whole_component(comp.graph, (piece,), (extra,))
         report = solve_component(comp)
         assert spanning_tree(comp.graph, (), comp).branches == branches
         assert report.lower_bound == report.upper_bound == branches
@@ -82,26 +84,15 @@ def test_single_split_copy_component():
         assert report.nodes_explored == 0
 
 
-def _triangle_component(extra):
-    g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
-    return Component(
-        graph=g,
-        origin=(4, 5, 6),
-        piece=(0, 0, 0),
-        extra_degree=extra,
-        edge_origin={e: e for e in g.edges},
-    )
-
-
-def test_triangle_component_with_one_extra():
-    report = solve_component(_triangle_component({2: 1}))
+def test_triangle_component_with_one_extra(k3):
+    report = solve_component(whole_component(k3, extra=(0, 0, 1)))
     assert report.optimal
     assert report.upper_bound == 0
 
 
-def test_triangle_component_with_two_extra():
+def test_triangle_component_with_two_extra(k3):
     # every triangle spanning tree gives each vertex degree >= 1, so 1 + 2 > 2
-    report = solve_component(_triangle_component({2: 2}))
+    report = solve_component(whole_component(k3, extra=(0, 0, 2)))
     assert report.optimal
     assert report.upper_bound == 1
 
@@ -554,8 +545,8 @@ def test_huge_time_limit_is_split_without_overflow(c5):
 
 
 def test_solve_options_validates_limits():
-    bad = [dict(time_limit=t) for t in (math.nan, math.inf, -math.inf, 0, 0.0, -1)]
-    bad += [dict(node_limit=k) for k in (0, -3)]
+    bad = [dict(time_limit=t) for t in (math.nan, math.inf, -math.inf, 0, 0.0, -1, True, False)]
+    bad += [dict(node_limit=k) for k in (0, -3, 2.5, 1.0, True, False, "3")]
     for kwargs in bad:
         with pytest.raises(ValueError):
             SolveOptions(**kwargs)
