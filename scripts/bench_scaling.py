@@ -1,16 +1,17 @@
-"""Time the bound, the decomposition, both heuristics and both node-limited solves at growing n.
+"""Time generation, the bound, the decomposition, both heuristics and both node-limited solves at growing n.
 
 Usage (from the repository root):
 
     python scripts/bench_scaling.py --label change
     python scripts/bench_scaling.py --label parent --src OTHER/src
 
-Each call imports ``mbv`` from ``--src`` (default: this checkout's ``src``),
-times ``obligatory_branch_bound``, ``decompose``, ``path_expanding`` and
-``multi_path_expanding`` (the last three given that bound),
-``solve_with_decomposition(node_limit=1)`` and ``solve_plain(node_limit=1)`` on
-``generate_random_connected(n, 1.2 n, SEED)`` for every n in ``SIZES``, keeps
-the minimum of ``REPEAT`` runs, and counts the components and the
+Each call imports ``mbv`` from ``--src`` (default: this checkout's ``src``)
+and, for every n in ``SIZES``, times ``generate_random_connected(n, 1.2 n,
+SEED)`` itself, then ``obligatory_branch_bound``, ``decompose``,
+``path_expanding`` and ``multi_path_expanding`` (the last three given that
+bound), ``solve_with_decomposition(node_limit=1)`` and
+``solve_plain(node_limit=1)`` on the graph it returns. It keeps the minimum
+of ``REPEAT`` runs, and counts the components and the
 single-vertex ones. The timings go under ``runs[label]`` in BENCH_scaling.json
 at the repository root; the other keys there are kept. Each solve times its
 whole pipeline. The record carries the interpreter and the core count.
@@ -56,6 +57,7 @@ def measure() -> dict:
             "single_vertex_components": sum(1 for c in components if c.graph.n == 1),
         }
         cases = (
+            ("generate_s", lambda: mbv.generate_random_connected(n, int(1.2 * n), SEED)),
             ("bound_s", lambda: mbv.obligatory_branch_bound(g)),
             ("decompose_s", lambda: mbv.decompose(g, lb)),
             ("path_expanding_s", lambda: mbv.path_expanding(g, lb)),

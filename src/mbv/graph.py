@@ -254,8 +254,15 @@ def _count_branches(tree_edges, extra_degree, countable) -> int:
 
 
 def branch_count(n: int, tree_edges) -> int:
-    """Number of vertices of degree greater than two in the given edge subset."""
-    return _count_branches(tree_edges, [0] * n, repeat(True))
+    """Number of vertices of degree greater than two in the given edge subset.
+
+    An end outside [0, n) raises IndexOutOfRangeError, as in ``build_graph``.
+    """
+    edges = list(tree_edges)
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise IndexOutOfRangeError(f"edge ({u}, {v}) outside vertex range [0, {n})")
+    return _count_branches(edges, [0] * n, repeat(True))
 
 
 def spanning_tree(g: Graph, tree_edges, component: Component | None = None) -> SpanningTree:

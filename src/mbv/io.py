@@ -175,6 +175,13 @@ def generate_random_connected(n: int, m: int, seed: int) -> Graph:
     A uniform random spanning tree is grown by a random walk, then m - n + 1
     distinct non-tree edges are sampled uniformly without replacement. The
     same (n, m, seed) always produces the same graph.
+
+    Every draw below ``b`` is ``getrandbits(b.bit_length())``, drawn again
+    while it is at least ``b``. That is the rule ``Random.randrange(b)``
+    applies inside its argument checks (CPython 3.10 to 3.12), so this gives
+    the graphs randrange gave, and the walk, about n·H_n draws long, skips
+    the checks. Dense requests (m > 0.6 of all pairs) take their extra edges
+    with ``Random.sample``.
     """
     if n < 1:
         raise InfeasibleEdgeCountError("need at least one vertex")
@@ -184,14 +191,27 @@ def generate_random_connected(n: int, m: int, seed: int) -> Graph:
             f"m={m} outside the connected range [{n - 1}, {max_m}] for n={n}"
         )
     rng = random.Random(seed)
+    bits = rng.getrandbits
+    below = n - 1
+    below_bits = below.bit_length()
+
+    def draw(b: int) -> int:
+        k = b.bit_length()
+        r = bits(k)
+        while r >= b:
+            r = bits(k)
+        return r
+
     edges: set[tuple[int, int]] = set()
     if n > 1:
         seen = [False] * n
-        current = rng.randrange(n)
+        current = draw(n)
         seen[current] = True
         visited = 1
         while visited < n:
-            nxt = rng.randrange(n - 1)
+            nxt = bits(below_bits)
+            while nxt >= below:
+                nxt = bits(below_bits)
             if nxt >= current:
                 nxt += 1
             if not seen[nxt]:
@@ -212,8 +232,8 @@ def generate_random_connected(n: int, m: int, seed: int) -> Graph:
         else:
             added = 0
             while added < needed:
-                u = rng.randrange(n)
-                v = rng.randrange(n - 1)
+                u = draw(n)
+                v = draw(below)
                 if v >= u:
                     v += 1
                 e = (u, v) if u < v else (v, u)

@@ -158,10 +158,10 @@ from .heuristics import best_heuristic
 class SolveOptions:
     """Search controls: optional time and node budgets, and the warm start.
 
-    A time limit is a finite number of seconds above 0 (not a bool), counted
-    from the start of the solve call, so the bound and the heuristics spend it
-    too; they are not interrupted, only the search is. A node limit is an int
-    (not a bool) of at least 1.
+    A time limit is an int or float (not a bool) of seconds, finite and above
+    0, counted from the start of the solve call, so the bound and the
+    heuristics spend it too; they are not interrupted, only the search is. A
+    node limit is an int (not a bool) of at least 1.
     ``solve_with_decomposition`` splits the time limit across its multi-vertex
     components but applies the node limit to each component's search separately.
     """
@@ -172,7 +172,8 @@ class SolveOptions:
 
     def __post_init__(self):
         t, k = self.time_limit, self.node_limit
-        if isinstance(t, bool) or t is not None and not 0.0 < t < math.inf:
+        if t is not None and (isinstance(t, bool) or not isinstance(t, (int, float))
+                              or not 0.0 < t < math.inf):
             raise ValueError(f"time_limit must be a finite number above 0, got {t!r}")
         if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
             raise ValueError(f"node_limit must be an int of at least 1, got {k!r}")

@@ -254,6 +254,10 @@ def test_branch_count(p4, star, spider):
     assert branch_count(4, p4.edges) == 0
     assert branch_count(4, star.edges) == 1
     assert branch_count(7, spider.edges) == 1
+    # an end outside [0, n) is refused; a negative one would index deg from the end
+    for edge in ((0, 5), (0, -1), (2, 0)):
+        with pytest.raises(IndexOutOfRangeError, match=r"outside vertex range \[0, 2\)"):
+            branch_count(2, [(0, 1), edge])
 
 
 def test_branch_count_relabel_invariant():

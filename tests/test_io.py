@@ -241,3 +241,54 @@ def test_generator_deterministic():
     assert a == b
     assert write_instance(a) == write_instance(b)
     assert generate_random_connected(30, 36, 43) != a
+
+
+def _randrange_generator(n: int, m: int, seed: int) -> tuple[int, list[tuple[int, int]]]:
+    """The generator as it was written with ``Random.randrange``: the reference stream."""
+    rng = random.Random(seed)
+    max_m = n * (n - 1) // 2
+    edges = set()
+    if n > 1:
+        seen = [False] * n
+        current = rng.randrange(n)
+        seen[current] = True
+        visited = 1
+        while visited < n:
+            nxt = rng.randrange(n - 1)
+            if nxt >= current:
+                nxt += 1
+            if not seen[nxt]:
+                seen[nxt] = True
+                visited += 1
+                edges.add((current, nxt) if current < nxt else (nxt, current))
+            current = nxt
+    needed = m - (n - 1)
+    if needed > 0:
+        if m > 0.6 * max_m:
+            pool = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+            edges.update(rng.sample(pool, needed))
+        else:
+            added = 0
+            while added < needed:
+                u = rng.randrange(n)
+                v = rng.randrange(n - 1)
+                if v >= u:
+                    v += 1
+                e = (u, v) if u < v else (v, u)
+                if e not in edges:
+                    edges.add(e)
+                    added += 1
+    return n, sorted(edges)
+
+
+def test_generator_keeps_the_randrange_stream():
+    # n = 1 and 2, trees (m = n - 1), the sparse branch and the dense one (m > 0.6 max_m)
+    cases = [(1, 0, 0), (2, 1, 0), (2, 1, 5)]
+    for n in (3, 5, 8, 13, 60):
+        max_m = n * (n - 1) // 2
+        for m in sorted({n - 1, n, int(1.3 * n), int(0.7 * max_m), max_m}):
+            cases += [(n, m, seed) for seed in range(4)]
+    cases.append((15000, 18000, 1007))  # a perfbench anytime_large instance
+    for n, m, seed in cases:
+        g = generate_random_connected(n, m, seed)
+        assert (g.n, list(g.edges)) == _randrange_generator(n, m, seed), (n, m, seed)

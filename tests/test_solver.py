@@ -545,7 +545,8 @@ def test_huge_time_limit_is_split_without_overflow(c5):
 
 
 def test_solve_options_validates_limits():
-    bad = [dict(time_limit=t) for t in (math.nan, math.inf, -math.inf, 0, 0.0, -1, True, False)]
+    bad = [dict(time_limit=t)
+           for t in (math.nan, math.inf, -math.inf, 0, 0.0, -1, True, False, "3", [1])]
     bad += [dict(node_limit=k) for k in (0, -3, 2.5, 1.0, True, False, "3")]
     for kwargs in bad:
         with pytest.raises(ValueError):
