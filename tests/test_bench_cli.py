@@ -1,4 +1,7 @@
 import concurrent.futures
+import errno
+import gc
+import io
 import json
 import logging
 import os
@@ -19,6 +22,7 @@ from mbv.bench import (
     to_json,
     to_record,
 )
+from mbv import cli
 from mbv.cli import main
 
 
@@ -404,3 +408,72 @@ def test_cli_bench_logs_each_instance_from_pool_workers(tmp_path):
     assert sorted(proc.stderr.splitlines()) == [
         f"mbv.bench: benchmarking {d / name}" for name in ("inst_0.graph", "inst_1.graph")
     ]
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_cli_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch, collecting):
+    inst = tmp_path / "g.graph"
+    inst.write_text(write_instance(generate_random_connected(12, 15, seed=1)), encoding="utf-8")
+    bad = tmp_path / "bad.graph"
+    bad.write_text("oops\n", encoding="utf-8")
+    during = []
+    real_load = cli.load_graph
+
+    def load_graph(path):
+        during.append(gc.isenabled())
+        return real_load(path)
+
+    monkeypatch.setattr(cli, "load_graph", load_graph)
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        # a success, a usage error and an MbvError
+        for argv, code in ((["stats", str(inst)], 0), (["gen", "--n", "5"], 1),
+                           (["stats", str(bad)], 1)):
+            assert run_cli(capsys, *argv)[0] == code
+            assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]
+
+
+class _PipeClosedAfterOneLine(io.StringIO):
+    """A stdout whose reader goes away once it has read the first line."""
+
+    def write(self, text):
+        if "\n" in self.getvalue():
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", [["stats"], ["heur", "--alg", "path", "--tree"]])
+def test_cli_report_to_a_closed_pipe_is_an_error(tmp_path, capsys, monkeypatch, argv):
+    inst = tmp_path / "g.graph"
+    inst.write_text(write_instance(generate_random_connected(200, 240, seed=1)), encoding="utf-8")
+    stdout = _PipeClosedAfterOneLine()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main([argv[0], str(inst), *argv[1:]])
+    assert code == 1 and stdout.getvalue().startswith("instance=g ")
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_cli_large_report_to_a_reader_that_closes_early(tmp_path, unbuffered):
+    # about 280 KB of tree_edge lines, far more than a pipe holds; under
+    # PYTHONUNBUFFERED=1 stdout writes straight to the pipe, so a report
+    # handed over in one write would lose its tail without an error
+    inst = tmp_path / "g.graph"
+    inst.write_text(write_instance(generate_random_connected(14000, 16800, seed=1)),
+                    encoding="utf-8")
+    err = tmp_path / "err.txt"
+    with err.open("w", encoding="utf-8") as err_file:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mbv.cli", "heur", str(inst), "--alg", "path", "--tree"],
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered),
+            stdout=subprocess.PIPE, stderr=err_file,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    assert first.startswith(b"instance=g alg=path n=14000 ")
+    assert (code, err.read_text(encoding="utf-8")) == (1, "error: [Errno 32] Broken pipe\n")
