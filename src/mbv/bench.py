@@ -127,6 +127,14 @@ def collect_instances(directory: str) -> list[str]:
     )
 
 
+def field_text(text: str) -> str:
+    """``text`` as a key=value field's value: bare when it holds no whitespace,
+    ``=`` or ``"``, else double-quoted with each ``"`` turned into ``'``."""
+    if any(ch.isspace() or ch in '="' for ch in text):
+        return '"' + text.replace('"', "'") + '"'
+    return text
+
+
 def _record_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -139,13 +147,14 @@ def to_record(r: Report) -> str:
     The fields are Report's in declaration order, then elapsed_* by phase name.
     A failed instance's record is its name and its quoted error, nothing else.
     """
+    name = f"instance={field_text(r.instance)}"
     if r.error is not None:
         escaped = r.error.replace('"', "'")
-        return f'instance={r.instance} error="{escaped}"'
-    parts = [
+        return f'{name} error="{escaped}"'
+    parts = [name] + [
         f"{f.name}={_record_value(getattr(r, f.name))}"
         for f in dataclasses.fields(Report)
-        if f.name not in ("elapsed", "error")
+        if f.name not in ("instance", "elapsed", "error")
     ]
     parts += [f"elapsed_{phase}={r.elapsed[phase]:.6f}" for phase in sorted(r.elapsed)]
     return " ".join(parts)

@@ -30,7 +30,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bench import bench, collect_instances, render_table, to_json, to_record
+from .bench import bench, collect_instances, field_text, render_table, to_json, to_record
 from .bound import obligatory_branch_bound
 from .decompose import decompose
 from .errors import MbvError
@@ -91,7 +91,7 @@ def _cmd_stats(args) -> int:
     lb = obligatory_branch_bound(g)
     d = decompose(g, lb)
     print(
-        f"instance={Path(args.instance).stem} n={g.n} m={g.m} "
+        f"instance={field_text(Path(args.instance).stem)} n={g.n} m={g.m} "
         f"lower_bound={lb.value} obligatory={lb.value} cut_edges={len(d.cut_edges)} "
         f"components={len(d.components)}"
     )
@@ -108,7 +108,7 @@ def _cmd_decompose(args) -> int:
     d = decompose(g, lb)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary = (f"instance={Path(args.instance).stem} n={g.n} m={g.m} ob={lb.value} "
+    summary = (f"instance={field_text(Path(args.instance).stem)} n={g.n} m={g.m} ob={lb.value} "
                f"ce={len(d.cut_edges)} components={len(d.components)}")
     meta = ["# decomposition metadata; vertex ids are 1-based", summary]
     for v in sorted(lb.obligatory):
@@ -158,7 +158,7 @@ def _cmd_heur(args) -> int:
         "best": best_heuristic,
     }[args.alg](g, lb)
     print(
-        f"instance={Path(args.instance).stem} alg={args.alg} n={g.n} m={g.m} "
+        f"instance={field_text(Path(args.instance).stem)} alg={args.alg} n={g.n} m={g.m} "
         f"branches={tree.branches} lower_bound={lb.value}"
     )
     if args.tree:
@@ -168,12 +168,12 @@ def _cmd_heur(args) -> int:
 
 def _cmd_solve(args) -> int:
     g = load_graph(args.instance)
-    opts = SolveOptions(time_limit=args.time_limit, use_warm_start=not args.no_warm_start)
+    opts = SolveOptions(time_limit=args.time_limit)
     solve = solve_plain if args.no_decompose else solve_with_decomposition
     report = solve(g, opts)
     algorithm = "plain" if args.no_decompose else "enhanced"
     print(
-        f"instance={Path(args.instance).stem} algorithm={algorithm} n={g.n} m={g.m} "
+        f"instance={field_text(Path(args.instance).stem)} algorithm={algorithm} n={g.n} m={g.m} "
         f"lower_bound={report.lower_bound:.4f} upper_bound={report.upper_bound} "
         f"gap_percent={report.gap_percent:.4f} optimal={'true' if report.optimal else 'false'} "
         f"nodes={report.nodes_explored} elapsed={report.elapsed:.6f}"
@@ -205,7 +205,7 @@ def _cmd_oracle(args) -> int:
     g = load_graph(args.instance)
     result = brute_force_optimum(g)
     print(
-        f"instance={Path(args.instance).stem} n={g.n} m={g.m} "
+        f"instance={field_text(Path(args.instance).stem)} n={g.n} m={g.m} "
         f"optimum={result.optimum} trees={result.trees_enumerated}"
     )
     if args.tree:
@@ -242,7 +242,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("solve", help="exact solve (decomposition-enhanced by default)")
     p.add_argument("instance")
     p.add_argument("--no-decompose", action="store_true")
-    p.add_argument("--no-warm-start", action="store_true")
     p.add_argument("--time-limit", type=_time_limit, default=None, metavar="SECS")
     p.add_argument("--tree", action="store_true", help="print the tree edges")
     p.set_defaults(func=_cmd_solve)

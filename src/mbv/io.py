@@ -178,7 +178,7 @@ def generate_random_connected(n: int, m: int, seed: int) -> Graph:
 
     Every draw below ``b`` is ``getrandbits(b.bit_length())``, drawn again
     while it is at least ``b``. That is the rule ``Random.randrange(b)``
-    applies inside its argument checks (CPython 3.10 to 3.12), so this gives
+    applies inside its argument checks (CPython 3.10 to 3.13), so this gives
     the graphs randrange gave, and the walk, about n·H_n draws long, skips
     the checks. Dense requests (m > 0.6 of all pairs) take their extra edges
     with ``Random.sample``.

@@ -156,7 +156,7 @@ from .heuristics import best_heuristic
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Search controls: optional time and node budgets, and the warm start.
+    """Search controls: optional time and node budgets.
 
     A time limit is an int or float (not a bool) of seconds, finite and above
     0, counted from the start of the solve call, so the bound and the
@@ -167,7 +167,6 @@ class SolveOptions:
     """
 
     time_limit: float | None = None
-    use_warm_start: bool = True
     node_limit: int | None = None
 
     def __post_init__(self):
@@ -200,22 +199,6 @@ class SolveReport:
     def gap_percent(self) -> float:
         upper = self.upper_bound
         return 100.0 * (upper - self.lower_bound) / upper if upper > 0 else 0.0
-
-
-def _fallback_tree(g: Graph) -> list[tuple[int, int]]:
-    """Deterministic DFS spanning tree of g, for reports with no incumbent."""
-    seen = [False] * g.n
-    seen[0] = True
-    picked = []
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in g.adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                picked.append((v, w) if v < w else (w, v))
-                stack.append(w)
-    return picked
 
 
 def _live_scan(n: int, adj, parent, k: int, live=None):
@@ -585,30 +568,29 @@ def _solve(g, c, lb, opts, t0, seed=None, scans=None) -> SolveReport:
     """Solve g under c's objective (None: the plain one) and report the result.
 
     A one-vertex graph's only tree, the empty one, is scored, not searched.
-    Else the search starts from the best incumbent (the first on ties): the
-    heuristics' tree under the warm start, then the certified ``seed``. Its
-    upper bound equals the warm tree's count only if the warm tree, already
-    certified, still stands; any other tree is certified, a DFS tree of g when
-    the search stopped before any incumbent (the open node whose subtree
-    holds it bounds below its count). ``lb``, g's obligatory bound or None,
-    guides the heuristics and is reported if the search knows less. The time
-    limit counts from ``t0``, the start of the public call. ``scans`` goes to
-    ``_Search.run``.
+    Else the search starts from the heuristics' tree, or from the certified
+    ``seed`` when it has fewer branches. Its upper bound equals that
+    incumbent's count only if the incumbent, already certified, still stands;
+    a tree the search found instead is certified. ``lb``, g's obligatory bound
+    or None, guides the heuristics and is reported if the search knows less.
+    The time limit counts from ``t0``, the start of the public call. ``scans``
+    goes to ``_Search.run``.
     """
     if g.n == 1:
         tree = spanning_tree(g, (), c)
         return SolveReport(float(tree.branches), tree.branches, tree, 0, perf_counter() - t0)
-    incumbents = [best_heuristic(g, lb, c)] if opts.use_warm_start else []
+    warm = best_heuristic(g, lb, c)
     if seed is not None:
-        incumbents.append(spanning_tree(g, seed, c))
-    warm = min(incumbents, key=lambda t: t.branches, default=None)
+        seeded = spanning_tree(g, seed, c)
+        if seeded.branches < warm.branches:
+            warm = seeded
     deadline = t0 + opts.time_limit if opts.time_limit is not None else None
     search = _Search(g, c)
-    best = (warm.branches, [search.edge_id[e] for e in warm.edges]) if warm else (math.inf, None)
-    lower, upper, ids, nodes = search.run(*best, deadline, opts.node_limit, scans)
-    own = _fallback_tree(g) if ids is None else [g.edges[ei] for ei in ids]
-    if warm is not None and upper == warm.branches:
-        tree = SpanningTree(frozenset(own), warm.branches)
+    lower, upper, ids, nodes = search.run(
+        warm.branches, [search.edge_id[e] for e in warm.edges], deadline, opts.node_limit, scans)
+    own = [g.edges[ei] for ei in ids]
+    if upper == warm.branches:
+        tree = SpanningTree(frozenset(own), upper)
     else:
         tree = spanning_tree(g, own, c)
     if lb is not None:
@@ -631,11 +613,11 @@ def solve_component(
     """Exact solve of one decomposition component under component semantics.
 
     Split copies never count toward the objective; original vertices carry
-    their extra degree. ``seed_tree`` is an optional extra incumbent (local
-    edges); the enhanced pipeline passes the projection of a whole-graph
-    heuristic tree, which is sometimes better than the component's own
-    heuristics. A component has no obligatory vertex, so its heuristics get
-    no bound.
+    their extra degree. The search starts from the component's heuristic
+    tree, or from ``seed_tree`` (local edges, optional) when it has fewer
+    branches; the enhanced pipeline passes the projection of a whole-graph
+    heuristic tree, which is sometimes better than the component's own. A
+    component has no obligatory vertex, so its heuristics get no bound.
     """
     return _solve(c.graph, c, None, opts, perf_counter(), seed_tree)
 
@@ -659,13 +641,11 @@ def solve_with_decomposition(g: Graph, opts: SolveOptions = SolveOptions()) -> S
     lb = obligatory_branch_bound(g)
     d = decompose(g, lb)
     multi = [c for c in d.components if c.graph.n > 1]
-    seeds: list[list | None] = [None] * len(multi)
-    if opts.use_warm_start and multi:
-        # a whole-graph tree restricted to a component spans it; only the
-        # restrictions are kept, so the whole tree is freed before any search
-        warm = best_heuristic(g, lb).edges
-        seeds = [[e for e, origin in c.edge_origin.items() if origin in warm] for c in multi]
-        del warm
+    # a whole-graph tree restricted to a component spans it; only the
+    # restrictions are kept, so the whole tree is freed before any search
+    warm = best_heuristic(g, lb).edges if multi else frozenset()
+    seeds = [[e for e, origin in c.edge_origin.items() if origin in warm] for c in multi]
+    del warm
     reports = []
     # edges of this and every later component, kept as a running remainder
     remaining_edges = sum(c.graph.m for c in multi)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -51,6 +52,11 @@ def test_public_surface_is_pinned():
     assert mbv.__all__ == PUBLIC
     for name in PUBLIC:
         assert hasattr(mbv, name), name
+
+
+def test_solve_options_fields_are_pinned():
+    # the search's settable controls; a knob added here must be added on purpose
+    assert [f.name for f in dataclasses.fields(mbv.SolveOptions)] == ["time_limit", "node_limit"]
 
 
 def test_scaling_script_uses_only_public_names():

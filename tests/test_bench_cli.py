@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -216,7 +217,7 @@ def test_cli_gen_stats_heur_solve_oracle(tmp_path, capsys):
     assert code == 0
     assert "optimal=true" in out
 
-    code, out, _ = run_cli(capsys, "solve", str(inst), "--no-decompose", "--no-warm-start")
+    code, out, _ = run_cli(capsys, "solve", str(inst), "--no-decompose")
     assert code == 0
 
     code, out, _ = run_cli(capsys, "oracle", str(inst))
@@ -288,6 +289,46 @@ def test_cli_huge_time_limit(tmp_path, capsys):
     assert code == 0 and "upper_bound=0 " in out and "optimal=true" in out
     code, out, _ = run_cli(capsys, "bench", str(tmp_path), "--time-limit", "1e308")
     assert code == 0 and "failed=0" in out
+
+
+@pytest.mark.parametrize("name, field, parsed", [
+    ("my graph.txt", 'instance="my graph"', "my graph"),
+    ("a=b.graph", 'instance="a=b"', "a=b"),
+    ('say "hi".graph', "instance=\"say 'hi'\"", "say 'hi'"),
+    ("plain.graph", "instance=plain", "plain"),
+])
+def test_instance_name_is_one_field(tmp_path, capsys, name, field, parsed):
+    # a stem holding whitespace, '=' or '"' is quoted, so a field parser
+    # still reads one instance field; a plain stem is written bare as before
+    d = tmp_path / "d"
+    d.mkdir()
+    inst = d / name
+    inst.write_text(write_instance(generate_random_connected(6, 7, seed=1)), encoding="utf-8")
+    commands = [["stats"], ["solve"], ["heur"], ["oracle"],
+                ["decompose", "--out-dir", str(tmp_path / "parts")]]
+    firsts = []
+    for argv in commands:
+        code, out, _ = run_cli(capsys, argv[0], str(inst), *argv[1:])
+        assert code == 0
+        firsts.append(out.split("\n", 1)[0])
+    code, out, _ = run_cli(capsys, "bench", str(d), "--records", "-")
+    assert code == 0
+    firsts.append(out.splitlines()[-1])
+    firsts.append(to_record(Report(instance=inst.stem, error="unreadable")))
+    for first in firsts:
+        assert first.startswith(field + " ")
+        fields = dict(tok.split("=", 1) for tok in shlex.split(first))
+        assert fields["instance"] == parsed
+    assert fields["error"] == "unreadable"
+
+
+def test_solve_refuses_the_removed_cold_start_flag(tmp_path, capsys):
+    # every solve starts from the heuristic tree; there is no switch for it
+    inst = tmp_path / "g.graph"
+    inst.write_text(write_instance(generate_random_connected(6, 7, seed=1)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", str(inst), "--no-warm-start")
+    assert code == 1 and out == ""
+    assert err == "usage error: unrecognized arguments: --no-warm-start\n"
 
 
 def test_cli_usage_and_parse_errors(tmp_path, capsys):

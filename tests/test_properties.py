@@ -5,6 +5,7 @@ it is connected by construction and small enough for the oracle. The last test
 draws instance texts instead, from a small token grammar. Examples are
 derandomized, so every run checks the same graphs and texts.
 """
+import math
 import random
 import re
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,7 +15,6 @@ import pytest
 
 from mbv import (
     Graph,
-    SolveOptions,
     best_heuristic,
     brute_force_optimum,
     build_graph,
@@ -67,22 +67,29 @@ def _assert_solvers_meet_the_oracle_and_trees_carry_their_own_count(g):
     plain, enhanced = solve_plain(g), solve_with_decomposition(g)
     assert plain.optimal and enhanced.optimal
     assert plain.upper_bound == enhanced.upper_bound == optimum
-    # with no warm start every incumbent is a search leaf, valued by its bound
-    cold = SolveOptions(use_warm_start=False)
-    plain_cold = solve_plain(g, cold)
-    assert plain_cold.optimal and plain_cold.upper_bound == plain_cold.tree.branches == optimum
+    # a search from no incumbent finds every tree it keeps at a leaf, valued by
+    # its bound, which must be the tree's own count
+    assert _cold_search(g, None) == optimum
     lb = obligatory_branch_bound(g)
     total = lb.value
     for c in decompose(g, lb).components:
         trees = [h(c.graph, None, c) for h in (path_expanding, multi_path_expanding, best_heuristic)]
-        trees.append(solve_component(c).tree)
-        report = solve_component(c, cold)
+        report = solve_component(c)
         assert report.optimal and report.tree.branches == report.upper_bound
+        assert _cold_search(c.graph, c) == report.upper_bound
         total += report.upper_bound
         trees.append(report.tree)
         for tree in trees:
             assert tree.branches == _count_branches(tree.edges, c.extra_degree, c.countable)
     assert total == optimum
+
+
+def _cold_search(g, c):
+    """The ub of a search of g from no incumbent, checked as its tree's count."""
+    lower, upper, ids, nodes = _Search(g, c).run(math.inf, None, None, None)
+    assert lower == upper
+    assert spanning_tree(g, [g.edges[ei] for ei in ids], c).branches == upper
+    return upper
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

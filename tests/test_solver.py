@@ -2,7 +2,6 @@ import hashlib
 import math
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -188,22 +187,12 @@ def test_node_limit_bounds_each_component_search():
     d = decompose(g, obligatory_branch_bound(g))
     assert sorted(c.graph.n for c in d.components) == [6, 6]
     for limit in (1, 2, 3):
-        opts = SolveOptions(node_limit=limit, use_warm_start=False)
+        opts = SolveOptions(node_limit=limit)
         assert solve_with_decomposition(g, opts).nodes_explored == 2 * limit
         assert solve_plain(g, opts).nodes_explored == limit
 
 
-def test_anytime_soundness_with_node_limit(monkeypatch):
-    fallback = mbv.solver._fallback_tree
-    fallbacks = 0
-
-    def counted(g):
-        nonlocal fallbacks
-        fallbacks += 1
-        return fallback(g)
-
-    monkeypatch.setattr(mbv.solver, "_fallback_tree", counted)
-    cold_stops = {solve_plain: 0, solve_with_decomposition: 0}
+def test_anytime_soundness_with_node_limit():
     rng = random.Random(83)
     for trial in range(25):
         n = rng.randrange(6, 11)
@@ -213,21 +202,16 @@ def test_anytime_soundness_with_node_limit(monkeypatch):
         obligatory = obligatory_branch_bound(g).value
         # every stop point leaves the trail part-way; the answer must not care.
         # A time limit that passes before the root node stops earliest of all.
-        # A cold start that stops before its first leaf returns the fallback tree.
         stops = [SolveOptions(node_limit=limit) for limit in range(1, 51)]
         stops.append(SolveOptions(time_limit=1e-9))
-        stops += [replace(opts, use_warm_start=False) for opts in stops]
         for opts in stops:
             for solve in (solve_plain, solve_with_decomposition):
-                before = fallbacks
                 report = solve(g, opts)
-                cold_stops[solve] += fallbacks > before
                 assert obligatory <= report.lower_bound <= optimum <= report.upper_bound
                 assert is_spanning_tree(g, report.tree.edges)
                 assert report.tree.branches == report.upper_bound
                 if report.optimal:
                     assert report.upper_bound == optimum
-    assert all(cold_stops.values()), cold_stops
 
 
 def test_budgeted_answers_are_pinned():
@@ -261,21 +245,24 @@ def test_budgeted_answers_are_pinned():
 
 
 def test_cold_budgeted_answers_are_pinned():
-    # a cold start stopped before its first leaf reports the fallback tree,
-    # and one stopped later the search's own best tree, so these answers pin
-    # the bounds of cold searches and the trees they report on every path
+    # a search from no incumbent stopped before its first leaf returns no tree
+    # and an infinite ub, and one stopped later its own best tree, so these
+    # answers pin the bounds of cold searches and the trees they find, on the
+    # whole graph and on each multi-vertex component
     limited = []
     cases = [(60, 66, seed) for seed in range(2000, 2004)]
     cases += [(100, 130, seed) for seed in (3000, 3001)]
     for n, m, seed in cases:
         g = generate_random_connected(n, m, seed)
-        for solve in (solve_plain, solve_with_decomposition):
+        d = decompose(g, obligatory_branch_bound(g))
+        parts = [(g, None)] + [(c.graph, c) for c in d.components if c.graph.n > 1]
+        for graph, comp in parts:
             for limit in range(1, 41):
-                r = solve(g, SolveOptions(node_limit=limit, use_warm_start=False))
-                limited.append((r.lower_bound, r.upper_bound, r.nodes_explored,
-                                sorted(r.tree.edges)))
+                search = mbv.solver._Search(graph, comp)
+                lower, upper, ids, nodes = search.run(math.inf, None, None, limit)
+                limited.append((lower, upper, nodes, None if ids is None else sorted(ids)))
     digest = hashlib.sha256(repr(limited).encode()).hexdigest()
-    assert digest == "22e0273ee2ed29c272399a12dcb429d8adf95cd14b4802e7aedbb2d0d943c8b0"
+    assert digest == "aa642b086fd40a8ee17a5b51dbc8a0ea957c344980deb7dc00a2dd76245beb6c"
 
 
 def test_inclusions_that_drop_several_closers():
@@ -477,15 +464,15 @@ def test_root_bound_dominates_obligatory_count():
 
 
 def test_warm_start_never_worsens():
+    # the search starts from the heuristic tree and still proves the optimum
     rng = random.Random(29)
     for trial in range(20):
         n = rng.randrange(5, 10)
         m = min(n * (n - 1) // 2, n - 1 + rng.randrange(0, 5))
         g = generate_random_connected(n, m, rng.randrange(10**6))
-        warm = solve_plain(g, SolveOptions(use_warm_start=True))
-        cold = solve_plain(g, SolveOptions(use_warm_start=False))
-        assert warm.optimal and cold.optimal
-        assert warm.upper_bound == cold.upper_bound
+        report = solve_plain(g)
+        assert report.optimal
+        assert report.upper_bound == brute_force_optimum(g).optimum
 
 
 def test_tree_input_runs_no_whole_graph_heuristic(monkeypatch, spider):
