@@ -6,9 +6,9 @@ equal time limits. Results serialize as one line-oriented key=value record per
 instance and, optionally, one JSON document per run; both are deterministic
 apart from the elapsed_* fields.
 
-The process pool, logging and json are imported where they are used: every
-mbv command imports this module through the package, and only the bench
-runner needs them.
+``bench`` runs the instances one at a time, in path order, in this process.
+logging and json are imported where they are used: every mbv command imports
+this module through the package, and only the bench runner needs them.
 """
 from __future__ import annotations
 
@@ -93,30 +93,21 @@ def bench_graph(name: str, g: Graph, time_limit: float | None = None) -> Report:
     return r
 
 
-def _bench_path(path: str, time_limit: float | None) -> Report:
+def bench(paths, time_limit: float | None = None) -> list[Report]:
+    """Benchmark every instance file in path order; per-instance errors are recorded, not raised."""
     import logging
 
     log = logging.getLogger("mbv.bench")
-    log.info("benchmarking %s", path)
-    name = Path(path).stem
-    try:
-        g = load_graph(path)
-        return bench_graph(name, g, time_limit)
-    except (MbvError, OSError) as exc:
-        log.warning("instance %s failed: %s", name, exc)
-        return Report(instance=name, error=str(exc))
-
-
-def bench(paths, time_limit: float | None = None, jobs: int = 1) -> list[Report]:
-    """Benchmark every instance file; per-instance errors are recorded, not raised."""
-    ordered = sorted(str(p) for p in paths)
-    if jobs > 1 and len(ordered) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # a forked pool starts every worker up front, so never ask for idle ones
-        with ProcessPoolExecutor(max_workers=min(jobs, len(ordered))) as pool:
-            return list(pool.map(_bench_path, ordered, [time_limit] * len(ordered)))
-    return [_bench_path(p, time_limit) for p in ordered]
+    reports = []
+    for path in sorted(str(p) for p in paths):
+        log.info("benchmarking %s", path)
+        name = Path(path).stem
+        try:
+            reports.append(bench_graph(name, load_graph(path), time_limit))
+        except (MbvError, OSError) as exc:
+            log.warning("instance %s failed: %s", name, exc)
+            reports.append(Report(instance=name, error=str(exc)))
+    return reports
 
 
 def collect_instances(directory: str) -> list[str]:
@@ -127,11 +118,23 @@ def collect_instances(directory: str) -> list[str]:
     )
 
 
+# every character str.splitlines() ends a line at, each read as a space
+_LINE_BREAKS = dict.fromkeys("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", " ")
+_ONE_LINE = str.maketrans(_LINE_BREAKS)
+_QUOTED = str.maketrans({**_LINE_BREAKS, '"': "'"})
+
+
+def _quoted(text: str) -> str:
+    """``text`` double-quoted on one line: each ``"`` turned into ``'`` and
+    each line break into a space."""
+    return '"' + text.translate(_QUOTED) + '"'
+
+
 def field_text(text: str) -> str:
     """``text`` as a key=value field's value: bare when it holds no whitespace,
-    ``=`` or ``"``, else double-quoted with each ``"`` turned into ``'``."""
+    ``=`` or ``"``, else ``_quoted``."""
     if any(ch.isspace() or ch in '="' for ch in text):
-        return '"' + text.replace('"', "'") + '"'
+        return _quoted(text)
     return text
 
 
@@ -149,8 +152,7 @@ def to_record(r: Report) -> str:
     """
     name = f"instance={field_text(r.instance)}"
     if r.error is not None:
-        escaped = r.error.replace('"', "'")
-        return f'{name} error="{escaped}"'
+        return f"{name} error={_quoted(r.error)}"
     parts = [name] + [
         f"{f.name}={_record_value(getattr(r, f.name))}"
         for f in dataclasses.fields(Report)
@@ -218,7 +220,7 @@ def _table_cell(value, align: str, number: str) -> str:
 
 
 def render_table(reports: list[Report]) -> str:
-    """Human-readable summary table."""
+    """Human-readable summary table, one line per report."""
     (title, align, attr, num), *rest = _TABLE_COLUMNS
     name_align = f"<{max([int(align[1:])] + [len(r.instance) for r in reports])}"
     columns = [(title, name_align, attr, num), *rest]
@@ -226,10 +228,11 @@ def render_table(reports: list[Report]) -> str:
     lines = [header, "-" * len(header)]
     for r in reports:
         if r.error is not None:
-            lines.append(f"{r.instance:{name_align}} error: {r.error}")
-            continue
-        row = (_table_cell(getattr(r, attr), align, num) for _, align, attr, num in columns)
-        lines.append(" ".join(row))
+            row = f"{r.instance:{name_align}} error: {r.error}"
+        else:
+            row = " ".join(_table_cell(getattr(r, attr), align, num)
+                           for _, align, attr, num in columns)
+        lines.append(row.translate(_ONE_LINE))  # a line break in a name or error is a space
     s = summarize(reports)
     lines.append(
         f"instances={s['instances']} failed={s['failed']} "

@@ -184,11 +184,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.jobs < 1:
-        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     _configure_logging()
     paths = collect_instances(args.directory)
-    reports = bench(paths, time_limit=args.time_limit, jobs=args.jobs)
+    reports = bench(paths, time_limit=args.time_limit)
     sys.stdout.write(render_table(reports))
     if args.records:
         payload = "".join(to_record(r) + "\n" for r in reports)
@@ -249,7 +247,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="run the full pipeline over a directory")
     p.add_argument("directory")
     p.add_argument("--time-limit", type=_time_limit, default=None, metavar="SECS")
-    p.add_argument("--jobs", type=int, default=1, metavar="K")
     p.add_argument("--records", default=None, help="key=value records file, or - for stdout")
     p.add_argument("--json", default=None, help="JSON results file")
     p.set_defaults(func=_cmd_bench)

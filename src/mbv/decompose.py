@@ -60,6 +60,9 @@ class Component:
     vertices (the originals; split copies never count) whose tree degree plus
     ``extra_degree`` exceeds two. ``extra_degree[i]`` is the number of deleted
     bridges that were incident to local vertex i, always 0 for a split copy.
+    It is at most 1 in a multi-vertex component and at most 2 in a
+    single-vertex one: a vertex with b bridges and any other edge leaves at
+    least b + 1 pieces without it, so b >= 2 there would make it obligatory.
     ``spanning_tree``, the heuristics and the exact search read both from here.
 
     ``edge_origin`` maps each local edge to its input edge, and is the map

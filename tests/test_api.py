@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -57,6 +58,12 @@ def test_public_surface_is_pinned():
 def test_solve_options_fields_are_pinned():
     # the search's settable controls; a knob added here must be added on purpose
     assert [f.name for f in dataclasses.fields(mbv.SolveOptions)] == ["time_limit", "node_limit"]
+
+
+def test_bench_parameters_are_pinned():
+    # bench runs its instances in order in this process; a knob added here
+    # must be added on purpose
+    assert list(inspect.signature(mbv.bench).parameters) == ["paths", "time_limit"]
 
 
 def test_scaling_script_uses_only_public_names():

@@ -1,4 +1,3 @@
-import concurrent.futures
 import errno
 import gc
 import io
@@ -127,59 +126,18 @@ def test_bench_table_fits_a_long_instance_name():
     assert len(long_row) == len(short_row) == len(header)
 
 
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records the pool size, starts nothing."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        _SerialPool.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
-def test_bench_pool_never_exceeds_instance_count(tmp_path, monkeypatch):
-    # bench imports the pool class where it starts one, so patch it at its source
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
-    _SerialPool.sizes = []
-    d = make_dir(tmp_path, count=3, n=8, m=9)
-    reports = bench(collect_instances(str(d)), jobs=64)
-    assert _SerialPool.sizes == [3]
-    assert [r.instance for r in reports] == ["inst_0", "inst_1", "inst_2"]
-    bench(collect_instances(str(d)), jobs=2)
-    assert _SerialPool.sizes == [3, 2]
-
-
-def test_bench_logs_each_instance_with_or_without_a_pool(tmp_path, monkeypatch, caplog):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+def test_bench_logs_each_instance(tmp_path, caplog):
     d = make_dir(tmp_path, count=2, n=8, m=9)
-    for jobs in (1, 2):
-        caplog.clear()
-        with caplog.at_level(logging.INFO, logger="mbv.bench"):
-            bench(collect_instances(str(d)), jobs=jobs)
-        logged = [r.getMessage() for r in caplog.records]
-        assert logged == [f"benchmarking {d / name}" for name in ("inst_0.graph", "inst_1.graph")]
+    with caplog.at_level(logging.INFO, logger="mbv.bench"):
+        bench(collect_instances(str(d)))
+    logged = [r.getMessage() for r in caplog.records]
+    assert logged == [f"benchmarking {d / name}" for name in ("inst_0.graph", "inst_1.graph")]
 
 
 def test_bench_empty_dir(tmp_path):
     d = tmp_path / "empty"
     d.mkdir()
     assert bench(collect_instances(str(d))) == []
-
-
-def test_bench_worker_pool(tmp_path):
-    d = make_dir(tmp_path, count=2, n=10, m=12)
-    serial = bench(collect_instances(str(d)), jobs=1)
-    parallel = bench(collect_instances(str(d)), jobs=2)
-    assert [r.instance for r in serial] == [r.instance for r in parallel]
-    assert [r.upper_bound for r in serial] == [r.upper_bound for r in parallel]
 
 
 def test_bench_graph_values_match_direct(tmp_path):
@@ -295,11 +253,13 @@ def test_cli_huge_time_limit(tmp_path, capsys):
     ("my graph.txt", 'instance="my graph"', "my graph"),
     ("a=b.graph", 'instance="a=b"', "a=b"),
     ('say "hi".graph', "instance=\"say 'hi'\"", "say 'hi'"),
+    ("a\nb.graph", 'instance="a b"', "a b"),
     ("plain.graph", "instance=plain", "plain"),
 ])
 def test_instance_name_is_one_field(tmp_path, capsys, name, field, parsed):
-    # a stem holding whitespace, '=' or '"' is quoted, so a field parser
-    # still reads one instance field; a plain stem is written bare as before
+    # a stem holding whitespace, '=' or '"' is quoted, with each line break a
+    # space, so a field parser still reads one instance field on the report's
+    # first line; a plain stem is written bare as before
     d = tmp_path / "d"
     d.mkdir()
     inst = d / name
@@ -331,6 +291,33 @@ def test_solve_refuses_the_removed_cold_start_flag(tmp_path, capsys):
     assert err == "usage error: unrecognized arguments: --no-warm-start\n"
 
 
+def test_bench_refuses_the_removed_jobs_flag(tmp_path, capsys):
+    # bench runs its instances one at a time in one process; there is no pool to size
+    code, out, err = run_cli(capsys, "bench", str(tmp_path), "--jobs", "2")
+    assert code == 1 and out == ""
+    assert err == "usage error: unrecognized arguments: --jobs 2\n"
+
+
+def test_a_line_break_in_an_error_stays_on_one_line(tmp_path, capsys):
+    # every character str.splitlines() breaks at is a space inside the quotes,
+    # so a failed instance's record, and its table row, is one line
+    d = tmp_path / "d"
+    d.mkdir()
+    (d / "e\nf.graph").write_text("\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "bench", str(d), "--records", "-")
+    assert code == 0
+    error = f"{d}/e f.graph: empty instance"
+    assert out.splitlines()[2:] == [f"{'e f':<24} error: {error}",
+                                    "instances=1 failed=1 ob_avg=0.0% ce_avg=0.0% "
+                                    "optimal=0 plain_optimal=0",
+                                    f'instance="e f" error="{error}"']
+    breaks = [chr(c) for c in range(0x110000) if len(f"x{chr(c)}y".splitlines()) > 1]
+    assert len(breaks) == 10
+    for ch in breaks:
+        record = to_record(Report(instance=f"x{ch}y", error=f"bad{ch}\"line\""))
+        assert record == 'instance="x y" error="bad \'line\'"'
+
+
 def test_cli_usage_and_parse_errors(tmp_path, capsys):
     assert run_cli(capsys, "gen", "--n", "5")[0] == 1  # missing required options
     bad = tmp_path / "bad.graph"
@@ -349,8 +336,6 @@ def test_cli_usage_and_parse_errors(tmp_path, capsys):
         code, out, err = run_cli(capsys, command, str(binary))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "binary.graph" in err
-    assert run_cli(capsys, "bench", str(tmp_path), "--jobs", "0")[0] == 1
-    assert run_cli(capsys, "bench", str(tmp_path), "--jobs", "-2")[0] == 1
     instance = tmp_path / "ok.graph"
     instance.write_text("3 2\n1 2\n2 3\n", encoding="utf-8")
     for limit in ("nan", "inf", "-inf", "-1", "0", "soon"):
@@ -431,22 +416,22 @@ for command in ("solve", "stats"):
 
 
 def test_cli_commands_start_without_the_bench_runners_modules(tmp_path):
-    # the process pool, logging and json serve only ``mbv bench``; every
-    # other command would pay for importing them at start-up
+    # logging and json serve only ``mbv bench``, and no command starts a
+    # process pool; every other command would pay for importing them at start-up
     inst = tmp_path / "g.graph"
     inst.write_text(write_instance(generate_random_connected(12, 15, seed=1)), encoding="utf-8")
     proc = _fresh_python(_STARTUP_PROBE, inst)
     assert proc.stderr.splitlines() == ["import", "solve", "stats"]
 
 
-def test_cli_bench_logs_each_instance_from_pool_workers(tmp_path):
+def test_cli_bench_logs_each_instance_in_file_order(tmp_path):
     d = make_dir(tmp_path, count=2, n=8, m=9)
     proc = _fresh_python(
         "import sys; from mbv.cli import main; sys.exit(main(sys.argv[1:]))",
-        "bench", d, "--jobs", "2", MBV_LOG="info",
+        "bench", d, MBV_LOG="info",
     )
     assert proc.returncode == 0
-    assert sorted(proc.stderr.splitlines()) == [
+    assert proc.stderr.splitlines() == [
         f"mbv.bench: benchmarking {d / name}" for name in ("inst_0.graph", "inst_1.graph")
     ]
 

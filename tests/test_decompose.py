@@ -186,6 +186,9 @@ def test_accounting_identities_random():
                     assert local + extra <= g.degree(v)
                     # one unit per deleted bridge at the vertex
                     assert extra == sum(v in e for e in lb.bridges)
+                    # b bridges and another edge leave b + 1 pieces, so a
+                    # non-obligatory vertex has b <= 1, or b <= 2 if alone
+                    assert extra <= (1 if comp.graph.n > 1 else 2)
             if comp.graph.n > 1:
                 assert _lowpoint(comp.graph.n, comp.graph.adjacency).count == 1
                 # splitting never creates a bridge, so a component is final
