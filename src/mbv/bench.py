@@ -105,7 +105,7 @@ def bench(paths, time_limit: float | None = None) -> list[Report]:
         try:
             reports.append(bench_graph(name, load_graph(path), time_limit))
         except (MbvError, OSError) as exc:
-            log.warning("instance %s failed: %s", name, exc)
+            log.warning("instance %s failed: %s", field_text(name), _quoted(str(exc)))
             reports.append(Report(instance=name, error=str(exc)))
     return reports
 

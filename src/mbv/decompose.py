@@ -193,6 +193,17 @@ def decompose(g: Graph, lb: LowerBoundResult) -> Decomposition:
     return Decomposition(g, tuple(components), bridges)
 
 
+def _component_count(lb: LowerBoundResult) -> int:
+    """How many components ``decompose`` makes from ``lb``, read off the bound.
+
+    The input graph is one component. Splitting obligatory vertex v into its
+    ``split_counts[v]`` pieces adds ``split_counts[v] - 1``, and deleting a
+    bridge adds one: splitting never breaks a cycle and deleting an edge never
+    makes one, so each bridge still separates its two sides when it goes.
+    """
+    return 1 + sum(lb.split_counts.values()) - lb.value + len(lb.bridges)
+
+
 def recombine(d: Decomposition, component_trees) -> SpanningTree:
     """Stitch per-component spanning trees and the deleted bridges back together.
 

@@ -4,6 +4,7 @@ import io
 import json
 import logging
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -12,7 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from mbv import bench, generate_random_connected, write_instance
+from mbv import (
+    bench,
+    build_graph,
+    decompose,
+    generate_random_connected,
+    obligatory_branch_bound,
+    write_instance,
+)
 from mbv.bench import (
     Report,
     bench_graph,
@@ -183,6 +191,39 @@ def test_cli_gen_stats_heur_solve_oracle(tmp_path, capsys):
     assert "optimum=" in out
 
 
+def _stats_report(capsys, tmp_path, g):
+    """``mbv stats`` of g: its components= and cut_edges= counts and cut_edge= lines."""
+    inst = tmp_path / "g.graph"
+    inst.write_text(write_instance(g), encoding="utf-8")
+    code, out, err = run_cli(capsys, "stats", str(inst))
+    assert (code, err) == (0, "")
+    first, *rest = out.splitlines()
+    fields = dict(field.split("=") for field in first.split())
+    return (int(fields["components"]), int(fields["cut_edges"]),
+            [line for line in rest if line.startswith("cut_edge=")])
+
+
+def test_stats_counts_match_the_decomposition(tmp_path, capsys, k24, two_triangles):
+    # stats reads its counts off the bound; decompose builds the components
+    graphs = [build_graph(1, ()), build_graph(2, [(0, 1)]),
+              build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+              build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+              build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), k24, two_triangles]
+    rng = random.Random(41)
+    for _ in range(50):
+        n = rng.randrange(5, 41)
+        m = min(n * (n - 1) // 2, n - 1 + rng.randrange(0, n // 2 + 1))
+        graphs.append(generate_random_connected(n, m, rng.randrange(10**6)))
+    split = 0
+    for g in graphs:
+        lb = obligatory_branch_bound(g)
+        d = decompose(g, lb)
+        split += lb.value > 0 and len(lb.bridges) > 0
+        cut = [f"cut_edge={u + 1},{v + 1}" for u, v in sorted(d.cut_edges)]
+        assert _stats_report(capsys, tmp_path, g) == (len(d.components), len(d.cut_edges), cut)
+    assert split >= 10  # many graphs exercise both reductions at once
+
+
 def test_cli_solve_agrees_with_oracle(tmp_path, capsys):
     inst = tmp_path / "g.graph"
     run_cli(capsys, "gen", "--n", "9", "--m", "12", "--seed", "3", "--out", str(inst))
@@ -298,15 +339,17 @@ def test_bench_refuses_the_removed_jobs_flag(tmp_path, capsys):
     assert err == "usage error: unrecognized arguments: --jobs 2\n"
 
 
-def test_a_line_break_in_an_error_stays_on_one_line(tmp_path, capsys):
+def test_a_line_break_in_an_error_stays_on_one_line(tmp_path, capsys, caplog):
     # every character str.splitlines() breaks at is a space inside the quotes,
-    # so a failed instance's record, and its table row, is one line
+    # so a failed instance's record, its table row and its warning are one line
     d = tmp_path / "d"
     d.mkdir()
     (d / "e\nf.graph").write_text("\n", encoding="utf-8")
-    code, out, _ = run_cli(capsys, "bench", str(d), "--records", "-")
+    with caplog.at_level(logging.WARNING, logger="mbv.bench"):
+        code, out, _ = run_cli(capsys, "bench", str(d), "--records", "-")
     assert code == 0
     error = f"{d}/e f.graph: empty instance"
+    assert [r.getMessage() for r in caplog.records] == [f'instance "e f" failed: "{error}"']
     assert out.splitlines()[2:] == [f"{'e f':<24} error: {error}",
                                     "instances=1 failed=1 ob_avg=0.0% ce_avg=0.0% "
                                     "optimal=0 plain_optimal=0",

@@ -14,7 +14,7 @@ from mbv import (
     solve_component,
     spanning_tree,
 )
-from mbv.decompose import Component
+from mbv.decompose import Component, _component_count
 from mbv.errors import NotASpanningTreeError, StaleBoundError
 from mbv.graph import _lowpoint
 
@@ -162,9 +162,7 @@ def test_accounting_identities_random():
         split_total = sum(lb.split_counts.values())
         assert sum(c.graph.n for c in d.components) == g.n - lb.value + split_total
         assert sum(c.graph.m for c in d.components) == g.m - len(d.cut_edges)
-        # the graph starts as one component; splitting v into k pieces adds
-        # k - 1 and deleting a bridge adds one more
-        assert len(d.components) == 1 + split_total - lb.value + len(lb.bridges)
+        assert len(d.components) == _component_count(lb)
         origins = [e for c in d.components for e in c.edge_origin.values()]
         assert len(origins) == len(set(origins))
         assert set(origins) == set(g.edges) - set(d.cut_edges)

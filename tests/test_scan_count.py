@@ -182,3 +182,18 @@ def test_one_input_scan_per_cli_report(scans, monkeypatch, tmp_path, capsys, com
     assert mbv.cli.main([command, str(inst), *extra]) == 0
     capsys.readouterr()
     assert _scans_of(scans, loaded[0]) == 1
+
+
+def test_stats_reads_its_counts_off_the_bound(monkeypatch, tmp_path, capsys):
+    # the component and cut-edge counts come from the bound, so the only
+    # graph built is the loaded input and nothing is decomposed
+    decomposed = _calls(monkeypatch, "decompose", mbv.cli)
+    built = _calls(monkeypatch, "build_graph")
+    for g in GRAPHS:
+        inst = tmp_path / "g.graph"
+        inst.write_text(write_instance(g), encoding="utf-8")
+        decomposed.clear()
+        built.clear()
+        assert mbv.cli.main(["stats", str(inst)]) == 0
+        capsys.readouterr()
+        assert (len(decomposed), [n for n, pairs in built]) == (0, [g.n])
